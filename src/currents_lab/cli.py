@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .automorphisms import apply, apply_cyclic, parse_automorphism, power
 from .currents import coordinate, length as current_length, parse_current
@@ -29,7 +29,7 @@ from .dynamics import (
     run_theorem_back,
     run_theorem_main,
 )
-from .errors import CurrentsLabError, NotStabilizedError, ParseError, RankError
+from .errors import CurrentsLabError, NotStabilizedError, ParseError
 from .selftest import run_selftest
 from .trees import intersection_form, length_britton, length_limit, parse_tree
 from .words import Basis, cyclic_reduce, word
@@ -41,21 +41,6 @@ EXIT_DOMAIN = 3
 EXIT_NOT_STABILIZED = 4
 
 DEFAULT_RANK = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Plumbing for one experiment invocation."""
-
-    experiment: str
-    rank: int
-    level: int | None
-    iters: int | None
-    cap: int
-    seed: int
-    trials: int | None
-    out: str | None
-    csv: str | None
 
 
 def _print_word(u) -> None:
@@ -149,80 +134,42 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     return _emit_report(report, args.out, args.csv)
 
 
-# experiment id -> (minimum rank, default rank)
-_EXPERIMENT_RANKS = {
-    "theorem-main": (5, 5),
-    "theorem-back": (3, 3),
-    "product-minimal": (5, 5),
-    "primitive-limit": (3, 3),
-    "off-critical": (3, 3),
-    "outlook-identity": (2, 3),
-    "minimality-walk": (3, 3),
+def _given(args: argparse.Namespace, *flags: str, **renamed: str) -> dict[str, int]:
+    """Keyword arguments for the knobs the user set; the run_* defaults fill the rest.
+
+    ``renamed`` maps a run_* parameter to the flag that sets it.
+    """
+    pairs = [(flag, flag) for flag in flags] + list(renamed.items())
+    return {param: getattr(args, flag) for param, flag in pairs if getattr(args, flag) is not None}
+
+
+def _word_basis(args: argparse.Namespace) -> Basis:
+    """Basis for parsing -u/-g/-f; rank 3 unless --rank is given."""
+    return Basis(3 if args.rank is None else args.rank)
+
+
+# experiment id -> run; each run_* owns its knob defaults and its rank check
+EXPERIMENTS: dict[str, Callable[[argparse.Namespace], ConvergenceReport]] = {
+    "theorem-main": lambda a: run_theorem_main(**_given(a, "iters", "level", "rank", "cap")),
+    "theorem-back": lambda a: run_theorem_back(**_given(a, "rank")),
+    "product-minimal": lambda a: run_product_minimal(
+        **_given(a, "iters", "level", "rank", "cap")
+    ),
+    "primitive-limit": lambda a: run_primitive_limit(
+        word(_word_basis(a), a.u), **_given(a, "iters", "level")
+    ),
+    "off-critical": lambda a: run_off_critical_perturbation(
+        word(_word_basis(a), a.g), word(_word_basis(a), a.f), **_given(a, "iters", "level")
+    ),
+    "outlook-identity": lambda a: run_outlook_identity(**_given(a, "iters", "rank", "seed")),
+    "minimality-walk": lambda a: run_minimality_walk(
+        **_given(a, "trials", "level", "seed", "rank", steps="iters")
+    ),
 }
 
 
-def _run_experiment(config: RunConfig, args: argparse.Namespace) -> ConvergenceReport:
-    basis = Basis(config.rank)
-    name = config.experiment
-    if name == "theorem-main":
-        return run_theorem_main(
-            iters=config.iters or 50,
-            level=config.level or 2,
-            rank=config.rank,
-            cap=config.cap,
-        )
-    if name == "theorem-back":
-        return run_theorem_back(rank=config.rank)
-    if name == "product-minimal":
-        return run_product_minimal(
-            iters=config.iters or 20,
-            level=config.level or 2,
-            rank=config.rank,
-            cap=config.cap,
-        )
-    if name == "primitive-limit":
-        return run_primitive_limit(
-            word(basis, args.u),
-            iters=config.iters or 20,
-            level=config.level or 2,
-        )
-    if name == "off-critical":
-        return run_off_critical_perturbation(
-            word(basis, args.g),
-            word(basis, args.f),
-            iters=config.iters or 16,
-            level=config.level or 2,
-        )
-    if name == "outlook-identity":
-        return run_outlook_identity(
-            iters=config.iters or 20, rank=config.rank, seed=config.seed
-        )
-    return run_minimality_walk(
-        trials=config.trials or 25,
-        steps=config.iters or 40,
-        level=config.level or 1,
-        seed=config.seed,
-        rank=config.rank,
-    )
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
-    minimum, default = _EXPERIMENT_RANKS[args.id]
-    rank = args.rank if args.rank is not None else default
-    if rank < minimum:
-        raise RankError(f"experiment {args.id} requires rank >= {minimum}, got {rank}")
-    config = RunConfig(
-        experiment=args.id,
-        rank=rank,
-        level=args.level,
-        iters=args.iters,
-        cap=args.cap,
-        seed=args.seed,
-        trials=args.trials,
-        out=args.out,
-        csv=args.csv,
-    )
-    return _emit_report(_run_experiment(config, args), config.out, config.csv)
+    return _emit_report(EXPERIMENTS[args.id](args), args.out, args.csv)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -304,12 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_iterate)
 
     p = sub.add_parser("experiment", help="run a named experiment")
-    p.add_argument("id", choices=sorted(_EXPERIMENT_RANKS))
+    p.add_argument("id", choices=sorted(EXPERIMENTS))
     common(p, rank_default=None)
     p.add_argument("--level", type=int)
     p.add_argument("--iters", type=int)
-    p.add_argument("--cap", type=int, default=64)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--cap", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("-u", default="ab", help="primitive-limit: word in a, b")
     p.add_argument("-g", default="abaB", help="off-critical: base word")

@@ -27,7 +27,6 @@ from .words import (
     _canonical_rotation,
     count_subwords,
     cyclic_reduce,
-    invert,
     inverse_cyclic,
     letter_key,
     occurrences,
@@ -144,18 +143,10 @@ def act(phi: FreeAutomorphism, nu: RationalCurrent) -> RationalCurrent:
     for cls, weight in nu.terms:
         image = apply_cyclic(phi, cls.root)
         root, exponent = primitive_root(image)
-        # automorphisms preserve power-freeness, so the exponent stays 1
-        assert exponent == 1
+        if exponent != 1:
+            raise RuntimeError(f"{image} is a proper power: automorphisms preserve power-freeness")
         items.append((ConjugacyClass(root), weight))
     return current_from_terms(nu.basis, items)
-
-
-def pair_representative(v: Word) -> Word:
-    """The smaller of ``v`` and ``v^-1`` in the letter order, as a pair label."""
-    w = invert(v)
-    vk = tuple(letter_key(x) for x in v.letters)
-    wk = tuple(letter_key(x) for x in w.letters)
-    return v if vk <= wk else w
 
 
 @dataclass(frozen=True)
@@ -191,7 +182,8 @@ def projective_vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVecto
         entries.append((Word(nu.basis, rep), acc[rep] / total))
     vector = ProjectiveCurrentVector(nu.basis, level, tuple(entries))
     ones = sum((val for w, val in entries if len(w) == 1), Fraction(0))
-    assert ones == 1, "single-letter coordinates must sum to 1"
+    if ones != 1:
+        raise RuntimeError(f"single-letter coordinates sum to {ones}, not 1")
     return vector
 
 
@@ -257,7 +249,7 @@ def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]
     def extend(prefix: list[int], remaining: int):
         if prefix and remaining == 0:
             if prefix[-1] != -prefix[0]:
-                cycle = CyclicWord(basis, _canonical(prefix))
+                cycle = CyclicWord(basis, _canonical_rotation(prefix))
                 _, exponent = primitive_root(cycle)
                 if exponent == 1:
                     mirror = inverse_cyclic(cycle)
@@ -274,10 +266,6 @@ def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]
         extend([], n)
     ordered = sorted(found, key=lambda w: (len(w), rotation_key(w)))
     return tuple(ConjugacyClass(w) for w in ordered)
-
-
-def _canonical(letters: list[int]) -> tuple[int, ...]:
-    return _canonical_rotation(letters)
 
 
 _TERM_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?\[([^\]]*)\]\s*")

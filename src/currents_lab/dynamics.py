@@ -54,7 +54,6 @@ from .errors import (
     RankError,
     ZeroCurrentError,
 )
-from .parallel import parallel_map
 from .trees import (
     ProjectiveTreeVector,
     TreeLengthFunction,
@@ -140,12 +139,15 @@ def _assert(results: list[AssertionResult], name: str, passed: bool, witness: st
     results.append(AssertionResult(name, bool(passed), witness))
 
 
-def _vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVector:
-    return projective_vector(nu, level)
+def _at_least_one(**counts: int) -> None:
+    """Reject step, trial and cap counts below 1: no claim may pass untested."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _distance(nu: RationalCurrent, target: ProjectiveCurrentVector, level: int) -> Fraction:
-    return projective_distance(_vector(nu, level), target)
+    return projective_distance(projective_vector(nu, level), target)
 
 
 def iterate_current(
@@ -161,11 +163,13 @@ def iterate_current(
     checked against the linear lower bound
     ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     if nu0.is_zero():
         raise ZeroCurrentError("cannot iterate the zero current")
     if phi.basis != nu0.basis:
         raise BasisMismatchError("automorphism and current use different bases")
-    goal = _vector(limit, level) if limit is not None else None
+    goal = projective_vector(limit, level) if limit is not None else None
     lengths: list[Fraction] = []
     rows: list[tuple[str, ...]] = []
     nu = nu0
@@ -232,6 +236,7 @@ def tree_orbit_limit(
     is zero the orbit converges without rescaling and the stabilized constant
     lengths are used instead.
     """
+    _at_least_one(cap=cap)
     if phi.basis != tree.basis:
         raise BasisMismatchError("automorphism and tree use different bases")
     classes = power_free_classes(tree.basis, level)
@@ -245,7 +250,7 @@ def tree_orbit_limit(
             g = apply(back, g)
         return seq
 
-    sequences = parallel_map(orbit, list(classes))
+    sequences = [orbit(cls) for cls in classes]
     rates: list[Fraction] = []
     for cls, seq in zip(classes, sequences):
         rate, run = _tail_difference(seq)
@@ -286,7 +291,7 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     other generator), both extension coordinates toward some third letter
     are forced to vanish and that twist wins with the full increment (t;nu).
     The increment never decreases along the iteration and the single-letter
-    deficit is invariant, so at rank 3 the walk is within 1/11 of the target
+    deficit is invariant, so at rank 3 the walk is within 1/10 of the target
     current after 40 steps.
     """
     basis = nu.basis
@@ -312,15 +317,16 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
             key = (margin, -z, direction)
             if best is None or key > (best[0], -best[1], best[2]):
                 best = (margin, z, direction, blocker)
-    assert best is not None
+    if best is None or best[0] <= 0:
+        raise RuntimeError("no positive increment: impossible for a nonzero current")
     margin, z, direction, blocker = best
-    assert margin > 0, "no positive increment: impossible for a nonzero current"
     z_canon = min(i for i in gens if i != t)
     critical = (
         t_count <= 2 * coord((t, z_canon)) and t_count <= 2 * coord((t, -z_canon))
     )
     if critical:
-        assert blocker == 0 and coord((t, direction * z)) == 0, "forced vanishing failed"
+        if blocker != 0 or coord((t, direction * z)) != 0:
+            raise RuntimeError("forced vanishing failed")
         reason = (
             f"critical for ({name(t)},{name(z_canon)}): "
             f"({name(t)}{name(z)};nu)=({name(t)}{name(-z)};nu)=0"
@@ -338,7 +344,7 @@ def walk_to_target(
 ) -> tuple[int | None, Fraction]:
     """Iterate the chosen twist; first step with distance <= 1/10 to the target."""
     stepper = choice.twist if choice.direction == 1 else inverse(choice.twist)
-    goal = _vector(rational_current(Word(nu.basis, (choice.target,))), level)
+    goal = projective_vector(rational_current(Word(nu.basis, (choice.target,))), level)
     current = nu
     last = Fraction(0)
     for n in range(steps + 1):
@@ -358,6 +364,7 @@ def run_minimality_walk(
     rank: int = 3,
 ) -> ConvergenceReport:
     """Random currents all walk to within 1/10 of a generator current."""
+    _at_least_one(trials=trials, steps=steps)
     if rank < 3:
         raise RankError(f"minimality-walk requires rank >= 3, got {rank}")
     basis = Basis(rank)
@@ -432,6 +439,7 @@ def run_theorem_main(
     the twist structure converge to generator currents at mutual distance 1.
     Both iteration directions are certified.
     """
+    _at_least_one(iters=iters)
     if rank < 5:
         raise RankError(f"theorem-main requires rank >= 5, got {rank}")
     basis = Basis(rank)
@@ -476,7 +484,7 @@ def run_theorem_main(
     law_ok = True
     law_witness = ""
     for seed_name, seed, target in seeds:
-        goal = _vector(target, 1)
+        goal = projective_vector(target, 1)
         for direction, stepper in (("forward", phi), ("backward", phi_back)):
             distance_columns.append(f"{seed_name}-{direction}")
             nu = seed
@@ -494,7 +502,7 @@ def run_theorem_main(
         law_ok,
         law_witness or f"exact for all steps n <= {iters}",
     )
-    separation = projective_distance(_vector(mu_b, 1), _vector(mu_d, 1))
+    separation = projective_distance(projective_vector(mu_b, 1), projective_vector(mu_d, 1))
     _assert(
         assertions,
         "the two current limits stay at distance exactly 1",
@@ -577,6 +585,7 @@ def run_product_minimal(
     iters: int = 20, level: int = 2, rank: int = 5, cap: int = 64
 ) -> ConvergenceReport:
     """Paired twist orbit of (marked tree, generator current) hits its limit."""
+    _at_least_one(iters=iters)
     if rank < 5:
         raise RankError(f"product-minimal requires rank >= 5, got {rank}")
     basis = Basis(rank)
@@ -609,8 +618,8 @@ def run_product_minimal(
         not crit.member,
         crit.witness(),
     )
-    goal1 = _vector(mu_b, 1)
-    goal_level = _vector(mu_b, level)
+    goal1 = projective_vector(mu_b, 1)
+    goal_level = projective_vector(mu_b, level)
     base_len = current_length(mu_a)
     rows = []
     law_ok = True
@@ -660,6 +669,7 @@ def run_product_minimal(
 
 def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> ConvergenceReport:
     """Distances of the perturbed-power currents to the base current."""
+    _at_least_one(iters=iters)
     basis = u.basis
     if basis.rank < 3:
         raise RankError(f"primitive-limit requires rank >= 3, got {basis.rank}")
@@ -670,7 +680,7 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
     lead = Word(basis, (3,))
     mu_u = rational_current(u)
     base_len = current_length(mu_u)
-    goal = _vector(mu_u, level)
+    goal = projective_vector(mu_u, level)
     rows = []
     distances: list[Fraction] = []
     for n in range(iters + 1):
@@ -718,6 +728,7 @@ def run_off_critical_perturbation(
     g: Word, f: Word, iters: int = 16, level: int = 2
 ) -> ConvergenceReport:
     """Odd twisted-letter count keeps the perturbed orbit off the critical set."""
+    _at_least_one(iters=iters)
     if g.basis != f.basis:
         raise BasisMismatchError("g and f use different bases")
     basis = g.basis
@@ -729,7 +740,7 @@ def run_off_critical_perturbation(
     if parity % 2 != 1:
         raise ValueError(f"(a; mu_f) must be odd, got {parity}")
     mu_g = rational_current(g)
-    goal = _vector(mu_g, level)
+    goal = projective_vector(mu_g, level)
     f_len = current_length(mu_f)
     g_len = current_length(mu_g)
     notes = [EXACT_NOTE, DERIVED_RATE_NOTE]
@@ -806,8 +817,7 @@ def run_off_critical_perturbation(
 
 def run_outlook_identity(iters: int = 20, rank: int = 3, seed: int = 1) -> ConvergenceReport:
     """Exact pairing values 1/(n(n+1)) along the rescaled twist orbit."""
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    _at_least_one(iters=iters)
     if rank < 3:
         raise RankError(f"outlook-identity requires rank >= 3, got {rank}")
     basis = Basis(rank)

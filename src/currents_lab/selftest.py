@@ -66,11 +66,10 @@ RANKS = (2, 3, 5)
 
 @dataclass(frozen=True)
 class CheckResult:
-    suite: str
     name: str
     passed: bool
     trials: int
-    witness: str | None = None
+    witness: str | None
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,10 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+# What a check returns: its trial count and its first failure's witness, or None.
+Outcome = tuple[int, str | None]
 
 
 def _rng(seed: int, label: str) -> Random:
@@ -99,7 +102,7 @@ def _raw_letters(rng: Random, basis: Basis, max_len: int) -> list[int]:
 # ---------------------------------------------------------------- word suite
 
 
-def _check_reduction(seed: int, quick: bool) -> CheckResult:
+def _check_reduction(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "words/reduction")
     trials = _size(600, quick)
     for i in range(trials):
@@ -107,16 +110,14 @@ def _check_reduction(seed: int, quick: bool) -> CheckResult:
         u = free_reduce(basis, _raw_letters(rng, basis, 20))
         again = free_reduce(basis, u.letters)
         if again != u:
-            return CheckResult("words", "free reduction idempotent", False, trials, str(u))
+            return trials, str(u)
         v = random_reduced_word(rng, basis, 12)
         if len(concat(u, v)) > len(u) + len(v):
-            return CheckResult(
-                "words", "free reduction idempotent", False, trials, f"{u} * {v}"
-            )
-    return CheckResult("words", "free reduction idempotent", True, trials)
+            return trials, f"{u} * {v}"
+    return trials, None
 
 
-def _check_occurrence_symmetry(seed: int, quick: bool) -> CheckResult:
+def _check_occurrence_symmetry(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "words/symmetry")
     trials = _size(400, quick)
     for i in range(trials):
@@ -124,13 +125,11 @@ def _check_occurrence_symmetry(seed: int, quick: bool) -> CheckResult:
         v = random_reduced_word(rng, basis, 5)
         w = random_cyclic_word(rng, basis, 30)
         if occurrences(v, w) != occurrences(invert(v), w):
-            return CheckResult(
-                "words", "occurrence inversion symmetry", False, trials, f"v={v} w={w}"
-            )
-    return CheckResult("words", "occurrence inversion symmetry", True, trials)
+            return trials, f"v={v} w={w}"
+    return trials, None
 
 
-def _check_power_coherence(seed: int, quick: bool) -> CheckResult:
+def _check_power_coherence(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "words/powers")
     trials = _size(200, quick)
     for i in range(trials):
@@ -144,17 +143,15 @@ def _check_power_coherence(seed: int, quick: bool) -> CheckResult:
         for key in keys:
             if lifted.get(key, 0) != m * base.get(key, 0):
                 name = "".join(basis.letter_name(x) for x in key)
-                return CheckResult(
-                    "words", "power coherence", False, trials, f"f={root} m={m} v={name}"
-                )
-    return CheckResult("words", "power coherence", True, trials)
+                return trials, f"f={root} m={m} v={name}"
+    return trials, None
 
 
 def _rotations(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {letters[i:] + letters[:i] for i in range(len(letters))}
 
 
-def _check_canonical_rotation(seed: int, quick: bool) -> CheckResult:
+def _check_canonical_rotation(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "words/rotation")
     trials = _size(300, quick)
     for i in range(trials):
@@ -165,18 +162,14 @@ def _check_canonical_rotation(seed: int, quick: bool) -> CheckResult:
         cu, _ = cyclic_reduce(u)
         cv, _ = cyclic_reduce(conjugate)
         if cu != cv:
-            return CheckResult(
-                "words", "canonical rotation vs conjugacy", False, trials, f"u={u} g={g}"
-            )
+            return trials, f"u={u} g={g}"
         # canonical rotations agree exactly when one word is a rotation of the other
         other = random_reduced_word(rng, basis, 8)
         co, _ = cyclic_reduce(other)
         rotation_related = co.letters in _rotations(cu.letters)
         if (cu == co) != rotation_related:
-            return CheckResult(
-                "words", "canonical rotation vs conjugacy", False, trials, f"{cu} {co}"
-            )
-    return CheckResult("words", "canonical rotation vs conjugacy", True, trials)
+            return trials, f"{cu} {co}"
+    return trials, None
 
 
 # ------------------------------------------------------- automorphism suite
@@ -194,7 +187,7 @@ def _random_automorphism(rng: Random, basis: Basis):
     return phi
 
 
-def _check_composition(seed: int, quick: bool) -> CheckResult:
+def _check_composition(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "autos/composition")
     trials = _size(300, quick)
     for i in range(trials):
@@ -203,13 +196,13 @@ def _check_composition(seed: int, quick: bool) -> CheckResult:
         psi = _random_automorphism(rng, basis)
         u = random_reduced_word(rng, basis, 12)
         if apply(compose(phi, psi), u) != apply(phi, apply(psi, u)):
-            return CheckResult("automorphisms", "composition", False, trials, str(u))
+            return trials, str(u)
         if apply(inverse(phi), apply(phi, u)) != u:
-            return CheckResult("automorphisms", "composition", False, trials, str(u))
-    return CheckResult("automorphisms", "composition", True, trials)
+            return trials, str(u)
+    return trials, None
 
 
-def _check_cyclic_action(seed: int, quick: bool) -> CheckResult:
+def _check_cyclic_action(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "autos/cyclic")
     trials = _size(500, quick)
     for i in range(trials):
@@ -221,29 +214,25 @@ def _check_cyclic_action(seed: int, quick: bool) -> CheckResult:
         cu, _ = cyclic_reduce(u)
         expected, _ = cyclic_reduce(apply(phi, conjugate))
         if apply_cyclic(phi, cu) != expected:
-            return CheckResult(
-                "automorphisms", "conjugacy equivariance", False, trials, f"u={u} g={g}"
-            )
-    return CheckResult("automorphisms", "conjugacy equivariance", True, trials)
+            return trials, f"u={u} g={g}"
+    return trials, None
 
 
-def _check_twist_growth(seed: int, quick: bool) -> CheckResult:
+def _check_twist_growth(seed: int, quick: bool) -> Outcome:
     basis = Basis(3)
     twist = simple_twist(basis, 1, 2)
     top = 10 if quick else 30
     for n in range(top + 1):
         image = apply(power(twist, n), word(basis, "a"))
         if len(image) != n + 1:
-            return CheckResult(
-                "automorphisms", "twist linear growth", False, top + 1, f"n={n} -> {image}"
-            )
-    return CheckResult("automorphisms", "twist linear growth", True, top + 1)
+            return top + 1, f"n={n} -> {image}"
+    return top + 1, None
 
 
 # ------------------------------------------------------------ current suite
 
 
-def _check_extension_identities(seed: int, quick: bool) -> CheckResult:
+def _check_extension_identities(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "currents/extension")
     trials = _size(999, quick)
     for i in range(trials):
@@ -256,7 +245,7 @@ def _check_extension_identities(seed: int, quick: bool) -> CheckResult:
             v = Word(basis, letters)
             left = coordinate(v, nu)
             if left < 0:
-                return CheckResult("currents", "extension identities", False, trials, str(v))
+                return trials, str(v)
             right_sum = sum(
                 (
                     coordinate(Word(basis, letters + (x,)), nu)
@@ -274,17 +263,11 @@ def _check_extension_identities(seed: int, quick: bool) -> CheckResult:
                 Fraction(0),
             )
             if left != right_sum or left != left_sum:
-                return CheckResult(
-                    "currents",
-                    "extension identities",
-                    False,
-                    trials,
-                    f"v={v} ({left} vs {right_sum}/{left_sum})",
-                )
-    return CheckResult("currents", "extension identities", True, trials)
+                return trials, f"v={v} ({left} vs {right_sum}/{left_sum})"
+    return trials, None
 
 
-def _check_level_identity(seed: int, quick: bool) -> CheckResult:
+def _check_level_identity(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "currents/level")
     trials = _size(600, quick)
     for i in range(trials):
@@ -301,13 +284,11 @@ def _check_level_identity(seed: int, quick: bool) -> CheckResult:
                 Fraction(0),
             )
             if reads != total:
-                return CheckResult(
-                    "currents", "level identity", False, trials, f"m={m}: {reads} != {total}"
-                )
-    return CheckResult("currents", "level identity", True, trials)
+                return trials, f"m={m}: {reads} != {total}"
+    return trials, None
 
 
-def _check_rational_length(seed: int, quick: bool) -> CheckResult:
+def _check_rational_length(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "currents/length")
     trials = _size(1000, quick)
     for i in range(trials):
@@ -315,11 +296,11 @@ def _check_rational_length(seed: int, quick: bool) -> CheckResult:
         g = random_reduced_word(rng, basis, 30)
         cyc, _ = cyclic_reduce(g)
         if current_length(rational_current(g)) != len(cyc):
-            return CheckResult("currents", "length of rational current", False, trials, str(g))
-    return CheckResult("currents", "length of rational current", True, trials)
+            return trials, str(g)
+    return trials, None
 
 
-def _check_twist_identities(seed: int, quick: bool) -> CheckResult:
+def _check_twist_identities(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "currents/twist")
     trials = _size(600, quick)
     for i in range(trials):
@@ -335,22 +316,18 @@ def _check_twist_identities(seed: int, quick: bool) -> CheckResult:
 
         for x in basis.generators():
             if x != z and co(image, x) != co(nu, x):
-                return CheckResult(
-                    "currents", "twist coordinate identities", False, trials, f"x={x} nu={nu}"
-                )
+                return trials, f"x={x} nu={nu}"
         checks = (
             co(image, z) == co(nu, z) + co(nu, t) - 2 * co(nu, t, -z),
             co(image, t, -z) == co(nu, t, -z, -z) + co(nu, t, -z, -t),
             current_length(image) - current_length(nu) == co(nu, t) - 2 * co(nu, t, -z),
         )
         if not all(checks):
-            return CheckResult(
-                "currents", "twist coordinate identities", False, trials, f"t={t} z={z} nu={nu}"
-            )
-    return CheckResult("currents", "twist coordinate identities", True, trials)
+            return trials, f"t={t} z={z} nu={nu}"
+    return trials, None
 
 
-def _check_increment_monotone(seed: int, quick: bool) -> CheckResult:
+def _check_increment_monotone(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "currents/monotone")
     trials = _size(300, quick)
     for i in range(trials):
@@ -363,13 +340,11 @@ def _check_increment_monotone(seed: int, quick: bool) -> CheckResult:
             lengths.append(current_length(nu))
         diffs = [b - a for a, b in zip(lengths, lengths[1:])]
         if lengths[1] > lengths[0] and any(b < a for a, b in zip(diffs, diffs[1:])):
-            return CheckResult(
-                "currents", "twist increment monotone", False, trials, str(lengths)
-            )
-    return CheckResult("currents", "twist increment monotone", True, trials)
+            return trials, str(lengths)
+    return trials, None
 
 
-def _check_action_functorial(seed: int, quick: bool) -> CheckResult:
+def _check_action_functorial(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "currents/functorial")
     trials = _size(200, quick)
     for i in range(trials):
@@ -378,8 +353,8 @@ def _check_action_functorial(seed: int, quick: bool) -> CheckResult:
         phi = _random_automorphism(rng, basis)
         psi = _random_automorphism(rng, basis)
         if act(compose(phi, psi), nu) != act(phi, act(psi, nu)):
-            return CheckResult("currents", "action functorial", False, trials, str(nu))
-    return CheckResult("currents", "action functorial", True, trials)
+            return trials, str(nu)
+    return trials, None
 
 
 # --------------------------------------------------------------- tree suite
@@ -394,7 +369,7 @@ def _test_trees(basis: Basis):
     return trees
 
 
-def _check_route_agreement(seed: int, quick: bool) -> CheckResult:
+def _check_route_agreement(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "trees/routes")
     basis = Basis(5)
     trials = _size(500, quick)
@@ -405,14 +380,11 @@ def _check_route_agreement(seed: int, quick: bool) -> CheckResult:
             britton = length_britton(tree, g)
             limit = length_limit(tree, g)
             if britton != limit:
-                return CheckResult(
-                    "trees", "Britton vs limit routes", False, trials,
-                    f"g={g}: {britton} != {limit}",
-                )
-    return CheckResult("trees", "Britton vs limit routes", True, trials)
+                return trials, f"g={g}: {britton} != {limit}"
+    return trials, None
 
 
-def _check_length_symmetries(seed: int, quick: bool) -> CheckResult:
+def _check_length_symmetries(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "trees/symmetry")
     basis = Basis(5)
     trials = _size(300, quick)
@@ -424,13 +396,11 @@ def _check_length_symmetries(seed: int, quick: bool) -> CheckResult:
         conjugate = concat(concat(h, g), invert(h))
         base = tree_length(tree, g)
         if tree_length(tree, conjugate) != base or tree_length(tree, invert(g)) != base:
-            return CheckResult(
-                "trees", "conjugacy and inversion invariance", False, trials, f"g={g} h={h}"
-            )
-    return CheckResult("trees", "conjugacy and inversion invariance", True, trials)
+            return trials, f"g={g} h={h}"
+    return trials, None
 
 
-def _check_length_homogeneity(seed: int, quick: bool) -> CheckResult:
+def _check_length_homogeneity(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "trees/homogeneity")
     basis = Basis(5)
     trials = _size(200, quick)
@@ -443,29 +413,24 @@ def _check_length_homogeneity(seed: int, quick: bool) -> CheckResult:
             continue
         for n in range(2, 6):
             if tree_length(tree, word_power(g, n)) != n * base:
-                return CheckResult(
-                    "trees", "translation length homogeneity", False, trials, f"g={g} n={n}"
-                )
-    return CheckResult("trees", "translation length homogeneity", True, trials)
+                return trials, f"g={g} n={n}"
+    return trials, None
 
 
-def _check_ellipticity(seed: int, quick: bool) -> CheckResult:
+def _check_ellipticity(seed: int, quick: bool) -> Outcome:
     basis = Basis(5)
     twist = twist_tree(basis, [(1, 2, Fraction(1))])
     delta = double_twist_tree(basis, Fraction(1), Fraction(1, 2))
     elliptic = ["b", "d", "abA", "edE", "c"]
-    checks = [(twist, "b")] + [(delta, text) for text in elliptic]
-    for tree, text in checks:
-        if tree_length(tree, word(basis, text)) != 0:
-            return CheckResult("trees", "twistor ellipticity", False, len(checks), text)
-    hyper = [(twist, "a", 1), (delta, "a", 1), (delta, "ae", Fraction(3, 2))]
-    for tree, text, expected in hyper:
+    checks = [(twist, "b", 0)] + [(delta, text, 0) for text in elliptic]
+    checks += [(twist, "a", 1), (delta, "a", 1), (delta, "ae", Fraction(3, 2))]
+    for tree, text, expected in checks:
         if tree_length(tree, word(basis, text)) != expected:
-            return CheckResult("trees", "twistor ellipticity", False, len(checks), text)
-    return CheckResult("trees", "twistor ellipticity", True, len(checks) + len(hyper))
+            return len(checks), text
+    return len(checks), None
 
 
-def _check_intersection_form(seed: int, quick: bool) -> CheckResult:
+def _check_intersection_form(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "trees/pairing")
     basis = Basis(5)
     trials = _size(300, quick)
@@ -474,14 +439,14 @@ def _check_intersection_form(seed: int, quick: bool) -> CheckResult:
         tree = trees[i % len(trees)]
         g = random_reduced_word(rng, basis, 16)
         if intersection_form(tree, rational_current(g)) != tree_length(tree, g):
-            return CheckResult("trees", "pairing extends length", False, trials, str(g))
-    return CheckResult("trees", "pairing extends length", True, trials)
+            return trials, str(g)
+    return trials, None
 
 
 # ----------------------------------------------------------- dynamics suite
 
 
-def _check_dichotomy(seed: int, quick: bool) -> CheckResult:
+def _check_dichotomy(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "dynamics/dichotomy")
     trials = _size(500, quick)
     basis = Basis(3)
@@ -490,10 +455,7 @@ def _check_dichotomy(seed: int, quick: bool) -> CheckResult:
     while done < trials:
         draws += 1
         if draws > 40 * trials:
-            return CheckResult(
-                "dynamics", "dichotomy off critical set", False, trials,
-                "corpus almost surely critical: generator broken",
-            )
+            return trials, "corpus almost surely critical: generator broken"
         nu = random_current(rng, basis, max_terms=2, max_root_len=6)
         if in_critical_set(nu, 1, 2).member:
             continue
@@ -502,7 +464,7 @@ def _check_dichotomy(seed: int, quick: bool) -> CheckResult:
         toward_inverse = coordinate(word(basis, "aB"), nu)
         toward = coordinate(word(basis, "ab"), nu)
         if not (a_coord > 2 * toward_inverse or a_coord > 2 * toward):
-            return CheckResult("dynamics", "dichotomy off critical set", False, trials, str(nu))
+            return trials, str(nu)
         direction = 1 if a_coord > 2 * toward_inverse else -1
         twist = simple_twist(basis, 1, 2)
         step = twist if direction == 1 else inverse(twist)
@@ -513,13 +475,11 @@ def _check_dichotomy(seed: int, quick: bool) -> CheckResult:
             distances.append(projective_distance(projective_vector(current, 1), target))
             current = act(step, current)
         if any(b >= a for a, b in zip(distances, distances[1:])):
-            return CheckResult(
-                "dynamics", "dichotomy off critical set", False, trials, f"{nu}: {distances}"
-            )
-    return CheckResult("dynamics", "dichotomy off critical set", True, trials)
+            return trials, f"{nu}: {distances}"
+    return trials, None
 
 
-def _check_trichotomy(seed: int, quick: bool) -> CheckResult:
+def _check_trichotomy(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "dynamics/trichotomy")
     trials = _size(1000, quick)
     for i in range(trials):
@@ -530,77 +490,67 @@ def _check_trichotomy(seed: int, quick: bool) -> CheckResult:
             choice = escape_from_critical(nu)
             step = choice.twist if choice.direction == 1 else inverse(choice.twist)
             if current_length(act(step, nu)) <= current_length(nu):
-                return CheckResult(
-                    "dynamics", "escape walk within 40 steps", False, trials, str(nu)
-                )
+                return trials, str(nu)
             continue
         basis = Basis(3)
         nu = random_current(rng, basis)
         choice = escape_from_critical(nu)
         hit, final = walk_to_target(choice, nu, steps=40, level=1)
         if hit is None:
-            return CheckResult(
-                "dynamics", "escape walk within 40 steps", False, trials,
-                f"{nu}: final distance {final}",
-            )
-    return CheckResult("dynamics", "escape walk within 40 steps", True, trials)
+            return trials, f"{nu}: final distance {final}"
+    return trials, None
 
 
-def _check_limit_extraction(seed: int, quick: bool) -> CheckResult:
+def _check_limit_extraction(seed: int, quick: bool) -> Outcome:
     basis = Basis(3)
     twist = simple_twist(basis, 1, 2)
     limit = tree_orbit_limit(twist, cayley_tree(basis), level=4)
     expected = projective_tree_vector(twist_tree(basis, [(1, 2, Fraction(1))]), 4)
-    passed = tree_projective_eq(limit, expected)
-    return CheckResult(
-        "dynamics", "tree orbit limit of the twist", passed, 1,
-        None if passed else "limit vector mismatch at level 4",
-    )
+    return 1, None if tree_projective_eq(limit, expected) else "limit vector mismatch at level 4"
 
 
-def _check_separation(seed: int, quick: bool) -> CheckResult:
+def _check_separation(seed: int, quick: bool) -> Outcome:
     report = run_theorem_main(iters=6 if quick else 12, level=2)
     failed = [a for a in report.assertions if not a.passed]
     if failed:
-        return CheckResult(
-            "dynamics", "headline separation certificate", False, 1,
-            f"{failed[0].name}: {failed[0].witness}",
-        )
-    return CheckResult("dynamics", "headline separation certificate", True, 1)
+        return 1, f"{failed[0].name}: {failed[0].witness}"
+    return 1, None
 
 
-_CHECKS: tuple[tuple[str, Callable[[int, bool], CheckResult]], ...] = (
-    ("words", _check_reduction),
-    ("words", _check_occurrence_symmetry),
-    ("words", _check_power_coherence),
-    ("words", _check_canonical_rotation),
-    ("automorphisms", _check_composition),
-    ("automorphisms", _check_cyclic_action),
-    ("automorphisms", _check_twist_growth),
-    ("currents", _check_extension_identities),
-    ("currents", _check_level_identity),
-    ("currents", _check_rational_length),
-    ("currents", _check_twist_identities),
-    ("currents", _check_increment_monotone),
-    ("currents", _check_action_functorial),
-    ("trees", _check_route_agreement),
-    ("trees", _check_length_symmetries),
-    ("trees", _check_length_homogeneity),
-    ("trees", _check_ellipticity),
-    ("trees", _check_intersection_form),
-    ("dynamics", _check_dichotomy),
-    ("dynamics", _check_trichotomy),
-    ("dynamics", _check_limit_extraction),
-    ("dynamics", _check_separation),
+_CHECKS: tuple[tuple[str, str, Callable[[int, bool], Outcome]], ...] = (
+    ("words", "free reduction idempotent", _check_reduction),
+    ("words", "occurrence inversion symmetry", _check_occurrence_symmetry),
+    ("words", "power coherence", _check_power_coherence),
+    ("words", "canonical rotation vs conjugacy", _check_canonical_rotation),
+    ("automorphisms", "composition", _check_composition),
+    ("automorphisms", "conjugacy equivariance", _check_cyclic_action),
+    ("automorphisms", "twist linear growth", _check_twist_growth),
+    ("currents", "extension identities", _check_extension_identities),
+    ("currents", "level identity", _check_level_identity),
+    ("currents", "length of rational current", _check_rational_length),
+    ("currents", "twist coordinate identities", _check_twist_identities),
+    ("currents", "twist increment monotone", _check_increment_monotone),
+    ("currents", "action functorial", _check_action_functorial),
+    ("trees", "Britton vs limit routes", _check_route_agreement),
+    ("trees", "conjugacy and inversion invariance", _check_length_symmetries),
+    ("trees", "translation length homogeneity", _check_length_homogeneity),
+    ("trees", "twistor ellipticity", _check_ellipticity),
+    ("trees", "pairing extends length", _check_intersection_form),
+    ("dynamics", "dichotomy off critical set", _check_dichotomy),
+    ("dynamics", "escape walk within 40 steps", _check_trichotomy),
+    ("dynamics", "tree orbit limit of the twist", _check_limit_extraction),
+    ("dynamics", "headline separation certificate", _check_separation),
 )
 
 
 def run_selftest(seed: int = 1, quick: bool = False) -> tuple[SuiteResult, ...]:
     """Run every suite and collect results; deterministic given (seed, quick)."""
     by_module: dict[str, list[CheckResult]] = {}
-    for module, fn in _CHECKS:
-        result = fn(seed, quick)
-        by_module.setdefault(module, []).append(result)
+    for module, name, check in _CHECKS:
+        trials, witness = check(seed, quick)
+        by_module.setdefault(module, []).append(
+            CheckResult(name, witness is None, trials, witness)
+        )
     return tuple(
         SuiteResult(module, tuple(checks)) for module, checks in by_module.items()
     )

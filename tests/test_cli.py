@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from currents_lab.cli import main
+from currents_lab.cli import EXPERIMENTS, main
+
+MINIMUM_RANKS = {
+    "theorem-main": 5,
+    "theorem-back": 3,
+    "product-minimal": 5,
+    "primitive-limit": 3,
+    "off-critical": 3,
+    "outlook-identity": 3,
+    "minimality-walk": 3,
+}
 
 
 def run(capsys, argv):
@@ -96,6 +106,29 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, ["length", "--tree", "twist (a:b,1)", "-g", "aA", "--rank", "3"])
         assert code == 3
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_rank_below_minimum(self, capsys, experiment):
+        minimum = MINIMUM_RANKS[experiment]
+        code, out, err = run(capsys, ["experiment", experiment, "--rank", str(minimum - 1)])
+        assert (code, out) == (3, "")
+        assert f"requires rank >= {minimum}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "theorem-main", "--iters", "-1"],
+            ["experiment", "outlook-identity", "--iters", "0"],
+            ["experiment", "minimality-walk", "--trials", "0"],
+            ["experiment", "primitive-limit", "--level", "0"],
+            ["experiment", "product-minimal", "--cap", "0"],
+            ["iterate", "--aut", "phi", "-c", "1*[a]", "--iters", "-2"],
+        ],
+    )
+    def test_out_of_contract_knobs(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
 
 
 class TestReports:

@@ -213,6 +213,15 @@ class TestAction:
         phi = simple_twist(B3, 3, 2)
         assert act(inverse(phi), act(phi, nu)) == nu
 
+    def test_power_image_is_an_explicit_error(self, monkeypatch):
+        # the power-freeness invariant must hold under python -O too
+        import currents_lab.currents as currents_module
+
+        nu = rational_current(word(B3, "a"))
+        monkeypatch.setattr(currents_module, "primitive_root", lambda cycle: (cycle, 2))
+        with pytest.raises(RuntimeError, match="proper power"):
+            act(simple_twist(B3, 1, 2), nu)
+
 
 class TestTwistIdentities:
     @given(currents(B3, 2))
