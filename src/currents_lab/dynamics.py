@@ -140,7 +140,7 @@ def _assert(results: list[AssertionResult], name: str, passed: bool, witness: st
 
 
 def _at_least_one(**counts: int) -> None:
-    """Reject step, trial and cap counts below 1: no claim may pass untested."""
+    """Reject step, trial, cap and level counts below 1: no claim may pass untested."""
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -165,6 +165,7 @@ def iterate_current(
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
+    _at_least_one(level=level)
     if nu0.is_zero():
         raise ZeroCurrentError("cannot iterate the zero current")
     if phi.basis != nu0.basis:

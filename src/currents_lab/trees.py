@@ -18,13 +18,19 @@ test suite cross-validates:
 * :func:`length_limit` iterates the core's multi-twist ``t_i -> t_i z_i`` and
   reads off the stabilized growth rate of the twistor-weighted cyclic
   length.
+
+Translation length is a conjugacy invariant, so every length route accepts
+the cyclic core of the pulled-back word in any rotation and counts letters
+per generator as ints.  Canonical rotation exists only for
+:class:`~currents_lab.words.CyclicWord` values.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .automorphisms import FreeAutomorphism, apply_inverse, identity_automorphism, parse_automorphism
 from .currents import ConjugacyClass, RationalCurrent, power_free_classes
@@ -37,7 +43,7 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .words import Basis, Word, _reduced, cyclic_reduce
+from .words import Basis, Word, _cyclic_core, _reduced
 
 
 @dataclass(frozen=True)
@@ -147,17 +153,21 @@ def double_twist_tree(basis: Basis, rho: Fraction, theta: Fraction) -> TreeLengt
     return twist_tree(basis, [(1, 2, Fraction(rho)), (5, 4, Fraction(theta))])
 
 
-def _cyclic_reduce_list(letters: list[int]) -> list[int]:
-    reduced = list(_reduced(letters))
-    while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
-        reduced = reduced[1:-1]
-    return reduced
+def _weighted_count(letters: Sequence[int], weights: Mapping[int, Fraction]) -> Fraction:
+    """Total of ``weights[abs(x)]`` over the letters; unweighted generators count 0.
+
+    Letters are counted per generator as ints, so the exact arithmetic is one
+    multiply per weighted generator that occurs.
+    """
+    counts = Counter(map(abs, letters))
+    return sum((w * counts[g] for g, w in weights.items() if g in counts), Fraction(0))
 
 
 def _britton_weight(core: TwistSplittingCore, letters: Sequence[int]) -> Fraction:
     """Edge-length total of the stable letters surviving cyclic pinching.
 
-    Works over the extended alphabet where letter ``rank + 1 + i`` stands for
+    ``letters`` is a cyclically reduced word in any rotation.  Works over the
+    extended alphabet where letter ``rank + 1 + i`` stands for
     ``t_i z_i t_i^-1``.  A pinch replaces ``t_i z_i^m t_i^-1`` by the fresh
     symbol to the ``m`` and ``t_i^-1 (fresh)^m t_i`` by ``z_i^m``; the vertex
     group is free on the non-stable generators plus the fresh symbols, so a
@@ -166,14 +176,10 @@ def _britton_weight(core: TwistSplittingCore, letters: Sequence[int]) -> Fractio
     rank = core.basis.rank
     stable_index = {t.stable: i for i, t in enumerate(core.twists)}
     current = list(letters)
-    while True:
-        current = _cyclic_reduce_list(current)
-        if not current:
-            return Fraction(0)
+    while current:
         positions = [p for p, x in enumerate(current) if abs(x) in stable_index]
         if not positions:
             return Fraction(0)
-        pinched = False
         n = len(current)
         for which in range(len(positions)):
             p1 = positions[which]
@@ -196,24 +202,24 @@ def _britton_weight(core: TwistSplittingCore, letters: Sequence[int]) -> Fractio
                 continue
             rotated = current[p1:] + current[:p1]
             span = (p2 - p1) % n
-            current = replacement + rotated[span + 1 :]
-            pinched = True
+            current = list(_cyclic_core(_reduced(replacement + rotated[span + 1 :])))
             break
-        if not pinched:
-            return sum(
-                (core.twists[stable_index[abs(x)]].length for x in current if abs(x) in stable_index),
-                Fraction(0),
-            )
+        else:
+            return _weighted_count(current, {t.stable: t.length for t in core.twists})
+    return Fraction(0)
 
 
 def _core_letters(tree: TreeLengthFunction, g: Word) -> tuple[int, ...]:
+    """Cyclic core of the pulled-back word, in the rotation it comes in.
+
+    Translation length is a conjugacy invariant, so no canonical rotation is
+    needed.
+    """
     if g.basis != tree.basis:
         raise BasisMismatchError("tree and word use different bases")
     if g.is_identity():
         raise IdentityElementError("translation length needs a nontrivial element")
-    pulled = apply_inverse(tree.marking, g)
-    cycle, _ = cyclic_reduce(pulled)
-    return cycle.letters
+    return _cyclic_core(apply_inverse(tree.marking, g).letters)
 
 
 def length_britton(tree: TreeLengthFunction, g: Word) -> Fraction:
@@ -277,21 +283,17 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
                 out.extend(-y for y in reversed(images[-x]))
         return _reduced(out)
 
-    def weighted_cyclic(letters: tuple[int, ...]) -> Fraction:
-        cycle = _cyclic_reduce_list(list(letters))
-        return sum((weights.get(abs(x), Fraction(0)) for x in cycle), Fraction(0))
-
     current = _core_letters(tree, g)
     transient = _max_cyclic_run(current, set(weights))
     if transient + 3 > cap:
         raise NotStabilizedError(
             f"need {transient + 3} iterations but cap is {cap} for {g}", ()
         )
-    values = [weighted_cyclic(current)]
+    values = [_weighted_count(current, weights)]
     diffs: list[Fraction] = []
     for n in range(cap):
         current = step(current)
-        values.append(weighted_cyclic(current))
+        values.append(_weighted_count(_cyclic_core(current), weights))
         diffs.append(values[-1] - values[-2])
         if n + 1 >= transient + 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             return tree.scale * diffs[-1]
@@ -304,8 +306,8 @@ def length(tree: TreeLengthFunction, g: Word) -> Fraction:
     """Translation length of ``g`` on the marked, scaled tree."""
     letters = _core_letters(tree, g)
     if isinstance(tree.core, WeightedCayleyCore):
-        total = sum((tree.core.weights[abs(x) - 1] for x in letters), Fraction(0))
-        return tree.scale * total
+        weights = dict(enumerate(tree.core.weights, start=1))
+        return tree.scale * _weighted_count(letters, weights)
     return tree.scale * _britton_weight(tree.core, letters)
 
 

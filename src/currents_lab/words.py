@@ -175,6 +175,19 @@ def _is_cyclically_reduced(letters: Sequence[Letter]) -> bool:
     return True
 
 
+def _cyclic_core(letters: Sequence[Letter]) -> Sequence[Letter]:
+    """Cyclically reduced core of a freely reduced word, in the rotation it comes in.
+
+    Trims the letters that cancel between the two ends; the core is nonempty
+    unless ``letters`` is.
+    """
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return letters[i : j + 1]
+
+
 @dataclass(frozen=True)
 class CyclicWord:
     """A nonempty cyclically reduced word, stored in its canonical rotation."""
@@ -211,12 +224,8 @@ def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     letters = u.letters
     if not letters:
         raise IdentityElementError("the identity has no cyclic reduction")
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    core = letters[i : j + 1]
-    conjugator = Word(u.basis, letters[:i])
+    core = _cyclic_core(letters)
+    conjugator = Word(u.basis, letters[: (len(letters) - len(core)) // 2])
     return CyclicWord(u.basis, _canonical_rotation(core)), conjugator
 
 

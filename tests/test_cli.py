@@ -123,6 +123,8 @@ class TestExitCodes:
             ["experiment", "primitive-limit", "--level", "0"],
             ["experiment", "product-minimal", "--cap", "0"],
             ["iterate", "--aut", "phi", "-c", "1*[a]", "--iters", "-2"],
+            ["iterate", "--aut", "phi", "-c", "1*[a]", "--level", "0"],
+            ["iterate", "--aut", "phi", "-c", "1*[a]", "--level", "-5"],
         ],
     )
     def test_out_of_contract_knobs(self, capsys, argv):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from currents_lab.automorphisms import identity_automorphism, simple_twist
+from currents_lab.automorphisms import identity_automorphism, inverse, power, simple_twist
 from currents_lab.currents import parse_current, rational_current, zero_current
 from currents_lab.dynamics import (
     escape_from_critical,
@@ -103,6 +103,17 @@ class TestTreeOrbit:
     def test_tiny_cap(self):
         with pytest.raises(NotStabilizedError):
             tree_orbit_limit(D, cayley_tree(B3), level=2, cap=2)
+
+    def test_pre_wound_marking(self):
+        # the marking D^20 winds [a] up 20 times; the orbit unwinds it at rate -1
+        wound = cayley_tree(B3, marking=power(D, 20))
+        with pytest.raises(NotStabilizedError) as info:
+            tree_orbit_limit(inverse(D), wound, level=2, cap=8)
+        assert "class [a]" in str(info.value)
+        seq = info.value.sequence
+        assert [seq[i + 1] - seq[i] for i in range(len(seq) - 1)] == [-1] * 8
+        limit = tree_orbit_limit(inverse(D), wound, level=2, cap=64)
+        assert tree_projective_eq(limit, tree_orbit_limit(inverse(D), cayley_tree(B3), level=2, cap=64))
 
 
 class TestExperiments:

@@ -135,6 +135,59 @@ class TestRoutesAgree:
             length_limit(T_D3, word(B3, "a"), cap=4)
 
 
+def rotations(g):
+    """Every rotation of a cyclically reduced word, each as a word."""
+    return [free_reduce(g.basis, g.letters[k:] + g.letters[:k]) for k in range(len(g))]
+
+
+class TestRotationInvariance:
+    """The length routes read the cyclic core in whatever rotation it comes in."""
+
+    WEIGHTED = cayley_tree(B5, [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2), Fraction(7)])
+
+    def assert_same_on_rotations(self, tree, g, expected):
+        for r in rotations(g):
+            assert length_britton(tree, r) == expected, str(r)
+            assert length_limit(tree, r) == expected, str(r)
+            assert length(tree, r) == expected, str(r)
+
+    def test_double_twist_tree_rank_five(self):
+        delta = double_twist_tree(B5, Fraction(1, 2), Fraction(3))
+        self.assert_same_on_rotations(delta, word(B5, "ae"), Fraction(7, 2))
+        self.assert_same_on_rotations(delta, word(B5, "aBAEdde"), Fraction(6))
+        self.assert_same_on_rotations(delta, word(B5, "aeDDEca"), Fraction(1))
+
+    def test_rotations_that_need_pinches(self):
+        delta = double_twist_tree(B5, Fraction(1, 2), Fraction(3))
+        # aBBA pinches to a fresh power in every rotation; Edde never pinches
+        self.assert_same_on_rotations(delta, word(B5, "aBBAcdEdde"), Fraction(6))
+        # both edges pinch: eddE = t z^2 t^-1 for the second edge
+        self.assert_same_on_rotations(delta, word(B5, "aBBAceddE"), Fraction(0))
+
+    def test_pinch_across_the_seam(self):
+        delta = double_twist_tree(B5, Fraction(1, 2), Fraction(3))
+        seam = word(B5, "BBAcda")  # a ... BBA wraps from the last letter to the first
+        assert length_britton(delta, seam) == length_limit(delta, seam) == 0
+        unpinched = word(B5, "BBAcdA")
+        assert length_britton(delta, unpinched) == length_limit(delta, unpinched) == 1
+
+    def test_weighted_cayley(self):
+        g = word(B5, "aBBAcdEdde")
+        expected = sum((self.WEIGHTED.core.weights[abs(x) - 1] for x in g.letters), Fraction(0))
+        for r in rotations(g):
+            assert length(self.WEIGHTED, r) == expected
+
+    @given(nonempty_words(B3, 14))
+    def test_random_rotations(self, g):
+        cycle = cyclic_reduce(g)[0].as_word()
+        twist = length_britton(T_D3, cycle)
+        assert length_limit(T_D3, cycle) == twist
+        for r in rotations(cycle):
+            assert length_britton(T_D3, r) == twist
+            assert length_limit(T_D3, r) == twist
+            assert length(cayley_tree(B3), r) == len(cycle)
+
+
 class TestLengthSymmetries:
     @given(nonempty_words(B3, 14), raw_letters(B3, 6))
     def test_conjugacy_and_inversion(self, g, extra):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from currents_lab.errors import IdentityElementError, ParseError
 from currents_lab.words import (
     Basis,
+    _cyclic_core,
     CyclicWord,
     Word,
     concat,
@@ -118,6 +119,14 @@ class TestCyclicReduction:
         cv = cyclic_reduce(v)[0]
         rotations = {cu.letters[i:] + cu.letters[:i] for i in range(len(cu))}
         assert (cu == cv) == (cv.letters in rotations)
+
+
+    @given(nonempty_words(B3))
+    def test_core_is_a_rotation(self, u):
+        core = _cyclic_core(u.letters)
+        cycle, conjugator = cyclic_reduce(u)
+        assert concat(concat(conjugator, Word(B3, core)), invert(conjugator)) == u
+        assert core in {cycle.letters[i:] + cycle.letters[:i] for i in range(len(cycle))}
 
 
 def naive_reads(target, cycle):
