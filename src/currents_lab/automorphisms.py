@@ -74,7 +74,10 @@ def apply_inverse(phi: FreeAutomorphism, u: Word) -> Word:
 
 def apply_cyclic(phi: FreeAutomorphism, w: CyclicWord) -> CyclicWord:
     """Induced map on conjugacy classes: apply to any representative, reduce."""
-    image, _ = cyclic_reduce(apply(phi, w.as_word()))
+    if phi.basis != w.basis:
+        raise BasisMismatchError("automorphism and word use different bases")
+    # The letters of a CyclicWord are already a checked reduced word.
+    image, _ = cyclic_reduce(Word(w.basis, _apply_table(phi.image_letters(), w.letters)))
     return image
 
 

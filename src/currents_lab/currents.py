@@ -171,15 +171,23 @@ def projective_vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVecto
     if nu.is_zero():
         raise ZeroCurrentError("the zero current has no projective class")
     total = length(nu)
+    # Work in letter-key space, where plain tuple order is the letter order
+    # and the inverse of key k is k ^ 1.
+    to_key = {x: letter_key(x) for x in nu.basis.signed_letters()}
     acc: dict[tuple[int, ...], Fraction] = {}
     for cls, weight in nu.terms:
-        counts = count_subwords(cls.root, level)
-        for key, value in counts.items():
-            rep = min(key, tuple(-x for x in reversed(key)), key=lambda t: tuple(letter_key(x) for x in t))
-            acc[rep] = acc.get(rep, Fraction(0)) + weight * value
+        reads: dict[tuple[int, ...], int] = {}
+        for read, count in count_subwords(cls.root, level).items():
+            key = tuple(map(to_key.__getitem__, read))
+            mirror = tuple([k ^ 1 for k in reversed(key)])
+            rep = key if key <= mirror else mirror
+            reads[rep] = reads.get(rep, 0) + count
+        for rep, count in reads.items():
+            acc[rep] = acc.get(rep, 0) + weight * count
+    to_letter = {k: x for x, k in to_key.items()}
     entries = []
-    for rep in sorted(acc, key=lambda t: (len(t), tuple(letter_key(x) for x in t))):
-        entries.append((Word(nu.basis, rep), acc[rep] / total))
+    for rep in sorted(acc, key=lambda t: (len(t), t)):
+        entries.append((Word(nu.basis, tuple(map(to_letter.__getitem__, rep))), acc[rep] / total))
     vector = ProjectiveCurrentVector(nu.basis, level, tuple(entries))
     ones = sum((val for w, val in entries if len(w) == 1), Fraction(0))
     if ones != 1:
@@ -197,7 +205,7 @@ def projective_distance(p: ProjectiveCurrentVector, q: ProjectiveCurrentVector) 
     b = q.as_dict()
     best = Fraction(0)
     for key in set(a) | set(b):
-        diff = abs(a.get(key, Fraction(0)) - b.get(key, Fraction(0)))
+        diff = abs(a.get(key, 0) - b.get(key, 0))
         if diff > best:
             best = diff
     return best

@@ -8,13 +8,18 @@ identity.
 
 Cyclic words are stored in a canonical rotation: the lexicographically least
 one under the letter order a < a^-1 < b < b^-1 < ...  Two conjugate elements
-therefore produce equal :class:`CyclicWord` values.
+therefore produce equal :class:`CyclicWord` values.  One key map, :func:`_keys`
+(letter ``x`` to ``letter_key(x)``, so ``a, A, b, B, ...`` to ``0, 1, 2, 3, ...``
+and inversion to ``k ^ 1``), feeds the canonical rotation, its re-check in
+:class:`CyclicWord` and :func:`rotation_key`.
 """
 
 from __future__ import annotations
 
 import string
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import BasisMismatchError, IdentityElementError, ParseError
@@ -77,6 +82,18 @@ def parse_letters(basis: Basis, text: str) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _check_letters(basis: Basis, letters: Sequence[Letter]) -> None:
+    """Raise what :meth:`Basis.check_letter` raises for the first bad letter.
+
+    Plain ints in range pass on one range test per letter; anything else
+    (bool, float, str, ...) goes through ``check_letter`` to accept or raise.
+    """
+    rank = basis.rank
+    for x in letters:
+        if x.__class__ is not int or not (0 < x <= rank or -rank <= x < 0):
+            basis.check_letter(x)
+
+
 def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
     for x in letters:
@@ -95,11 +112,11 @@ class Word:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        for x in self.letters:
-            self.basis.check_letter(x)
-        for i in range(len(self.letters) - 1):
-            if self.letters[i] == -self.letters[i + 1]:
-                raise ValueError(f"word {self.letters} is not freely reduced at {i}")
+        letters = self.letters
+        _check_letters(self.basis, letters)
+        sums = list(map(add, letters, letters[1:]))
+        if 0 in sums:
+            raise ValueError(f"word {letters} is not freely reduced at {sums.index(0)}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -137,8 +154,20 @@ def word_power(u: Word, n: int) -> Word:
     return Word(u.basis, _reduced(u.letters * n))
 
 
+def _keys(letters: Sequence[Letter]) -> list[int]:
+    """``letter_key`` of every letter, computed inline."""
+    return [2 * x - 2 if x > 0 else -1 - 2 * x for x in letters]
+
+
 def _least_rotation(keys: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
+    """Index of the lexicographically least rotation (Booth's algorithm).
+
+    Every least rotation starts at a least key, so a least key that occurs
+    once is the answer without running Booth.
+    """
+    least = min(keys)
+    if keys.count(least) == 1:
+        return keys.index(least)
     n = len(keys)
     doubled = list(keys) + list(keys)
     f = [-1] * (2 * n)
@@ -160,19 +189,8 @@ def _least_rotation(keys: Sequence[int]) -> int:
 
 
 def _canonical_rotation(letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    keys = [letter_key(x) for x in letters]
-    k = _least_rotation(keys)
+    k = _least_rotation(_keys(letters))
     return tuple(letters[k:]) + tuple(letters[:k])
-
-
-def _is_cyclically_reduced(letters: Sequence[Letter]) -> bool:
-    n = len(letters)
-    if n == 0:
-        return False
-    for i in range(n):
-        if letters[i] == -letters[(i + 1) % n]:
-            return False
-    return True
 
 
 def _cyclic_core(letters: Sequence[Letter]) -> Sequence[Letter]:
@@ -196,14 +214,14 @@ class CyclicWord:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        if not self.letters:
+        letters = self.letters
+        if not letters:
             raise IdentityElementError("cyclic words are nonempty")
-        for x in self.letters:
-            self.basis.check_letter(x)
-        if not _is_cyclically_reduced(self.letters):
-            raise ValueError(f"{self.letters} is not cyclically reduced")
-        if _least_rotation([letter_key(x) for x in self.letters]) != 0:
-            raise ValueError(f"{self.letters} is not in canonical rotation")
+        _check_letters(self.basis, letters)
+        if 0 in map(add, letters, letters[1:] + letters[:1]):
+            raise ValueError(f"{letters} is not cyclically reduced")
+        if _least_rotation(_keys(letters)) != 0:
+            raise ValueError(f"{letters} is not in canonical rotation")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -240,7 +258,7 @@ def inverse_cyclic(w: CyclicWord) -> CyclicWord:
 
 
 def rotation_key(w: CyclicWord) -> tuple[int, ...]:
-    return tuple(letter_key(x) for x in w.letters)
+    return tuple(_keys(w.letters))
 
 
 def occurrences(v: Word, w: CyclicWord) -> int:
@@ -280,22 +298,23 @@ def count_subwords(w: CyclicWord, max_len: int) -> dict[tuple[Letter, ...], int]
         raise ValueError("max_len must be >= 1")
     letters = w.letters
     n = len(letters)
+    # Enough copies that every read of max_len letters from a vertex fits.
+    repeated = letters * -(-(n + max_len - 1) // n)
     counts: dict[tuple[Letter, ...], int] = {}
-    for i in range(n):
-        window = tuple(letters[(i + j) % n] for j in range(max_len))
-        for m in range(1, max_len + 1):
-            key = window[:m]
-            counts[key] = counts.get(key, 0) + 1
+    for m in range(1, max_len + 1):
+        # The j-th slice holds the j-th letter of the read from each vertex.
+        counts.update(Counter(zip(*(repeated[j : j + n] for j in range(m)))))
     return counts
 
 
 def primitive_root(w: CyclicWord) -> tuple[CyclicWord, int]:
-    """Smallest cyclic word ``r`` and exponent ``m`` with ``w = r^m``."""
+    """Smallest cyclic word ``r`` and exponent ``m`` with ``w = r^m``.
+
+    A power-free ``w`` is returned as its own root.
+    """
     letters = w.letters
     n = len(letters)
-    for p in range(1, n + 1):
-        if n % p:
-            continue
-        if all(letters[i] == letters[i % p] for i in range(p, n)):
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and letters[p:] == letters[:-p]:
             return CyclicWord(w.basis, letters[:p]), n // p
-    raise AssertionError("unreachable")
+    return w, 1

@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, report files."""
 
+import hashlib
 import json
 
 import pytest
@@ -179,6 +180,21 @@ class TestReports:
         payload = json.loads(path.read_text())
         orbit = payload["tables"][0]
         assert orbit["rows"][5] == ["5", "6", "1/6"]
+
+    def test_iterate_golden_bytes(self, capsys):
+        # stdout digest recorded before the current-layer kernel was rewritten
+        code, out, _ = run(
+            capsys,
+            [
+                "iterate", "--rank", "5", "--aut", "phi",
+                "-c", "3/2*[abcD]+1/3*[Ebcd]+1*[acac]", "--limit", "1*[b]+1*[d]",
+                "--level", "3", "--iters", "40",
+            ],
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "71bcafe6b3bf54ec5bbf63dcd5f30f1df14869cc0bdf1ab83748d77dc99360d9"
+        )
 
 
 class TestSelftest:

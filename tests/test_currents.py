@@ -1,6 +1,8 @@
 """Rational currents: coordinates, length, action, projective comparison."""
 
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from currents_lab.automorphisms import (
     power,
     simple_twist,
 )
+from currents_lab.corpus import random_current
 from currents_lab.currents import (
     ConjugacyClass,
     act,
@@ -35,7 +38,7 @@ from currents_lab.errors import (
     ParseError,
     ZeroCurrentError,
 )
-from currents_lab.words import Basis, cyclic_word, free_reduce, word
+from currents_lab.words import Basis, cyclic_word, free_reduce, invert, letter_key, word
 
 B2 = Basis(2)
 B3 = Basis(3)
@@ -279,6 +282,25 @@ class TestProjective:
         assert p.level == 2
         total = sum(value for v, value in p.entries if len(v) == 1)
         assert total == 1
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_entries_match_coordinates(self, level):
+        # independent route: coordinate() reads each word through occurrences()
+        pairs = set()
+        for letters in product(B3.signed_letters(), repeat=level):
+            for m in range(1, level + 1):
+                v = free_reduce(B3, letters[:m])
+                if len(v) == m:
+                    pairs.add(min(v, invert(v), key=lambda u: [letter_key(x) for x in u.letters]))
+        for seed in range(6):
+            nu = random_current(Random(f"projective:{seed}:{level}"), B3)
+            entries = projective_vector(nu, level).as_dict()
+            assert all(value > 0 for value in entries.values())
+            total = length(nu)
+            for rep, value in entries.items():
+                assert value == coordinate(rep, nu) / total
+            present = {v for v in pairs if coordinate(v, nu) > 0}
+            assert set(entries) == present
 
     def test_power_free_classes_small(self):
         classes = power_free_classes(B2, 1)

@@ -1,5 +1,7 @@
 """Word kernel: reduction, canonical rotation, occurrence counting."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,8 @@ from currents_lab.errors import IdentityElementError, ParseError
 from currents_lab.words import (
     Basis,
     _cyclic_core,
+    _keys,
+    _least_rotation,
     CyclicWord,
     Word,
     concat,
@@ -77,6 +81,45 @@ class TestReduction:
             Word(B2, (1, -1))
 
 
+LETTER_REJECTS = [
+    ((0,), ValueError, "letter 0 is outside a basis of rank 3"),
+    ((4,), ValueError, "letter 4 is outside a basis of rank 3"),
+    ((-4,), ValueError, "letter -4 is outside a basis of rank 3"),
+    ((1.0,), ValueError, "letter 1.0 is outside a basis of rank 3"),
+    (("a",), ValueError, "letter 'a' is outside a basis of rank 3"),
+    ((1, 2.0), ValueError, "letter 2.0 is outside a basis of rank 3"),
+]
+
+
+class TestConstructorChecks:
+    """Rejections, with the exception type and message text of the word kernel."""
+
+    @pytest.mark.parametrize("cls", [Word, CyclicWord])
+    @pytest.mark.parametrize("letters, error, message", LETTER_REJECTS)
+    def test_bad_letter(self, cls, letters, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(B3, letters)
+
+    @pytest.mark.parametrize(
+        "cls, letters, error, message",
+        [
+            (Word, (1, 2, -2, 3), ValueError, "word (1, 2, -2, 3) is not freely reduced at 1"),
+            (CyclicWord, (1, 2, -2, 3), ValueError, "(1, 2, -2, 3) is not cyclically reduced"),
+            (CyclicWord, (1, 2, -1), ValueError, "(1, 2, -1) is not cyclically reduced"),
+            (CyclicWord, (2, 1), ValueError, "(2, 1) is not in canonical rotation"),
+            (CyclicWord, (2, 1, 2, 1), ValueError, "(2, 1, 2, 1) is not in canonical rotation"),
+            (CyclicWord, (), IdentityElementError, "cyclic words are nonempty"),
+        ],
+    )
+    def test_bad_shape(self, cls, letters, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(B3, letters)
+
+    def test_accepted(self):
+        assert Word(B3, (1, -2, 3)).letters == (1, -2, 3)
+        assert CyclicWord(B3, (1, 2, 1, 2)).letters == (1, 2, 1, 2)
+
+
 class TestCyclicReduction:
     def test_already_reduced(self):
         cycle, conjugator = cyclic_reduce(word(B3, "aBcba"))
@@ -100,6 +143,7 @@ class TestCyclicReduction:
         assert str(cyclic_word(B2, "ba")) == "ab"
         assert str(cyclic_word(B2, "bA")) == "Ab"
         assert [letter_key(x) for x in (1, -1, 2, -2)] == [0, 1, 2, 3]
+        assert _keys((1, -1, 2, -2, 3, -3)) == [letter_key(x) for x in (1, -1, 2, -2, 3, -3)]
 
     @given(nonempty_words(B3))
     def test_conjugation_roundtrip(self, u):
@@ -173,6 +217,18 @@ class TestOccurrences:
         with pytest.raises(IdentityElementError):
             occurrences(word(B2, ""), cyclic_word(B2, "ab"))
 
+    @given(nonempty_words(B3, 10), st.integers(min_value=1, max_value=25))
+    def test_count_subwords_matches_windows(self, u, max_len):
+        # reference definition: one modular-index window per vertex
+        letters = cyclic_reduce(u)[0].letters
+        n = len(letters)
+        expected = {}
+        for i in range(n):
+            window = tuple(letters[(i + j) % n] for j in range(max_len))
+            for m in range(1, max_len + 1):
+                expected[window[:m]] = expected.get(window[:m], 0) + 1
+        assert count_subwords(cyclic_reduce(u)[0], max_len) == expected
+
     @given(nonempty_words(B3, 10))
     def test_count_subwords_agrees(self, w):
         cycle = cyclic_reduce(w)[0]
@@ -194,6 +250,22 @@ class TestPowers:
         root, exponent = primitive_root(cyclic_word(B2, "ab"))
         assert (str(root), exponent) == ("ab", 1)
 
+    @given(nonempty_words(B3, 10))
+    def test_power_free_root_is_itself(self, u):
+        cycle = cyclic_reduce(u)[0]
+        n = len(cycle)
+        periodic = any(
+            cycle.letters == cycle.letters[:p] * (n // p) for p in range(1, n) if n % p == 0
+        )
+        root, exponent = primitive_root(cycle)
+        assert (root is cycle) == (not periodic) == (exponent == 1)
+
+    @given(nonempty_words(B3, 6), st.integers(min_value=2, max_value=5))
+    def test_root_of_power_is_canonical(self, f, m):
+        root = primitive_root(cyclic_reduce(f)[0])[0]
+        power = CyclicWord(B3, root.letters * m)
+        assert primitive_root(power) == (root, m)
+
     @given(nonempty_words(B2, 5), st.integers(min_value=1, max_value=4))
     def test_root_of_power(self, f, m):
         base = cyclic_reduce(f)[0]
@@ -202,3 +274,24 @@ class TestPowers:
         root, exponent = primitive_root(power)
         assert root == base_root
         assert exponent == m * base_exp
+
+
+def brute_least_rotation(keys):
+    return min(range(len(keys)), key=lambda i: keys[i:] + keys[:i])
+
+
+class TestLeastRotation:
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=16))
+    def test_matches_bruteforce(self, keys):
+        assert _least_rotation(keys) == brute_least_rotation(keys)
+
+    @given(st.lists(st.sampled_from([1, -1, 2]), min_size=1, max_size=16))
+    def test_repeated_least_letter(self, letters):
+        # over {a, A, b} the least letter a often occurs more than once
+        keys = [letter_key(x) for x in letters]
+        assert _least_rotation(keys) == brute_least_rotation(keys)
+
+    def test_examples(self):
+        assert _least_rotation([2, 0, 2, 0, 1]) == 3
+        assert _least_rotation([0, 1, 0, 0, 1]) == 2
+        assert _least_rotation([0, 2, 0, 2]) == 0
