@@ -60,24 +60,24 @@ class FreeAutomorphism:
         return automorphism_str(self)
 
 
-def apply(phi: FreeAutomorphism, u: Word) -> Word:
+def _image(phi: FreeAutomorphism, table: Sequence[tuple[Letter, ...]], u: Word | CyclicWord) -> Word:
+    """Checked image of the letters of ``u`` (a reduced word either way) under ``table``."""
     if phi.basis != u.basis:
         raise BasisMismatchError("automorphism and word use different bases")
-    return Word(u.basis, _apply_table(phi.image_letters(), u.letters))
+    return Word(u.basis, _apply_table(table, u.letters))
+
+
+def apply(phi: FreeAutomorphism, u: Word) -> Word:
+    return _image(phi, phi.image_letters(), u)
 
 
 def apply_inverse(phi: FreeAutomorphism, u: Word) -> Word:
-    if phi.basis != u.basis:
-        raise BasisMismatchError("automorphism and word use different bases")
-    return Word(u.basis, _apply_table(phi.inverse_letters(), u.letters))
+    return _image(phi, phi.inverse_letters(), u)
 
 
 def apply_cyclic(phi: FreeAutomorphism, w: CyclicWord) -> CyclicWord:
     """Induced map on conjugacy classes: apply to any representative, reduce."""
-    if phi.basis != w.basis:
-        raise BasisMismatchError("automorphism and word use different bases")
-    # The letters of a CyclicWord are already a checked reduced word.
-    image, _ = cyclic_reduce(Word(w.basis, _apply_table(phi.image_letters(), w.letters)))
+    image, _ = cyclic_reduce(_image(phi, phi.image_letters(), w))
     return image
 
 

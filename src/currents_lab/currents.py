@@ -25,10 +25,11 @@ from .words import (
     CyclicWord,
     Word,
     _canonical_rotation,
+    _key_letters,
+    _pair_key,
     count_subwords,
     cyclic_reduce,
     inverse_cyclic,
-    letter_key,
     occurrences,
     primitive_root,
     rotation_key,
@@ -171,23 +172,19 @@ def projective_vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVecto
     if nu.is_zero():
         raise ZeroCurrentError("the zero current has no projective class")
     total = length(nu)
-    # Work in letter-key space, where plain tuple order is the letter order
-    # and the inverse of key k is k ^ 1.
-    to_key = {x: letter_key(x) for x in nu.basis.signed_letters()}
+    # Inverse pairs are keyed in letter-key space, where plain tuple order is
+    # the letter order.
     acc: dict[tuple[int, ...], Fraction] = {}
     for cls, weight in nu.terms:
         reads: dict[tuple[int, ...], int] = {}
         for read, count in count_subwords(cls.root, level).items():
-            key = tuple(map(to_key.__getitem__, read))
-            mirror = tuple([k ^ 1 for k in reversed(key)])
-            rep = key if key <= mirror else mirror
+            rep = _pair_key(read)
             reads[rep] = reads.get(rep, 0) + count
         for rep, count in reads.items():
             acc[rep] = acc.get(rep, 0) + weight * count
-    to_letter = {k: x for x, k in to_key.items()}
     entries = []
     for rep in sorted(acc, key=lambda t: (len(t), t)):
-        entries.append((Word(nu.basis, tuple(map(to_letter.__getitem__, rep))), acc[rep] / total))
+        entries.append((Word(nu.basis, _key_letters(rep)), acc[rep] / total))
     vector = ProjectiveCurrentVector(nu.basis, level, tuple(entries))
     ones = sum((val for w, val in entries if len(w) == 1), Fraction(0))
     if ones != 1:

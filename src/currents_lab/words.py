@@ -8,10 +8,11 @@ identity.
 
 Cyclic words are stored in a canonical rotation: the lexicographically least
 one under the letter order a < a^-1 < b < b^-1 < ...  Two conjugate elements
-therefore produce equal :class:`CyclicWord` values.  One key map, :func:`_keys`
-(letter ``x`` to ``letter_key(x)``, so ``a, A, b, B, ...`` to ``0, 1, 2, 3, ...``
-and inversion to ``k ^ 1``), feeds the canonical rotation, its re-check in
-:class:`CyclicWord` and :func:`rotation_key`.
+therefore produce equal :class:`CyclicWord` values.  One key map,
+:func:`letter_key` (``a, A, b, B, ...`` to ``0, 1, 2, 3, ...``, so inversion is
+``k ^ 1``), computed for whole words by :func:`_keys`, feeds the canonical
+rotation, its re-check in :class:`CyclicWord`, :func:`rotation_key` and the
+inverse-pair keys of :func:`_pair_key` (read back by :func:`_key_letters`).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class Basis:
 
 
 def letter_key(letter: Letter) -> int:
-    """Total order on signed letters: a < a^-1 < b < b^-1 < ..."""
-    return ((abs(letter) - 1) << 1) | (1 if letter < 0 else 0)
+    """Total order on signed letters: a < a^-1 < b < b^-1 < ...; inversion is ``k ^ 1``."""
+    return 2 * letter - 2 if letter > 0 else -1 - 2 * letter
 
 
 def parse_letters(basis: Basis, text: str) -> tuple[Letter, ...]:
@@ -114,9 +115,9 @@ class Word:
     def __post_init__(self):
         letters = self.letters
         _check_letters(self.basis, letters)
-        sums = list(map(add, letters, letters[1:]))
-        if 0 in sums:
-            raise ValueError(f"word {letters} is not freely reduced at {sums.index(0)}")
+        if 0 in map(add, letters, letters[1:]):
+            at = next(i for i, (x, y) in enumerate(zip(letters, letters[1:])) if x == -y)
+            raise ValueError(f"word {letters} is not freely reduced at {at}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -157,6 +158,18 @@ def word_power(u: Word, n: int) -> Word:
 def _keys(letters: Sequence[Letter]) -> list[int]:
     """``letter_key`` of every letter, computed inline."""
     return [2 * x - 2 if x > 0 else -1 - 2 * x for x in letters]
+
+
+def _pair_key(letters: Sequence[Letter]) -> tuple[int, ...]:
+    """Keys of the lesser of a reduced word and its inverse, in letter order."""
+    key = tuple(_keys(letters))
+    mirror = tuple([k ^ 1 for k in reversed(key)])
+    return key if key <= mirror else mirror
+
+
+def _key_letters(keys: Iterable[int]) -> tuple[Letter, ...]:
+    """The letters whose :func:`letter_key` values are ``keys``."""
+    return tuple([-(k >> 1) - 1 if k & 1 else (k >> 1) + 1 for k in keys])
 
 
 def _least_rotation(keys: Sequence[int]) -> int:

@@ -9,8 +9,10 @@ from currents_lab.errors import IdentityElementError, ParseError
 from currents_lab.words import (
     Basis,
     _cyclic_core,
+    _key_letters,
     _keys,
     _least_rotation,
+    _pair_key,
     CyclicWord,
     Word,
     concat,
@@ -144,6 +146,14 @@ class TestCyclicReduction:
         assert str(cyclic_word(B2, "bA")) == "Ab"
         assert [letter_key(x) for x in (1, -1, 2, -2)] == [0, 1, 2, 3]
         assert _keys((1, -1, 2, -2, 3, -3)) == [letter_key(x) for x in (1, -1, 2, -2, 3, -3)]
+
+    @given(nonempty_words(B3))
+    def test_pair_key(self, v):
+        # the key map inverts letters by k ^ 1 and reads back through _key_letters
+        assert [letter_key(-x) for x in v.letters] == [letter_key(x) ^ 1 for x in v.letters]
+        assert _key_letters(_keys(v.letters)) == v.letters
+        lesser = min(v, invert(v), key=lambda u: [letter_key(x) for x in u.letters])
+        assert _pair_key(v.letters) == _pair_key(invert(v).letters) == tuple(_keys(lesser.letters))
 
     @given(nonempty_words(B3))
     def test_conjugation_roundtrip(self, u):
