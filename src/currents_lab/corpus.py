@@ -9,8 +9,8 @@ from .currents import RationalCurrent, add, rational_current, scale
 from .words import Basis, CyclicWord, Letter, Word, cyclic_reduce
 
 
-def random_reduced_word(rng: Random, basis: Basis, max_len: int, min_len: int = 1) -> Word:
-    n = rng.randint(min_len, max_len)
+def random_reduced_word(rng: Random, basis: Basis, max_len: int) -> Word:
+    n = rng.randint(1, max_len)
     letters: list[Letter] = []
     choices = basis.signed_letters()
     while len(letters) < n:

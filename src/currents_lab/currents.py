@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .automorphisms import FreeAutomorphism, apply_cyclic
 from .errors import BasisMismatchError, LevelMismatchError, ParseError, ZeroCurrentError
@@ -73,9 +73,6 @@ class RationalCurrent:
             if previous is not None and key <= previous:
                 raise ValueError("terms must be strictly sorted by class")
             previous = key
-
-    def as_dict(self) -> dict[ConjugacyClass, Fraction]:
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -299,9 +296,12 @@ def parse_current(basis: Basis, text: str) -> RationalCurrent:
         match = _TERM_RE.match(rest)
         if not match:
             raise ParseError(text, pos, "expected a term like '3/2*[ab]'")
-        weight = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+        try:
+            weight = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(text, pos + match.start(1), f"bad rational {match.group(1)!r}")
         if weight <= 0:
-            raise ParseError(text, pos, "weights must be positive")
+            raise ParseError(text, pos + match.start(1), "weights must be positive")
         body = match.group(2)
         w = _word(basis, body)
         if w.is_identity():

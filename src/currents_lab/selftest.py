@@ -1,9 +1,11 @@
 """Seeded randomized invariant suites covering every module.
 
-Each check draws a deterministic corpus from its own generator, verifies an
-exact identity, and reports the first failure with a witness.  The quick
-profile shrinks corpora roughly tenfold for smoke runs; results are
-deterministic given (seed, quick).
+:data:`CHECKS` is the one invariant registry: ``currents-lab selftest`` runs
+it through :func:`run_selftest` and ``tests/test_selftest.py`` runs each
+check under pytest.  Each check draws a deterministic corpus from its own
+generator, verifies an exact identity, and reports the first failure with a
+witness.  The quick profile shrinks corpora roughly tenfold for smoke runs;
+results are deterministic given (seed, quick).
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ class SuiteResult:
 
 # What a check returns: its trial count and its first failure's witness, or None.
 Outcome = tuple[int, str | None]
+Check = Callable[[int, bool], Outcome]
+# One trial of a sampled check: the case's witness if the identity fails, else None.
+Case = Callable[[Random, int], str | None]
 
 
 def _rng(seed: int, label: str) -> Random:
@@ -94,82 +99,93 @@ def _size(full: int, quick: bool) -> int:
     return max(full // 10, 5) if quick else full
 
 
+def _trials(label: str, full: int, case: Case) -> Check:
+    """A check that runs ``case(rng, i)`` per trial on the stream ``label``.
+
+    The quick profile shrinks ``full`` trials through :func:`_size`; the first
+    witness ends the check.
+    """
+
+    def check(seed: int, quick: bool) -> Outcome:
+        rng = _rng(seed, label)
+        trials = _size(full, quick)
+        for i in range(trials):
+            witness = case(rng, i)
+            if witness is not None:
+                return trials, witness
+        return trials, None
+
+    return check
+
+
 def _raw_letters(rng: Random, basis: Basis, max_len: int) -> list[int]:
     alphabet = basis.signed_letters()
     return [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
 
 
+_B5 = Basis(5)
+# The simple twist tree, then the double twist trees for rho, theta in {1, 1/2, 3};
+# the checks that cycle through trees use the first four.
+_TREES = [twist_tree(_B5, [(1, 2, Fraction(1))])] + [
+    double_twist_tree(_B5, rho, theta)
+    for rho in (Fraction(1), Fraction(1, 2), Fraction(3))
+    for theta in (Fraction(1), Fraction(1, 2), Fraction(3))
+]
+
+
 # ---------------------------------------------------------------- word suite
 
 
-def _check_reduction(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "words/reduction")
-    trials = _size(600, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        u = free_reduce(basis, _raw_letters(rng, basis, 20))
-        again = free_reduce(basis, u.letters)
-        if again != u:
-            return trials, str(u)
-        v = random_reduced_word(rng, basis, 12)
-        if len(concat(u, v)) > len(u) + len(v):
-            return trials, f"{u} * {v}"
-    return trials, None
+def _reduction(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    u = free_reduce(basis, _raw_letters(rng, basis, 20))
+    if free_reduce(basis, u.letters) != u:
+        return str(u)
+    v = random_reduced_word(rng, basis, 12)
+    if len(concat(u, v)) > len(u) + len(v):
+        return f"{u} * {v}"
+    return None
 
 
-def _check_occurrence_symmetry(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "words/symmetry")
-    trials = _size(400, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        v = random_reduced_word(rng, basis, 5)
-        w = random_cyclic_word(rng, basis, 30)
-        if occurrences(v, w) != occurrences(invert(v), w):
-            return trials, f"v={v} w={w}"
-    return trials, None
+def _occurrence_symmetry(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    v = random_reduced_word(rng, basis, 5)
+    w = random_cyclic_word(rng, basis, 30)
+    if occurrences(v, w) != occurrences(invert(v), w):
+        return f"v={v} w={w}"
+    return None
 
 
-def _check_power_coherence(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "words/powers")
-    trials = _size(200, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        root = random_cyclic_word(rng, basis, 6)
-        m = rng.randint(2, 4)
-        high, _ = cyclic_reduce(word_power(root.as_word(), m))
-        base = count_subwords(root, 5)
-        lifted = count_subwords(high, 5)
-        keys = set(base) | set(lifted)
-        for key in keys:
-            if lifted.get(key, 0) != m * base.get(key, 0):
-                name = "".join(basis.letter_name(x) for x in key)
-                return trials, f"f={root} m={m} v={name}"
-    return trials, None
+def _power_coherence(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    root = random_cyclic_word(rng, basis, 6)
+    m = rng.randint(2, 4)
+    high, _ = cyclic_reduce(word_power(root.as_word(), m))
+    base = count_subwords(root, 5)
+    lifted = count_subwords(high, 5)
+    for key in set(base) | set(lifted):
+        if lifted.get(key, 0) != m * base.get(key, 0):
+            name = "".join(basis.letter_name(x) for x in key)
+            return f"f={root} m={m} v={name}"
+    return None
 
 
-def _rotations(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return {letters[i:] + letters[:i] for i in range(len(letters))}
-
-
-def _check_canonical_rotation(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "words/rotation")
-    trials = _size(300, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        u = random_reduced_word(rng, basis, 8)
-        g = random_reduced_word(rng, basis, 6)
-        conjugate = concat(concat(g, u), invert(g))
-        cu, _ = cyclic_reduce(u)
-        cv, _ = cyclic_reduce(conjugate)
-        if cu != cv:
-            return trials, f"u={u} g={g}"
-        # canonical rotations agree exactly when one word is a rotation of the other
-        other = random_reduced_word(rng, basis, 8)
-        co, _ = cyclic_reduce(other)
-        rotation_related = co.letters in _rotations(cu.letters)
-        if (cu == co) != rotation_related:
-            return trials, f"{cu} {co}"
-    return trials, None
+def _canonical_rotation(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    u = random_reduced_word(rng, basis, 8)
+    g = random_reduced_word(rng, basis, 6)
+    conjugate = concat(concat(g, u), invert(g))
+    cu, _ = cyclic_reduce(u)
+    cv, _ = cyclic_reduce(conjugate)
+    if cu != cv:
+        return f"u={u} g={g}"
+    # canonical rotations agree exactly when one word is a rotation of the other
+    other = random_reduced_word(rng, basis, 8)
+    co, _ = cyclic_reduce(other)
+    rotations = {cu.letters[j:] + cu.letters[:j] for j in range(len(cu))}
+    if (cu == co) != (co.letters in rotations):
+        return f"{cu} {co}"
+    return None
 
 
 # ------------------------------------------------------- automorphism suite
@@ -187,35 +203,29 @@ def _random_automorphism(rng: Random, basis: Basis):
     return phi
 
 
-def _check_composition(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "autos/composition")
-    trials = _size(300, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        phi = _random_automorphism(rng, basis)
-        psi = _random_automorphism(rng, basis)
-        u = random_reduced_word(rng, basis, 12)
-        if apply(compose(phi, psi), u) != apply(phi, apply(psi, u)):
-            return trials, str(u)
-        if apply(inverse(phi), apply(phi, u)) != u:
-            return trials, str(u)
-    return trials, None
+def _composition(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    phi = _random_automorphism(rng, basis)
+    psi = _random_automorphism(rng, basis)
+    u = random_reduced_word(rng, basis, 12)
+    if apply(compose(phi, psi), u) != apply(phi, apply(psi, u)):
+        return str(u)
+    if apply(inverse(phi), apply(phi, u)) != u:
+        return str(u)
+    return None
 
 
-def _check_cyclic_action(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "autos/cyclic")
-    trials = _size(500, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        phi = _random_automorphism(rng, basis)
-        u = random_reduced_word(rng, basis, 30)
-        g = random_reduced_word(rng, basis, 8)
-        conjugate = concat(concat(g, u), invert(g))
-        cu, _ = cyclic_reduce(u)
-        expected, _ = cyclic_reduce(apply(phi, conjugate))
-        if apply_cyclic(phi, cu) != expected:
-            return trials, f"u={u} g={g}"
-    return trials, None
+def _cyclic_action(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    phi = _random_automorphism(rng, basis)
+    u = random_reduced_word(rng, basis, 30)
+    g = random_reduced_word(rng, basis, 8)
+    conjugate = concat(concat(g, u), invert(g))
+    cu, _ = cyclic_reduce(u)
+    expected, _ = cyclic_reduce(apply(phi, conjugate))
+    if apply_cyclic(phi, cu) != expected:
+        return f"u={u} g={g}"
+    return None
 
 
 def _check_twist_growth(seed: int, quick: bool) -> Outcome:
@@ -232,215 +242,166 @@ def _check_twist_growth(seed: int, quick: bool) -> Outcome:
 # ------------------------------------------------------------ current suite
 
 
-def _check_extension_identities(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "currents/extension")
-    trials = _size(999, quick)
-    for i in range(trials):
-        basis = Basis(RANKS[i % len(RANKS)])
-        nu = random_current(rng, basis)
-        seen: set[tuple[int, ...]] = set()
-        for cls, _ in nu.terms:
-            seen.update(count_subwords(cls.root, 4))
-        for letters in seen:
-            v = Word(basis, letters)
-            left = coordinate(v, nu)
-            if left < 0:
-                return trials, str(v)
-            right_sum = sum(
-                (
-                    coordinate(Word(basis, letters + (x,)), nu)
-                    for x in basis.signed_letters()
-                    if x != -letters[-1]
-                ),
-                Fraction(0),
-            )
-            left_sum = sum(
-                (
-                    coordinate(Word(basis, (x,) + letters), nu)
-                    for x in basis.signed_letters()
-                    if x != -letters[0]
-                ),
-                Fraction(0),
-            )
-            if left != right_sum or left != left_sum:
-                return trials, f"v={v} ({left} vs {right_sum}/{left_sum})"
-    return trials, None
-
-
-def _check_level_identity(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "currents/level")
-    trials = _size(600, quick)
-    for i in range(trials):
-        basis = Basis(RANKS[i % len(RANKS)])
-        nu = random_current(rng, basis)
-        total = current_length(nu)
-        for m in (1, 2, 3):
-            # sum of (u;nu) over all |u| = m equals twice the sum of raw reads
-            reads = sum(
-                (
-                    weight * sum(c for k, c in count_subwords(cls.root, m).items() if len(k) == m)
-                    for cls, weight in nu.terms
-                ),
-                Fraction(0),
-            )
-            if reads != total:
-                return trials, f"m={m}: {reads} != {total}"
-    return trials, None
-
-
-def _check_rational_length(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "currents/length")
-    trials = _size(1000, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        g = random_reduced_word(rng, basis, 30)
-        cyc, _ = cyclic_reduce(g)
-        if current_length(rational_current(g)) != len(cyc):
-            return trials, str(g)
-    return trials, None
-
-
-def _check_twist_identities(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "currents/twist")
-    trials = _size(600, quick)
-    for i in range(trials):
-        basis = Basis(RANKS[i % len(RANKS)])
-        nu = random_current(rng, basis)
-        t = rng.choice(list(basis.generators()))
-        z = rng.choice([i for i in basis.generators() if i != t])
-        twist = simple_twist(basis, t, z)
-        image = act(twist, nu)
-
-        def co(current, *letters: int) -> Fraction:
-            return coordinate(Word(basis, letters), current)
-
-        for x in basis.generators():
-            if x != z and co(image, x) != co(nu, x):
-                return trials, f"x={x} nu={nu}"
-        checks = (
-            co(image, z) == co(nu, z) + co(nu, t) - 2 * co(nu, t, -z),
-            co(image, t, -z) == co(nu, t, -z, -z) + co(nu, t, -z, -t),
-            current_length(image) - current_length(nu) == co(nu, t) - 2 * co(nu, t, -z),
+def _extension_identities(rng: Random, i: int) -> str | None:
+    basis = Basis(RANKS[i % len(RANKS)])
+    nu = random_current(rng, basis)
+    seen: set[tuple[int, ...]] = set()
+    for cls, _ in nu.terms:
+        seen.update(count_subwords(cls.root, 4))
+    for letters in seen:
+        v = Word(basis, letters)
+        left = coordinate(v, nu)
+        if left < 0:
+            return str(v)
+        right_sum = sum(
+            (
+                coordinate(Word(basis, letters + (x,)), nu)
+                for x in basis.signed_letters()
+                if x != -letters[-1]
+            ),
+            Fraction(0),
         )
-        if not all(checks):
-            return trials, f"t={t} z={z} nu={nu}"
-    return trials, None
+        left_sum = sum(
+            (
+                coordinate(Word(basis, (x,) + letters), nu)
+                for x in basis.signed_letters()
+                if x != -letters[0]
+            ),
+            Fraction(0),
+        )
+        if left != right_sum or left != left_sum:
+            return f"v={v} ({left} vs {right_sum}/{left_sum})"
+    return None
 
 
-def _check_increment_monotone(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "currents/monotone")
-    trials = _size(300, quick)
-    for i in range(trials):
-        basis = Basis(RANKS[i % len(RANKS)])
-        nu = random_current(rng, basis)
-        twist = simple_twist(basis, 1, 2)
-        lengths = [current_length(nu)]
-        for _ in range(6):
-            nu = act(twist, nu)
-            lengths.append(current_length(nu))
-        diffs = [b - a for a, b in zip(lengths, lengths[1:])]
-        if lengths[1] > lengths[0] and any(b < a for a, b in zip(diffs, diffs[1:])):
-            return trials, str(lengths)
-    return trials, None
+def _level_identity(rng: Random, i: int) -> str | None:
+    basis = Basis(RANKS[i % len(RANKS)])
+    nu = random_current(rng, basis)
+    total = current_length(nu)
+    for m in (1, 2, 3):
+        # sum of (u;nu) over all |u| = m equals twice the sum of raw reads
+        reads = sum(
+            (
+                weight * sum(c for k, c in count_subwords(cls.root, m).items() if len(k) == m)
+                for cls, weight in nu.terms
+            ),
+            Fraction(0),
+        )
+        if reads != total:
+            return f"m={m}: {reads} != {total}"
+    return None
 
 
-def _check_action_functorial(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "currents/functorial")
-    trials = _size(200, quick)
-    for i in range(trials):
-        basis = Basis(rng.choice(RANKS))
-        nu = random_current(rng, basis, max_terms=2, max_root_len=6)
-        phi = _random_automorphism(rng, basis)
-        psi = _random_automorphism(rng, basis)
-        if act(compose(phi, psi), nu) != act(phi, act(psi, nu)):
-            return trials, str(nu)
-    return trials, None
+def _rational_length(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    g = random_reduced_word(rng, basis, 30)
+    cyc, _ = cyclic_reduce(g)
+    if current_length(rational_current(g)) != len(cyc):
+        return str(g)
+    return None
+
+
+def _twist_identities(rng: Random, i: int) -> str | None:
+    basis = Basis(RANKS[i % len(RANKS)])
+    nu = random_current(rng, basis)
+    t = rng.choice(list(basis.generators()))
+    z = rng.choice([x for x in basis.generators() if x != t])
+    image = act(simple_twist(basis, t, z), nu)
+
+    def co(current, *letters: int) -> Fraction:
+        return coordinate(Word(basis, letters), current)
+
+    for x in basis.generators():
+        if x != z and co(image, x) != co(nu, x):
+            return f"x={x} nu={nu}"
+    checks = (
+        co(image, z) == co(nu, z) + co(nu, t) - 2 * co(nu, t, -z),
+        co(image, t, -z) == co(nu, t, -z, -z) + co(nu, t, -z, -t),
+        current_length(image) - current_length(nu) == co(nu, t) - 2 * co(nu, t, -z),
+    )
+    if not all(checks):
+        return f"t={t} z={z} nu={nu}"
+    return None
+
+
+def _increment_monotone(rng: Random, i: int) -> str | None:
+    basis = Basis(RANKS[i % len(RANKS)])
+    nu = random_current(rng, basis)
+    twist = simple_twist(basis, 1, 2)
+    lengths = [current_length(nu)]
+    for _ in range(6):
+        nu = act(twist, nu)
+        lengths.append(current_length(nu))
+    diffs = [b - a for a, b in zip(lengths, lengths[1:])]
+    if lengths[1] > lengths[0] and any(b < a for a, b in zip(diffs, diffs[1:])):
+        return str(lengths)
+    return None
+
+
+def _action_functorial(rng: Random, i: int) -> str | None:
+    basis = Basis(rng.choice(RANKS))
+    nu = random_current(rng, basis, max_terms=2, max_root_len=6)
+    phi = _random_automorphism(rng, basis)
+    psi = _random_automorphism(rng, basis)
+    if act(compose(phi, psi), nu) != act(phi, act(psi, nu)):
+        return str(nu)
+    return None
 
 
 # --------------------------------------------------------------- tree suite
 
 
-def _test_trees(basis: Basis):
-    trees = [twist_tree(basis, [(1, 2, Fraction(1))])]
-    if basis.rank >= 5:
-        for rho in (Fraction(1), Fraction(1, 2), Fraction(3)):
-            for theta in (Fraction(1), Fraction(1, 2), Fraction(3)):
-                trees.append(double_twist_tree(basis, rho, theta))
-    return trees
+def _route_agreement(rng: Random, i: int) -> str | None:
+    g = random_reduced_word(rng, _B5, 30)
+    for tree in _TREES:
+        britton = length_britton(tree, g)
+        limit = length_limit(tree, g)
+        if britton != limit:
+            return f"g={g}: {britton} != {limit}"
+    return None
 
 
-def _check_route_agreement(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "trees/routes")
-    basis = Basis(5)
-    trials = _size(500, quick)
-    trees = _test_trees(basis)
-    for i in range(trials):
-        g = random_reduced_word(rng, basis, 30)
-        for tree in trees:
-            britton = length_britton(tree, g)
-            limit = length_limit(tree, g)
-            if britton != limit:
-                return trials, f"g={g}: {britton} != {limit}"
-    return trials, None
+def _length_symmetries(rng: Random, i: int) -> str | None:
+    tree = _TREES[i % 4]
+    g = random_reduced_word(rng, _B5, 20)
+    h = random_reduced_word(rng, _B5, 8)
+    conjugate = concat(concat(h, g), invert(h))
+    base = tree_length(tree, g)
+    if tree_length(tree, conjugate) != base or tree_length(tree, invert(g)) != base:
+        return f"g={g} h={h}"
+    return None
 
 
-def _check_length_symmetries(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "trees/symmetry")
-    basis = Basis(5)
-    trials = _size(300, quick)
-    trees = _test_trees(basis)[:4]
-    for i in range(trials):
-        tree = trees[i % len(trees)]
-        g = random_reduced_word(rng, basis, 20)
-        h = random_reduced_word(rng, basis, 8)
-        conjugate = concat(concat(h, g), invert(h))
-        base = tree_length(tree, g)
-        if tree_length(tree, conjugate) != base or tree_length(tree, invert(g)) != base:
-            return trials, f"g={g} h={h}"
-    return trials, None
-
-
-def _check_length_homogeneity(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "trees/homogeneity")
-    basis = Basis(5)
-    trials = _size(200, quick)
-    trees = _test_trees(basis)[:4]
-    for i in range(trials):
-        tree = trees[i % len(trees)]
-        g = random_reduced_word(rng, basis, 12)
-        base = tree_length(tree, g)
-        if base == 0:
-            continue
-        for n in range(2, 6):
-            if tree_length(tree, word_power(g, n)) != n * base:
-                return trials, f"g={g} n={n}"
-    return trials, None
+def _length_homogeneity(rng: Random, i: int) -> str | None:
+    tree = _TREES[i % 4]
+    g = random_reduced_word(rng, _B5, 12)
+    base = tree_length(tree, g)
+    if base == 0:
+        return None
+    for n in range(2, 6):
+        if tree_length(tree, word_power(g, n)) != n * base:
+            return f"g={g} n={n}"
+    return None
 
 
 def _check_ellipticity(seed: int, quick: bool) -> Outcome:
-    basis = Basis(5)
-    twist = twist_tree(basis, [(1, 2, Fraction(1))])
-    delta = double_twist_tree(basis, Fraction(1), Fraction(1, 2))
+    twist = twist_tree(_B5, [(1, 2, Fraction(1))])
+    delta = double_twist_tree(_B5, Fraction(1), Fraction(1, 2))
     elliptic = ["b", "d", "abA", "edE", "c"]
     checks = [(twist, "b", 0)] + [(delta, text, 0) for text in elliptic]
     checks += [(twist, "a", 1), (delta, "a", 1), (delta, "ae", Fraction(3, 2))]
     for tree, text, expected in checks:
-        if tree_length(tree, word(basis, text)) != expected:
+        if tree_length(tree, word(_B5, text)) != expected:
             return len(checks), text
     return len(checks), None
 
 
-def _check_intersection_form(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "trees/pairing")
-    basis = Basis(5)
-    trials = _size(300, quick)
-    trees = _test_trees(basis)[:4]
-    for i in range(trials):
-        tree = trees[i % len(trees)]
-        g = random_reduced_word(rng, basis, 16)
-        if intersection_form(tree, rational_current(g)) != tree_length(tree, g):
-            return trials, str(g)
-    return trials, None
+def _pairing(rng: Random, i: int) -> str | None:
+    tree = _TREES[i % 4]
+    g = random_reduced_word(rng, _B5, 16)
+    if intersection_form(tree, rational_current(g)) != tree_length(tree, g):
+        return str(g)
+    return None
 
 
 # ----------------------------------------------------------- dynamics suite
@@ -479,26 +440,21 @@ def _check_dichotomy(seed: int, quick: bool) -> Outcome:
     return trials, None
 
 
-def _check_trichotomy(seed: int, quick: bool) -> Outcome:
-    rng = _rng(seed, "dynamics/trichotomy")
-    trials = _size(1000, quick)
-    for i in range(trials):
-        if i % 4 == 3:
-            # higher rank: the choice stays total and its first step already grows
-            basis = Basis(5)
-            nu = random_current(rng, basis)
-            choice = escape_from_critical(nu)
-            step = choice.twist if choice.direction == 1 else inverse(choice.twist)
-            if current_length(act(step, nu)) <= current_length(nu):
-                return trials, str(nu)
-            continue
-        basis = Basis(3)
-        nu = random_current(rng, basis)
+def _escape_walk(rng: Random, i: int) -> str | None:
+    if i % 4 == 3:
+        # higher rank: the choice stays total and its first step already grows
+        nu = random_current(rng, _B5)
         choice = escape_from_critical(nu)
-        hit, final = walk_to_target(choice, nu, steps=40, level=1)
-        if hit is None:
-            return trials, f"{nu}: final distance {final}"
-    return trials, None
+        step = choice.twist if choice.direction == 1 else inverse(choice.twist)
+        if current_length(act(step, nu)) <= current_length(nu):
+            return str(nu)
+        return None
+    nu = random_current(rng, Basis(3))
+    choice = escape_from_critical(nu)
+    hit, final = walk_to_target(choice, nu, steps=40, level=1)
+    if hit is None:
+        return f"{nu}: final distance {final}"
+    return None
 
 
 def _check_limit_extraction(seed: int, quick: bool) -> Outcome:
@@ -517,27 +473,27 @@ def _check_separation(seed: int, quick: bool) -> Outcome:
     return 1, None
 
 
-_CHECKS: tuple[tuple[str, str, Callable[[int, bool], Outcome]], ...] = (
-    ("words", "free reduction idempotent", _check_reduction),
-    ("words", "occurrence inversion symmetry", _check_occurrence_symmetry),
-    ("words", "power coherence", _check_power_coherence),
-    ("words", "canonical rotation vs conjugacy", _check_canonical_rotation),
-    ("automorphisms", "composition", _check_composition),
-    ("automorphisms", "conjugacy equivariance", _check_cyclic_action),
+CHECKS: tuple[tuple[str, str, Check], ...] = (
+    ("words", "free reduction idempotent", _trials("words/reduction", 600, _reduction)),
+    ("words", "occurrence inversion symmetry", _trials("words/symmetry", 400, _occurrence_symmetry)),
+    ("words", "power coherence", _trials("words/powers", 200, _power_coherence)),
+    ("words", "canonical rotation vs conjugacy", _trials("words/rotation", 300, _canonical_rotation)),
+    ("automorphisms", "composition", _trials("autos/composition", 300, _composition)),
+    ("automorphisms", "conjugacy equivariance", _trials("autos/cyclic", 500, _cyclic_action)),
     ("automorphisms", "twist linear growth", _check_twist_growth),
-    ("currents", "extension identities", _check_extension_identities),
-    ("currents", "level identity", _check_level_identity),
-    ("currents", "length of rational current", _check_rational_length),
-    ("currents", "twist coordinate identities", _check_twist_identities),
-    ("currents", "twist increment monotone", _check_increment_monotone),
-    ("currents", "action functorial", _check_action_functorial),
-    ("trees", "Britton vs limit routes", _check_route_agreement),
-    ("trees", "conjugacy and inversion invariance", _check_length_symmetries),
-    ("trees", "translation length homogeneity", _check_length_homogeneity),
+    ("currents", "extension identities", _trials("currents/extension", 999, _extension_identities)),
+    ("currents", "level identity", _trials("currents/level", 600, _level_identity)),
+    ("currents", "length of rational current", _trials("currents/length", 1000, _rational_length)),
+    ("currents", "twist coordinate identities", _trials("currents/twist", 600, _twist_identities)),
+    ("currents", "twist increment monotone", _trials("currents/monotone", 300, _increment_monotone)),
+    ("currents", "action functorial", _trials("currents/functorial", 200, _action_functorial)),
+    ("trees", "Britton vs limit routes", _trials("trees/routes", 500, _route_agreement)),
+    ("trees", "conjugacy and inversion invariance", _trials("trees/symmetry", 300, _length_symmetries)),
+    ("trees", "translation length homogeneity", _trials("trees/homogeneity", 200, _length_homogeneity)),
     ("trees", "twistor ellipticity", _check_ellipticity),
-    ("trees", "pairing extends length", _check_intersection_form),
+    ("trees", "pairing extends length", _trials("trees/pairing", 300, _pairing)),
     ("dynamics", "dichotomy off critical set", _check_dichotomy),
-    ("dynamics", "escape walk within 40 steps", _check_trichotomy),
+    ("dynamics", "escape walk within 40 steps", _trials("dynamics/trichotomy", 1000, _escape_walk)),
     ("dynamics", "tree orbit limit of the twist", _check_limit_extraction),
     ("dynamics", "headline separation certificate", _check_separation),
 )
@@ -546,7 +502,7 @@ _CHECKS: tuple[tuple[str, str, Callable[[int, bool], Outcome]], ...] = (
 def run_selftest(seed: int = 1, quick: bool = False) -> tuple[SuiteResult, ...]:
     """Run every suite and collect results; deterministic given (seed, quick)."""
     by_module: dict[str, list[CheckResult]] = {}
-    for module, name, check in _CHECKS:
+    for module, name, check in CHECKS:
         trials, witness = check(seed, quick)
         by_module.setdefault(module, []).append(
             CheckResult(name, witness is None, trials, witness)

@@ -32,7 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .automorphisms import FreeAutomorphism, apply_inverse, identity_automorphism, parse_automorphism
+from .automorphisms import (
+    FreeAutomorphism,
+    _apply_table,
+    apply_inverse,
+    identity_automorphism,
+    parse_automorphism,
+)
 from .currents import ConjugacyClass, RationalCurrent, power_free_classes
 from .errors import (
     AllEllipticError,
@@ -43,7 +49,7 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .words import Basis, Word, _cyclic_core, _reduced
+from .words import Basis, Word, _cyclic_core, _reduced, parse_letters
 
 
 @dataclass(frozen=True)
@@ -268,21 +274,10 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
         raise ValueError(f"cap must be at least 8, got {cap}")
     core = tree.core
     weights = {t.twistor: t.length for t in core.twists}
-    images: dict[int, tuple[int, ...]] = {}
-    for i in core.basis.generators():
-        images[i] = (i,)
+    # the multi-twist as an automorphism table: generator i's image at index i - 1
+    images = [(i,) for i in core.basis.generators()]
     for t in core.twists:
-        images[t.stable] = (t.stable, t.twistor)
-
-    def step(letters: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for x in letters:
-            if x > 0:
-                out.extend(images[x])
-            else:
-                out.extend(-y for y in reversed(images[-x]))
-        return _reduced(out)
-
+        images[t.stable - 1] = (t.stable, t.twistor)
     current = _core_letters(tree, g)
     transient = _max_cyclic_run(current, set(weights))
     if transient + 3 > cap:
@@ -292,7 +287,7 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
     values = [_weighted_count(current, weights)]
     diffs: list[Fraction] = []
     for n in range(cap):
-        current = step(current)
+        current = _apply_table(images, current)
         values.append(_weighted_count(_cyclic_core(current), weights))
         diffs.append(values[-1] - values[-2])
         if n + 1 >= transient + 3 and diffs[-1] == diffs[-2] == diffs[-3]:
@@ -407,8 +402,6 @@ def parse_tree(basis: Basis, text: str) -> TreeLengthFunction:
 
 
 def _single_generator(basis: Basis, text: str, name: str) -> int:
-    from .words import parse_letters
-
     letters = parse_letters(basis, name.strip())
     if len(letters) != 1 or letters[0] <= 0:
         raise ParseError(text, text.find(name), f"{name!r} is not a single generator")

@@ -133,6 +133,19 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["length", "-c", "1/0*[a]"],
+            ["iterate", "--aut", "phi", "-c", "1*[a]", "--limit", "1/0*[b]"],
+        ],
+    )
+    def test_zero_denominator_weight(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "bad rational '1/0' (position 0" in err
+        assert err.splitlines()[-1].strip() == "^"
+
 
 class TestReports:
     def test_experiment_stdout_json(self, capsys):

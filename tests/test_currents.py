@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from currents_lab.automorphisms import (
-    compose,
     double_twist,
     identity_automorphism,
     inverse,
@@ -116,6 +115,13 @@ class TestConstruction:
         with pytest.raises(ParseError):
             parse_current(B2, "")
 
+    @pytest.mark.parametrize("text", ["1*[a] + 0*[b]", "1*[a] + 1/0*[b]"])
+    def test_bad_weight_position(self, text):
+        # the error points at the second term's weight, not at the space before it
+        with pytest.raises(ParseError) as err:
+            parse_current(B2, text)
+        assert err.value.position == 8
+
 
 class TestCoordinates:
     def test_examples(self):
@@ -171,26 +177,6 @@ class TestLength:
         assert length(parse_current(B2, "1*[aaaa]")) == 4
         assert length(scale(Fraction(3, 2), rational_current(word(B2, "ab")))) == 3
 
-    @given(nonempty_words(B3, 20))
-    def test_matches_cyclic_length(self, g):
-        from currents_lab.words import cyclic_reduce
-
-        assert length(rational_current(g)) == len(cyclic_reduce(g)[0])
-
-    @given(currents(B2, 2))
-    def test_level_identity(self, nu):
-        from currents_lab.words import count_subwords
-
-        for m in (1, 2, 3):
-            reads = sum(
-                (
-                    weight * sum(c for k, c in count_subwords(cls.root, m).items() if len(k) == m)
-                    for cls, weight in nu.terms
-                ),
-                Fraction(0),
-            )
-            assert reads == length(nu)
-
 
 class TestAction:
     def test_examples(self):
@@ -206,12 +192,6 @@ class TestAction:
         assert act(identity_automorphism(B3), nu) == nu
 
     @given(currents(B3, 2))
-    def test_functorial(self, nu):
-        phi = simple_twist(B3, 1, 3)
-        psi = inverse(simple_twist(B3, 2, 1))
-        assert act(compose(phi, psi), nu) == act(phi, act(psi, nu))
-
-    @given(currents(B3, 2))
     def test_length_invariant_under_inverse_roundtrip(self, nu):
         phi = simple_twist(B3, 3, 2)
         assert act(inverse(phi), act(phi, nu)) == nu
@@ -224,33 +204,6 @@ class TestAction:
         monkeypatch.setattr(currents_module, "primitive_root", lambda cycle: (cycle, 2))
         with pytest.raises(RuntimeError, match="proper power"):
             act(simple_twist(B3, 1, 2), nu)
-
-
-class TestTwistIdentities:
-    @given(currents(B3, 2))
-    def test_coordinate_identities(self, nu):
-        D = simple_twist(B3, 1, 2)
-        image = act(D, nu)
-
-        def co(current, text):
-            return coordinate(word(B3, text), current)
-
-        assert co(image, "a") == co(nu, "a")
-        assert co(image, "c") == co(nu, "c")
-        assert co(image, "b") == co(nu, "b") + co(nu, "a") - 2 * co(nu, "aB")
-        assert co(image, "aB") == co(nu, "aBB") + co(nu, "aBA")
-        assert length(image) - length(nu) == co(nu, "a") - 2 * co(nu, "aB")
-
-    @given(currents(B3, 2))
-    def test_increments_nondecreasing(self, nu):
-        D = simple_twist(B3, 1, 2)
-        values = [length(nu)]
-        for _ in range(6):
-            nu = act(D, nu)
-            values.append(length(nu))
-        diffs = [b - a for a, b in zip(values, values[1:])]
-        if diffs[0] > 0:
-            assert all(b >= a for a, b in zip(diffs, diffs[1:]))
 
 
 class TestProjective:
