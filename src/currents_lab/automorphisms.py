@@ -2,7 +2,9 @@
 
 Every automorphism carries the images of the inverse map as well, and the
 constructor checks both compositions on all generators, so an inconsistent
-table cannot be built.  Named constructors cover the maps used throughout
+table cannot be built.  Both directions are also kept as signed tables built
+once per automorphism (see :func:`_signed_table`), which every image
+computation reads.  Named constructors cover the maps used throughout
 the package: simple Dehn twists, the rank >= 5 double twist, and the two
 basis changes that re-express the standard generators through a twisted
 basis.
@@ -10,21 +12,29 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 from .errors import AutomorphismTableError, BasisMismatchError, ParseError, RankError
 from .words import Basis, CyclicWord, Letter, Word, _reduced, cyclic_reduce, parse_letters, word
 
 
-def _apply_table(images: Sequence[tuple[Letter, ...]], letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for x in letters:
-        if x > 0:
-            out.extend(images[x - 1])
-        else:
-            out.extend(-y for y in reversed(images[-x - 1]))
-    return _reduced(out)
+SignedTable = tuple[tuple[Letter, ...], ...]
+
+
+def _signed_table(images: Sequence[tuple[Letter, ...]]) -> SignedTable:
+    """Generator images laid out so that ``table[x]`` is the image of any signed letter ``x``.
+
+    Index ``i`` holds the image of generator ``i`` and, counting from the end,
+    index ``-i`` holds its inverse; index 0 is unused.
+    """
+    inverses = tuple(tuple(-y for y in reversed(im)) for im in reversed(images))
+    return ((),) + tuple(images) + inverses
+
+
+def _apply_table(table: SignedTable, letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    return _reduced(chain.from_iterable(map(table.__getitem__, letters)))
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,9 @@ class FreeAutomorphism:
     basis: Basis
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...]
+    # Signed tables of both directions, derived from the images above.
+    table: SignedTable = field(init=False, repr=False, compare=False)
+    inverse_table: SignedTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = self.basis.rank
@@ -42,25 +55,21 @@ class FreeAutomorphism:
         for im in self.images + self.inverse_images:
             if im.basis != self.basis:
                 raise BasisMismatchError("image words use a different basis")
-        fwd = [im.letters for im in self.images]
-        bwd = [im.letters for im in self.inverse_images]
+        fwd = _signed_table([im.letters for im in self.images])
+        bwd = _signed_table([im.letters for im in self.inverse_images])
         for i in range(1, k + 1):
-            if _apply_table(fwd, bwd[i - 1]) != (i,) or _apply_table(bwd, fwd[i - 1]) != (i,):
+            if _apply_table(fwd, bwd[i]) != (i,) or _apply_table(bwd, fwd[i]) != (i,):
                 raise AutomorphismTableError(
                     f"tables are not mutually inverse at generator {self.basis.letter_name(i)}"
                 )
-
-    def image_letters(self) -> list[tuple[Letter, ...]]:
-        return [im.letters for im in self.images]
-
-    def inverse_letters(self) -> list[tuple[Letter, ...]]:
-        return [im.letters for im in self.inverse_images]
+        object.__setattr__(self, "table", fwd)
+        object.__setattr__(self, "inverse_table", bwd)
 
     def __str__(self) -> str:
         return automorphism_str(self)
 
 
-def _image(phi: FreeAutomorphism, table: Sequence[tuple[Letter, ...]], u: Word | CyclicWord) -> Word:
+def _image(phi: FreeAutomorphism, table: SignedTable, u: Word | CyclicWord) -> Word:
     """Checked image of the letters of ``u`` (a reduced word either way) under ``table``."""
     if phi.basis != u.basis:
         raise BasisMismatchError("automorphism and word use different bases")
@@ -68,16 +77,16 @@ def _image(phi: FreeAutomorphism, table: Sequence[tuple[Letter, ...]], u: Word |
 
 
 def apply(phi: FreeAutomorphism, u: Word) -> Word:
-    return _image(phi, phi.image_letters(), u)
+    return _image(phi, phi.table, u)
 
 
 def apply_inverse(phi: FreeAutomorphism, u: Word) -> Word:
-    return _image(phi, phi.inverse_letters(), u)
+    return _image(phi, phi.inverse_table, u)
 
 
 def apply_cyclic(phi: FreeAutomorphism, w: CyclicWord) -> CyclicWord:
     """Induced map on conjugacy classes: apply to any representative, reduce."""
-    image, _ = cyclic_reduce(_image(phi, phi.image_letters(), w))
+    image, _ = cyclic_reduce(_image(phi, phi.table, w))
     return image
 
 
@@ -91,11 +100,9 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     if phi.basis != psi.basis:
         raise BasisMismatchError("cannot compose over different bases")
     basis = phi.basis
-    fwd = phi.image_letters()
-    psi_bwd = psi.inverse_letters()
-    images = tuple(Word(basis, _apply_table(fwd, im.letters)) for im in psi.images)
+    images = tuple(Word(basis, _apply_table(phi.table, im.letters)) for im in psi.images)
     inverse_images = tuple(
-        Word(basis, _apply_table(psi_bwd, im.letters)) for im in phi.inverse_images
+        Word(basis, _apply_table(psi.inverse_table, im.letters)) for im in phi.inverse_images
     )
     return FreeAutomorphism(basis, images, inverse_images)
 

@@ -9,25 +9,41 @@ definition.
 Coordinates ``(v; nu)`` count starting vertices reading ``v`` or ``v^-1``
 around each root circle, weighted; wrapping reads make the count well
 defined for ``|v|`` larger than the circle.
+
+Orbit loops run on a private integer kernel (the ``_orbit_*`` functions): a
+current is a list of ``(cyclic core, int weight)`` pairs over one common
+denominator.  An automorphism maps conjugacy classes bijectively and keeps
+power-free classes power-free, so ``phi . eta_g = eta_phi(g)`` term by term
+and a step needs no merging, root finding or sorting.  Read counts do not
+depend on where a cycle starts, so the kernel keeps each core in whatever
+rotation the image step leaves it and never computes a canonical rotation.
+The public :func:`act` and :func:`projective_vector` are the same image step
+and read counter followed by canonicalization and division.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Sequence
 
-from .automorphisms import FreeAutomorphism, apply_cyclic
+from .automorphisms import FreeAutomorphism, SignedTable, _apply_table
 from .errors import BasisMismatchError, LevelMismatchError, ParseError, ZeroCurrentError
 from .words import (
     Basis,
     CyclicWord,
+    Letter,
     Word,
     _canonical_rotation,
+    _cyclic_core,
     _key_letters,
+    _keys,
     _pair_key,
-    count_subwords,
+    _period,
+    _subword_counts,
     cyclic_reduce,
     inverse_cyclic,
     occurrences,
@@ -137,14 +153,92 @@ def act(phi: FreeAutomorphism, nu: RationalCurrent) -> RationalCurrent:
     """Push a current forward: roots map through the induced class map."""
     if phi.basis != nu.basis:
         raise BasisMismatchError("automorphism and current use different bases")
+    if nu.is_zero():
+        return nu
+    terms, denominator = _orbit_terms(nu)
+    return _orbit_current(nu.basis, _orbit_step(phi.table, terms, nu.basis.rank), denominator)
+
+
+# A current in the orbit kernel: cyclic cores with int weights over a common denominator.
+Terms = list[tuple[Sequence[Letter], int]]
+# Weighted read counts keyed by inverse pair (:func:`_pair_key`), and ``||nu||``, both scaled.
+Reads = tuple[dict[tuple[int, ...], int], int]
+
+
+def _orbit_terms(nu: RationalCurrent) -> tuple[Terms, int]:
+    """The terms of a nonzero current and the common denominator of its weights."""
+    if nu.is_zero():
+        raise ZeroCurrentError("the zero current has no projective class")
+    denominator = lcm(*(weight.denominator for _, weight in nu.terms))
+    terms = [
+        (cls.root.letters, weight.numerator * (denominator // weight.denominator))
+        for cls, weight in nu.terms
+    ]
+    return terms, denominator
+
+
+def _image_core(table: SignedTable, core: Sequence[Letter], rank: int) -> tuple[Letter, ...]:
+    """Cyclic core of the image of a power-free cyclic core, in the rotation it comes in.
+
+    Checks what the public constructors would, except the canonical rotation,
+    with explicit raises that ``python -O`` keeps.
+    """
+    image = _cyclic_core(_apply_table(table, core))
+    if not image or 0 in image or max(image) > rank or min(image) < -rank:
+        raise ValueError(f"image {image} is not a nonempty word over a basis of rank {rank}")
+    if 0 in map(operator.add, image, image[1:] + image[:1]):
+        raise ValueError(f"image {image} is not cyclically reduced")
+    if _period(image) != len(image):
+        raise RuntimeError(f"image {image} is a proper power: automorphisms preserve power-freeness")
+    return image
+
+
+def _orbit_step(table: SignedTable, terms: Terms, rank: int) -> Terms:
+    """One automorphism step, term by term: no merging, no roots, no rotation."""
+    return [(_image_core(table, core, rank), weight) for core, weight in terms]
+
+
+def _orbit_reads(terms: Terms, level: int) -> Reads:
+    """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    raw: dict[tuple[int, ...], int] = {}
+    norm = 0
+    for core, weight in terms:
+        norm += weight * len(core)
+        for read, count in _subword_counts(_keys(core), level).items():
+            raw[read] = raw.get(read, 0) + weight * count
+    counts: dict[tuple[int, ...], int] = {}
+    for read, count in raw.items():
+        rep = _pair_key(read)
+        counts[rep] = counts.get(rep, 0) + count
+    ones = sum(count for rep, count in counts.items() if len(rep) == 1)
+    if ones != norm:
+        raise RuntimeError(f"single-letter counts sum to {ones}, not ||nu|| = {norm}")
+    return counts, norm
+
+
+def _current_reads(nu: RationalCurrent, level: int) -> Reads:
+    """:func:`_orbit_reads` of a public current; zero currents raise :class:`ZeroCurrentError`."""
+    return _orbit_reads(_orbit_terms(nu)[0], level)
+
+
+def _orbit_distance(a: Reads, b: Reads) -> Fraction:
+    """:func:`projective_distance` of two read counts: ``max_v |a_v||b|| - b_v||a||| / (||a|| ||b||)``."""
+    (ca, na), (cb, nb) = a, b
+    gap = max(abs(ca.get(v, 0) * nb - cb.get(v, 0) * na) for v in ca.keys() | cb.keys())
+    return Fraction(gap, na * nb)
+
+
+def _orbit_current(basis: Basis, terms: Terms, denominator: int) -> RationalCurrent:
+    """The public current of kernel terms: canonical roots, every constructor check."""
     items = []
-    for cls, weight in nu.terms:
-        image = apply_cyclic(phi, cls.root)
-        root, exponent = primitive_root(image)
+    for core, weight in terms:
+        root, exponent = primitive_root(CyclicWord(basis, _canonical_rotation(core)))
         if exponent != 1:
-            raise RuntimeError(f"{image} is a proper power: automorphisms preserve power-freeness")
-        items.append((ConjugacyClass(root), weight))
-    return current_from_terms(nu.basis, items)
+            raise RuntimeError(f"{root} is a proper power: automorphisms preserve power-freeness")
+        items.append((ConjugacyClass(root), Fraction(weight, denominator)))
+    return current_from_terms(basis, items)
 
 
 @dataclass(frozen=True)
@@ -164,29 +258,14 @@ class ProjectiveCurrentVector:
 
 
 def projective_vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVector:
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if nu.is_zero():
-        raise ZeroCurrentError("the zero current has no projective class")
-    total = length(nu)
+    counts, total = _current_reads(nu, level)
     # Inverse pairs are keyed in letter-key space, where plain tuple order is
     # the letter order.
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for cls, weight in nu.terms:
-        reads: dict[tuple[int, ...], int] = {}
-        for read, count in count_subwords(cls.root, level).items():
-            rep = _pair_key(read)
-            reads[rep] = reads.get(rep, 0) + count
-        for rep, count in reads.items():
-            acc[rep] = acc.get(rep, 0) + weight * count
-    entries = []
-    for rep in sorted(acc, key=lambda t: (len(t), t)):
-        entries.append((Word(nu.basis, _key_letters(rep)), acc[rep] / total))
-    vector = ProjectiveCurrentVector(nu.basis, level, tuple(entries))
-    ones = sum((val for w, val in entries if len(w) == 1), Fraction(0))
-    if ones != 1:
-        raise RuntimeError(f"single-letter coordinates sum to {ones}, not 1")
-    return vector
+    entries = tuple(
+        (Word(nu.basis, _key_letters(rep)), Fraction(counts[rep], total))
+        for rep in sorted(counts, key=lambda t: (len(t), t))
+    )
+    return ProjectiveCurrentVector(nu.basis, level, entries)
 
 
 def projective_distance(p: ProjectiveCurrentVector, q: ProjectiveCurrentVector) -> Fraction:

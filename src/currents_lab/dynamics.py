@@ -34,8 +34,13 @@ from .automorphisms import (
 )
 from .corpus import random_current, random_reduced_word
 from .currents import (
-    ProjectiveCurrentVector,
     RationalCurrent,
+    Reads,
+    _current_reads,
+    _orbit_distance,
+    _orbit_reads,
+    _orbit_step,
+    _orbit_terms,
     act,
     coordinate,
     current_str,
@@ -65,7 +70,7 @@ from .trees import (
     tree_projective_eq,
     twist_tree,
 )
-from .words import Basis, Word, concat, word, word_power
+from .words import Basis, Word, _keys, _pair_key, concat, word, word_power
 
 
 DERIVED_RATE_NOTE = (
@@ -146,8 +151,8 @@ def _at_least_one(**counts: int) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _distance(nu: RationalCurrent, target: ProjectiveCurrentVector, level: int) -> Fraction:
-    return projective_distance(projective_vector(nu, level), target)
+def _distance(nu: RationalCurrent, goal: Reads, level: int) -> Fraction:
+    return _orbit_distance(_current_reads(nu, level), goal)
 
 
 def iterate_current(
@@ -161,7 +166,8 @@ def iterate_current(
 
     When the first step strictly increases the length, the whole orbit is
     checked against the linear lower bound
-    ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``.
+    ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``.  The orbit runs
+    on the integer kernel; lengths are norms over the common denominator.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -170,29 +176,32 @@ def iterate_current(
         raise ZeroCurrentError("cannot iterate the zero current")
     if phi.basis != nu0.basis:
         raise BasisMismatchError("automorphism and current use different bases")
-    goal = projective_vector(limit, level) if limit is not None else None
-    lengths: list[Fraction] = []
+    if limit is not None and limit.basis != nu0.basis:
+        raise BasisMismatchError("limit and current use different bases")
+    goal = _current_reads(limit, level) if limit is not None else None
+    terms, denominator = _orbit_terms(nu0)
+    norms: list[int] = []
     rows: list[tuple[str, ...]] = []
-    nu = nu0
     for n in range(steps + 1):
-        ln = current_length(nu)
-        lengths.append(ln)
-        row = [str(n), str(ln)]
+        norm = sum(weight * len(core) for core, weight in terms)
+        norms.append(norm)
+        row = [str(n), str(Fraction(norm, denominator))]
         if goal is not None:
-            row.append(str(_distance(nu, goal, level)))
+            row.append(str(_orbit_distance(_orbit_reads(terms, level), goal)))
         rows.append(tuple(row))
         if n < steps:
-            nu = act(phi, nu)
+            terms = _orbit_step(phi.table, terms, phi.basis.rank)
     columns = ("step", "length") + (("distance",) if goal is not None else ())
     assertions: list[AssertionResult] = []
-    increment = lengths[1] - lengths[0] if steps >= 1 else Fraction(0)
+    increment = norms[1] - norms[0] if steps >= 1 else 0
     if increment > 0:
-        ok = all(lengths[n] >= lengths[0] + n * increment for n in range(len(lengths)))
+        ok = all(norms[n] >= norms[0] + n * increment for n in range(len(norms)))
         _assert(
             assertions,
             "linear growth lower bound",
             ok,
-            f"||nu0||={lengths[0]}, first increment={increment}, lengths up to step {steps}",
+            f"||nu0||={Fraction(norms[0], denominator)}, "
+            f"first increment={Fraction(increment, denominator)}, lengths up to step {steps}",
         )
     return ConvergenceReport(
         experiment="iterate",
@@ -301,9 +310,11 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     if nu.is_zero():
         raise ZeroCurrentError("the zero current has no escape direction")
     gens = list(basis.generators())
+    terms, denominator = _orbit_terms(nu)
+    counts, _ = _orbit_reads(terms, 2)
 
     def coord(letters: tuple[int, ...]) -> Fraction:
-        return coordinate(Word(basis, letters), nu)
+        return Fraction(counts.get(_pair_key(tuple(_keys(letters))), 0), denominator)
 
     t = max(gens, key=lambda i: (coord((i,)), -i))
     name = basis.letter_name
@@ -340,20 +351,26 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     return EscapeChoice(simple_twist(basis, t, z), direction, z, reason)
 
 
+WALK_RADIUS = Fraction(1, 10)
+
+
 def walk_to_target(
     choice: EscapeChoice, nu: RationalCurrent, steps: int, level: int
 ) -> tuple[int | None, Fraction]:
     """Iterate the chosen twist; first step with distance <= 1/10 to the target."""
-    stepper = choice.twist if choice.direction == 1 else inverse(choice.twist)
-    goal = projective_vector(rational_current(Word(nu.basis, (choice.target,))), level)
-    current = nu
+    twist = choice.twist
+    if twist.basis != nu.basis:
+        raise BasisMismatchError("escape twist and current use different bases")
+    table = twist.table if choice.direction == 1 else twist.inverse_table
+    goal = _current_reads(rational_current(Word(nu.basis, (choice.target,))), level)
+    terms, _ = _orbit_terms(nu)
     last = Fraction(0)
     for n in range(steps + 1):
-        last = _distance(current, goal, level)
-        if last <= Fraction(1, 10):
+        last = _orbit_distance(_orbit_reads(terms, level), goal)
+        if last <= WALK_RADIUS:
             return n, last
         if n < steps:
-            current = act(stepper, current)
+            terms = _orbit_step(table, terms, nu.basis.rank)
     return None, last
 
 
@@ -485,18 +502,18 @@ def run_theorem_main(
     law_ok = True
     law_witness = ""
     for seed_name, seed, target in seeds:
-        goal = projective_vector(target, 1)
+        goal = _current_reads(target, 1)
         for direction, stepper in (("forward", phi), ("backward", phi_back)):
             distance_columns.append(f"{seed_name}-{direction}")
-            nu = seed
+            terms, _ = _orbit_terms(seed)
             for n in range(iters + 1):
-                d = _distance(nu, goal, 1)
+                d = _orbit_distance(_orbit_reads(terms, 1), goal)
                 distance_rows[n].append(str(d))
                 if d != Fraction(2, n + 2) and law_ok:
                     law_ok = False
                     law_witness = f"{seed_name} {direction} step {n}: {d} != 2/{n + 2}"
                 if n < iters:
-                    nu = act(stepper, nu)
+                    terms = _orbit_step(stepper.table, terms, rank)
     _assert(
         assertions,
         "current orbit distance law 2/(n+2) at level 1, both directions",
@@ -619,18 +636,19 @@ def run_product_minimal(
         not crit.member,
         crit.witness(),
     )
-    goal1 = projective_vector(mu_b, 1)
-    goal_level = projective_vector(mu_b, level)
+    goal1 = _current_reads(mu_b, 1)
+    goal_level = _current_reads(mu_b, level)
     base_len = current_length(mu_a)
     rows = []
     law_ok = True
     bound_ok = True
     witness1 = witness2 = ""
-    nu = mu_a
+    terms, denominator = _orbit_terms(mu_a)
     for n in range(iters + 1):
-        ln = current_length(nu)
-        d1 = _distance(nu, goal1, 1)
-        dl = _distance(nu, goal_level, level)
+        reads1 = _orbit_reads(terms, 1)
+        ln = Fraction(reads1[1], denominator)
+        d1 = _orbit_distance(reads1, goal1)
+        dl = _orbit_distance(_orbit_reads(terms, level), goal_level)
         rows.append((str(n), str(ln), str(d1), str(dl)))
         if d1 != base_len / ln and law_ok:
             law_ok = False
@@ -639,7 +657,7 @@ def run_product_minimal(
             bound_ok = False
             witness2 = f"step {n}: {dl} > {level * base_len / ln}"
         if n < iters:
-            nu = act(twist, nu)
+            terms = _orbit_step(twist.table, terms, rank)
     _assert(
         assertions,
         "current distance at level 1 equals ||nu0||/||nu_n|| (= 1/(n+1))",
@@ -681,7 +699,7 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
     lead = Word(basis, (3,))
     mu_u = rational_current(u)
     base_len = current_length(mu_u)
-    goal = projective_vector(mu_u, level)
+    goal = _current_reads(mu_u, level)
     rows = []
     distances: list[Fraction] = []
     for n in range(iters + 1):
@@ -741,7 +759,7 @@ def run_off_critical_perturbation(
     if parity % 2 != 1:
         raise ValueError(f"(a; mu_f) must be odd, got {parity}")
     mu_g = rational_current(g)
-    goal = projective_vector(mu_g, level)
+    goal = _current_reads(mu_g, level)
     f_len = current_length(mu_f)
     g_len = current_length(mu_g)
     notes = [EXACT_NOTE, DERIVED_RATE_NOTE]

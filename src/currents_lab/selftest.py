@@ -500,10 +500,17 @@ CHECKS: tuple[tuple[str, str, Check], ...] = (
 
 
 def run_selftest(seed: int = 1, quick: bool = False) -> tuple[SuiteResult, ...]:
-    """Run every suite and collect results; deterministic given (seed, quick)."""
+    """Run every suite and collect results; deterministic given (seed, quick).
+
+    A check that raises fails with the exception as its witness and zero
+    trials; the checks after it still run.
+    """
     by_module: dict[str, list[CheckResult]] = {}
     for module, name, check in CHECKS:
-        trials, witness = check(seed, quick)
+        try:
+            trials, witness = check(seed, quick)
+        except Exception as exc:  # one broken layer must not hide the other results
+            trials, witness = 0, f"{type(exc).__name__}: {exc}"
         by_module.setdefault(module, []).append(
             CheckResult(name, witness is None, trials, witness)
         )

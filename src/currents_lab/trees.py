@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 from .automorphisms import (
     FreeAutomorphism,
     _apply_table,
+    _signed_table,
     apply_inverse,
     identity_automorphism,
     parse_automorphism,
@@ -278,6 +279,7 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
     images = [(i,) for i in core.basis.generators()]
     for t in core.twists:
         images[t.stable - 1] = (t.stable, t.twistor)
+    table = _signed_table(images)
     current = _core_letters(tree, g)
     transient = _max_cyclic_run(current, set(weights))
     if transient + 3 > cap:
@@ -287,7 +289,7 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
     values = [_weighted_count(current, weights)]
     diffs: list[Fraction] = []
     for n in range(cap):
-        current = _apply_table(images, current)
+        current = _apply_table(table, current)
         values.append(_weighted_count(_cyclic_core(current), weights))
         diffs.append(values[-1] - values[-2])
         if n + 1 >= transient + 3 and diffs[-1] == diffs[-2] == diffs[-3]:

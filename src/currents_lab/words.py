@@ -160,9 +160,8 @@ def _keys(letters: Sequence[Letter]) -> list[int]:
     return [2 * x - 2 if x > 0 else -1 - 2 * x for x in letters]
 
 
-def _pair_key(letters: Sequence[Letter]) -> tuple[int, ...]:
-    """Keys of the lesser of a reduced word and its inverse, in letter order."""
-    key = tuple(_keys(letters))
+def _pair_key(key: tuple[int, ...]) -> tuple[int, ...]:
+    """The lesser of a reduced word's keys and its inverse's keys, in letter order."""
     mirror = tuple([k ^ 1 for k in reversed(key)])
     return key if key <= mirror else mirror
 
@@ -301,6 +300,25 @@ def _count_reads(target: Sequence[Letter], cycle: Sequence[Letter]) -> int:
     return count
 
 
+def _subword_counts(cycle: Sequence, max_len: int) -> dict[tuple, int]:
+    """Counts of every clockwise read of length 1..max_len from each vertex of ``cycle``.
+
+    Works on any sequence (letters or letter keys).  Only the reads of length
+    ``max_len`` are counted position by position; every vertex starts exactly
+    one of them, so the shorter reads are their prefixes, counted per distinct read.
+    """
+    n = len(cycle)
+    # Enough copies that every read of max_len letters from a vertex fits.
+    repeated = cycle * -(-(n + max_len - 1) // n)
+    # The j-th slice holds the j-th letter of the read from each vertex.
+    counts = Counter(zip(*(repeated[j : j + n] for j in range(max_len))))
+    if max_len > 1:
+        for read, count in list(counts.items()):
+            for m in range(1, max_len):
+                counts[read[:m]] += count
+    return counts
+
+
 def count_subwords(w: CyclicWord, max_len: int) -> dict[tuple[Letter, ...], int]:
     """Counts of every clockwise read of length 1..max_len from each vertex of ``w``.
 
@@ -309,15 +327,19 @@ def count_subwords(w: CyclicWord, max_len: int) -> dict[tuple[Letter, ...], int]
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    letters = w.letters
+    return _subword_counts(w.letters, max_len)
+
+
+def _period(letters: Sequence[Letter]) -> int:
+    """Least ``p`` with ``letters`` the ``len(letters) // p``-th power of its first ``p`` letters.
+
+    A power-free cycle has period ``len(letters)``.
+    """
     n = len(letters)
-    # Enough copies that every read of max_len letters from a vertex fits.
-    repeated = letters * -(-(n + max_len - 1) // n)
-    counts: dict[tuple[Letter, ...], int] = {}
-    for m in range(1, max_len + 1):
-        # The j-th slice holds the j-th letter of the read from each vertex.
-        counts.update(Counter(zip(*(repeated[j : j + n] for j in range(m)))))
-    return counts
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and letters[p:] == letters[:-p]:
+            return p
+    return n
 
 
 def primitive_root(w: CyclicWord) -> tuple[CyclicWord, int]:
@@ -326,8 +348,7 @@ def primitive_root(w: CyclicWord) -> tuple[CyclicWord, int]:
     A power-free ``w`` is returned as its own root.
     """
     letters = w.letters
-    n = len(letters)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and letters[p:] == letters[:-p]:
-            return CyclicWord(w.basis, letters[:p]), n // p
-    return w, 1
+    p = _period(letters)
+    if p == len(letters):
+        return w, 1
+    return CyclicWord(w.basis, letters[:p]), len(letters) // p

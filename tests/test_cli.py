@@ -194,20 +194,55 @@ class TestReports:
         orbit = payload["tables"][0]
         assert orbit["rows"][5] == ["5", "6", "1/6"]
 
-    def test_iterate_golden_bytes(self, capsys):
-        # stdout digest recorded before the current-layer kernel was rewritten
-        code, out, _ = run(
-            capsys,
-            [
-                "iterate", "--rank", "5", "--aut", "phi",
-                "-c", "3/2*[abcD]+1/3*[Ebcd]+1*[acac]", "--limit", "1*[b]+1*[d]",
-                "--level", "3", "--iters", "40",
-            ],
-        )
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                [
+                    "iterate", "--rank", "5", "--aut", "phi",
+                    "-c", "3/2*[abcD]+1/3*[Ebcd]+1*[acac]", "--limit", "1*[b]+1*[d]",
+                    "--level", "3", "--iters", "40",
+                ],
+                "71bcafe6b3bf54ec5bbf63dcd5f30f1df14869cc0bdf1ab83748d77dc99360d9",
+            ),
+            (
+                [
+                    "iterate", "--rank", "5", "--aut", "phi",
+                    "-c", "3/2*[abcD]+1/3*[Ebcd]+1*[acac]", "--level", "2", "--iters", "30",
+                ],
+                "8f98c8344939a3b0258eb831242c275fd0b67a163fdfe0ec5f4d3cd4aca68d2a",
+            ),
+            (
+                ["experiment", "minimality-walk", "--trials", "40"],
+                "15825826375d8034c2e595153b0fdce9a91f022ac0d9c689aa045330637ada60",
+            ),
+            (
+                ["experiment", "product-minimal", "--iters", "8"],
+                "425a33556f31eed5faf92abe44efaabac7c77488d9baddeb05b86b994aa9a3ca",
+            ),
+            (
+                ["experiment", "theorem-main", "--iters", "8"],
+                "7691c3c95bb23e3b25c1488b2ddfaed96d507f0214127e5d27cda8db49cf2934",
+            ),
+            (
+                ["experiment", "primitive-limit", "--iters", "8"],
+                "511fe75ef057a69a3d412c6191c52d1b5c0764192206f8391d501457ed474088",
+            ),
+            (
+                ["experiment", "off-critical", "--iters", "8"],
+                "1718169e7a1fc259b3749952d3c8e392678fa061a70d98dc905eef44596b85ef",
+            ),
+        ],
+        ids=[
+            "iterate-limit", "iterate-no-limit", "minimality-walk", "product-minimal",
+            "theorem-main", "primitive-limit", "off-critical",
+        ],
+    )
+    def test_iterate_golden_bytes(self, capsys, argv, digest):
+        # stdout digests recorded before the current orbits moved to the integer kernel
+        code, out, _ = run(capsys, argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "71bcafe6b3bf54ec5bbf63dcd5f30f1df14869cc0bdf1ab83748d77dc99360d9"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSelftest:

@@ -5,18 +5,25 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from currents_lab.automorphisms import (
+    double_prime_basis_change,
     double_twist,
     identity_automorphism,
     inverse,
     power,
+    prime_basis_change,
     simple_twist,
 )
 from currents_lab.corpus import random_current
 from currents_lab.currents import (
     ConjugacyClass,
+    _orbit_current,
+    _orbit_distance,
+    _orbit_reads,
+    _orbit_step,
+    _orbit_terms,
     act,
     add,
     coordinate,
@@ -204,6 +211,40 @@ class TestAction:
         monkeypatch.setattr(currents_module, "primitive_root", lambda cycle: (cycle, 2))
         with pytest.raises(RuntimeError, match="proper power"):
             act(simple_twist(B3, 1, 2), nu)
+
+
+def _orbit_maps(basis):
+    """Every simple twist, and at rank 5 phi and both basis changes; all with inverses."""
+    gens = basis.generators()
+    maps = [simple_twist(basis, t, z) for t in gens for z in gens if t != z]
+    if basis.rank >= 5:
+        maps += [double_twist(basis), prime_basis_change(basis), double_prime_basis_change(basis)]
+    return maps + [inverse(phi) for phi in maps]
+
+
+ORBIT_MAPS = {basis: _orbit_maps(basis) for basis in (B3, B5)}
+
+
+class TestOrbitKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_kernel_agrees_with_public_path(self, data):
+        basis = data.draw(st.sampled_from(sorted(ORBIT_MAPS, key=lambda b: b.rank)))
+        nu = data.draw(currents(basis, 3))
+        goal = data.draw(currents(basis, 2))
+        phi = data.draw(st.sampled_from(ORBIT_MAPS[basis]))
+        terms, denominator = _orbit_terms(nu)
+        public = nu
+        for _ in range(data.draw(st.integers(0, 4))):
+            terms = _orbit_step(phi.table, terms, basis.rank)
+            public = act(phi, public)
+        assert _orbit_current(basis, terms, denominator) == public
+        goal_terms, _ = _orbit_terms(goal)
+        for level in (1, 2, 3):
+            kernel = _orbit_distance(_orbit_reads(terms, level), _orbit_reads(goal_terms, level))
+            assert kernel == projective_distance(
+                projective_vector(public, level), projective_vector(goal, level)
+            )
 
 
 class TestProjective:

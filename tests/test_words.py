@@ -141,7 +141,8 @@ class TestCyclicReduction:
         assert [letter_key(-x) for x in v.letters] == [letter_key(x) ^ 1 for x in v.letters]
         assert _key_letters(_keys(v.letters)) == v.letters
         lesser = min(v, invert(v), key=lambda u: [letter_key(x) for x in u.letters])
-        assert _pair_key(v.letters) == _pair_key(invert(v).letters) == tuple(_keys(lesser.letters))
+        key = tuple(_keys(v.letters))
+        assert _pair_key(key) == _pair_key(tuple(_keys(invert(v).letters))) == tuple(_keys(lesser.letters))
 
     @given(nonempty_words(B3))
     def test_conjugation_roundtrip(self, u):
