@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from currents_lab.automorphisms import (
+    _signed_table,
     double_prime_basis_change,
     double_twist,
     identity_automorphism,
@@ -245,6 +246,23 @@ class TestOrbitKernel:
             assert kernel == projective_distance(
                 projective_vector(public, level), projective_vector(goal, level)
             )
+
+    def test_kernel_checks_are_explicit_errors(self, monkeypatch):
+        # the per-step checks must hold under python -O too
+        import currents_lab.currents as currents_module
+
+        squaring = _signed_table([(1, 1), (2,), (3,)])  # a -> aa: no automorphism
+        with pytest.raises(RuntimeError, match="proper power"):
+            _orbit_step(squaring, [((1, 2), 1), ((1,), 1)], 3)
+        with pytest.raises(ValueError, match="rank 2"):
+            _orbit_step(simple_twist(B3, 1, 3).table, [((1,), 1)], 2)
+        counts = currents_module._subword_counts
+        # one stray read of c (letter key 4) around the circle ab
+        monkeypatch.setattr(
+            currents_module, "_subword_counts", lambda cycle, n: {**counts(cycle, n), (4,): 1}
+        )
+        with pytest.raises(RuntimeError, match="single-letter counts"):
+            _orbit_reads([((1, 2), 1)], 1)
 
 
 class TestProjective:
