@@ -12,12 +12,18 @@ basis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
-from .errors import AutomorphismTableError, BasisMismatchError, ParseError, RankError
-from .words import Basis, CyclicWord, Letter, Word, _reduced, cyclic_reduce, parse_letters, word
+from .errors import (
+    AutomorphismTableError,
+    BasisMismatchError,
+    IdentityElementError,
+    ParseError,
+    RankError,
+)
+from .words import Basis, CyclicWord, Letter, Word, _cyclic_core, cyclic_reduce, parse_letters, word
 
 
 SignedTable = tuple[tuple[Letter, ...], ...]
@@ -27,14 +33,50 @@ def _signed_table(images: Sequence[tuple[Letter, ...]]) -> SignedTable:
     """Generator images laid out so that ``table[x]`` is the image of any signed letter ``x``.
 
     Index ``i`` holds the image of generator ``i`` and, counting from the end,
-    index ``-i`` holds its inverse; index 0 is unused.
+    index ``-i`` holds its inverse; index 0 is unused.  Every image must be
+    freely reduced (images taken from :class:`Word` values are):
+    :func:`_apply_table` cancels only where two images meet.
     """
     inverses = tuple(tuple(-y for y in reversed(im)) for im in reversed(images))
     return ((),) + tuple(images) + inverses
 
 
 def _apply_table(table: SignedTable, letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    return _reduced(chain.from_iterable(map(table.__getitem__, letters)))
+    """Freely reduced image of ``letters`` (reduced or not) under a signed table.
+
+    The stack stays reduced and each image is reduced, so cancellation happens
+    only at the junction: pop while the top inverts the image's next letter,
+    then push the rest of the image.
+    """
+    stack: list[Letter] = []
+    for x in letters:
+        image = table[x]
+        if image and stack and stack[-1] == -image[0]:
+            i = 0
+            while i < len(image) and stack and stack[-1] == -image[i]:
+                stack.pop()
+                i += 1
+            stack.extend(image[i:])
+        else:
+            stack.extend(image)
+    return tuple(stack)
+
+
+def _cyclic_image(table: SignedTable, letters: Sequence[Letter], rank: int) -> Sequence[Letter]:
+    """Cyclic core of the image of ``letters`` under ``table``, in the rotation it comes in.
+
+    The orbit kernels' per-step check of what the public constructors would
+    verify, with explicit raises that ``python -O`` keeps: the core is a
+    nonempty, cyclically reduced word over a basis of rank ``rank``.
+    """
+    image = _cyclic_core(_apply_table(table, letters))
+    if not image:
+        raise IdentityElementError(f"the image of {tuple(letters)} is the identity")
+    if 0 in image or max(image) > rank or min(image) < -rank:
+        raise ValueError(f"image {image} is not a word over a basis of rank {rank}")
+    if 0 in map(operator.add, image, image[1:] + image[:1]):
+        raise ValueError(f"image {image} is not cyclically reduced")
+    return image
 
 
 @dataclass(frozen=True)
@@ -135,9 +177,11 @@ def simple_twist(basis: Basis, twisted: int, twistor: int) -> FreeAutomorphism:
     basis.check_letter(twistor)
     if twisted <= 0 or twistor <= 0 or twisted == twistor:
         raise ValueError("twist needs two distinct generators")
-    t = basis.letter_name(twisted)
-    z = basis.letter_name(twistor)
-    return _table_automorphism(basis, {twisted: t + z}, {twisted: t + z.upper()})
+    images = [Word(basis, (i,)) for i in basis.generators()]
+    inverse_images = list(images)
+    images[twisted - 1] = Word(basis, (twisted, twistor))
+    inverse_images[twisted - 1] = Word(basis, (twisted, -twistor))
+    return FreeAutomorphism(basis, tuple(images), tuple(inverse_images))
 
 
 def double_twist(basis: Basis) -> FreeAutomorphism:

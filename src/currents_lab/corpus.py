@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .currents import RationalCurrent, add, rational_current, scale
-from .words import Basis, CyclicWord, Letter, Word, cyclic_reduce
+from .currents import ConjugacyClass, RationalCurrent, current_from_terms
+from .words import Basis, CyclicWord, Letter, Word, cyclic_reduce, primitive_root
 
 
 def random_reduced_word(rng: Random, basis: Basis, max_len: int) -> Word:
@@ -36,12 +36,14 @@ def random_current(
     max_root_len: int = 8,
     max_weight: int = 5,
 ) -> RationalCurrent:
-    """Nonzero rational current with bounded support and weights."""
-    nu = None
+    """Nonzero rational current with bounded support and weights.
+
+    A drawn proper power ``r^m`` folds into its primitive root ``r`` with the
+    weight times ``m``; repeated roots merge in one :func:`current_from_terms`.
+    """
+    items = []
     for _ in range(rng.randint(1, max_terms)):
-        root = random_cyclic_word(rng, basis, max_root_len)
+        root, exponent = primitive_root(random_cyclic_word(rng, basis, max_root_len))
         weight = Fraction(rng.randint(1, max_weight), rng.randint(1, 3))
-        term = scale(weight, rational_current(root.as_word()))
-        nu = term if nu is None else add(nu, term)
-    assert nu is not None
-    return nu
+        items.append((ConjugacyClass(root), exponent * weight))
+    return current_from_terms(basis, items)

@@ -23,14 +23,13 @@ and read counter followed by canonicalization and division.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .automorphisms import FreeAutomorphism, SignedTable, _apply_table
+from .automorphisms import FreeAutomorphism, SignedTable, _cyclic_image
 from .errors import BasisMismatchError, LevelMismatchError, ParseError, ZeroCurrentError
 from .words import (
     Basis,
@@ -38,7 +37,6 @@ from .words import (
     Letter,
     Word,
     _canonical_rotation,
-    _cyclic_core,
     _key_letters,
     _keys,
     _pair_key,
@@ -177,17 +175,14 @@ def _orbit_terms(nu: RationalCurrent) -> tuple[Terms, int]:
     return terms, denominator
 
 
-def _image_core(table: SignedTable, core: Sequence[Letter], rank: int) -> tuple[Letter, ...]:
+def _image_core(table: SignedTable, core: Sequence[Letter], rank: int) -> Sequence[Letter]:
     """Cyclic core of the image of a power-free cyclic core, in the rotation it comes in.
 
     Checks what the public constructors would, except the canonical rotation,
-    with explicit raises that ``python -O`` keeps.
+    with explicit raises that ``python -O`` keeps: :func:`_cyclic_image`'s
+    checks and power-freeness.
     """
-    image = _cyclic_core(_apply_table(table, core))
-    if not image or 0 in image or max(image) > rank or min(image) < -rank:
-        raise ValueError(f"image {image} is not a nonempty word over a basis of rank {rank}")
-    if 0 in map(operator.add, image, image[1:] + image[:1]):
-        raise ValueError(f"image {image} is not cyclically reduced")
+    image = _cyclic_image(table, core, rank)
     if _period(image) != len(image):
         raise RuntimeError(f"image {image} is a proper power: automorphisms preserve power-freeness")
     return image

@@ -21,6 +21,8 @@ from typing import Sequence
 
 from .automorphisms import (
     FreeAutomorphism,
+    SignedTable,
+    _cyclic_image,
     apply,
     automorphism_str,
     compose,
@@ -62,6 +64,8 @@ from .errors import (
 from .trees import (
     ProjectiveTreeVector,
     TreeLengthFunction,
+    Weigher,
+    _weigher,
     cayley_tree,
     double_twist_tree,
     intersection_form,
@@ -70,7 +74,7 @@ from .trees import (
     tree_projective_eq,
     twist_tree,
 )
-from .words import Basis, Word, _keys, _pair_key, concat, word, word_power
+from .words import Basis, Letter, Word, _keys, _pair_key, concat, word, word_power
 
 
 DERIVED_RATE_NOTE = (
@@ -220,7 +224,7 @@ def iterate_current(
     )
 
 
-def _tail_difference(values: Sequence[Fraction]) -> tuple[Fraction, int]:
+def _tail_difference(values: Sequence[int]) -> tuple[int, int]:
     """Last first-difference and the length of its trailing run."""
     diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     last = diffs[-1]
@@ -230,6 +234,26 @@ def _tail_difference(values: Sequence[Fraction]) -> tuple[Fraction, int]:
             break
         run += 1
     return last, run
+
+
+def _tree_orbit(
+    weigh: Weigher,
+    step: SignedTable,
+    pull: SignedTable,
+    rank: int,
+    letters: Sequence[Letter],
+    steps: int,
+) -> list[int]:
+    """Weigher values of ``g, step(g), ..., step^steps(g)`` pulled back through ``pull``.
+
+    ``letters`` spells any nontrivial ``g``; each orbit point is kept as the
+    checked cyclic core :func:`_cyclic_image` leaves, in whatever rotation.
+    """
+    seq = [weigh(_cyclic_image(pull, letters, rank))]
+    for _ in range(steps):
+        letters = _cyclic_image(step, letters, rank)
+        seq.append(weigh(_cyclic_image(pull, letters, rank)))
+    return seq
 
 
 def tree_orbit_limit(
@@ -245,37 +269,41 @@ def tree_orbit_limit(
     cap; the common difference is the class's growth rate.  When every rate
     is zero the orbit converges without rescaling and the stabilized constant
     lengths are used instead.
+
+    The orbit runs on raw letter tuples (:func:`_tree_orbit`).  Translation
+    length is a conjugacy invariant, so each class is stepped as a cyclic
+    core, ``g <- core of phi^-1(g)``, and measured by the tree's int weigher
+    (:func:`trees._weigher`) on the core of its pull-back through the
+    marking.  Every image is checked with raises that ``python -O`` keeps.
+    Rates and values stay ints over the weigher's common factor, which
+    cancels in the projective vector; a :class:`NotStabilizedError` carries
+    the scaled lengths.
     """
     _at_least_one(cap=cap)
     if phi.basis != tree.basis:
         raise BasisMismatchError("automorphism and tree use different bases")
     classes = power_free_classes(tree.basis, level)
-    back = inverse(phi)
-
-    def orbit(cls) -> list[Fraction]:
-        g = cls.root.as_word()
-        seq: list[Fraction] = []
-        for _ in range(cap + 1):
-            seq.append(tree_length(tree, g))
-            g = apply(back, g)
-        return seq
-
-    sequences = [orbit(cls) for cls in classes]
-    rates: list[Fraction] = []
+    weigh, factor = _weigher(tree)
+    rank = tree.basis.rank
+    sequences = [
+        _tree_orbit(weigh, phi.inverse_table, tree.marking.inverse_table, rank, cls.root.letters, cap)
+        for cls in classes
+    ]
+    rates: list[int] = []
     for cls, seq in zip(classes, sequences):
         rate, run = _tail_difference(seq)
         if run < 3 or rate < 0:
             raise NotStabilizedError(
                 f"class {cls}: no stable growth rate within {cap} iterations",
-                tuple(seq),
+                tuple(factor * v for v in seq),
             )
         rates.append(rate)
     values = [seq[-1] for seq in sequences] if all(r == 0 for r in rates) else rates
-    total = sum(values, Fraction(0))
+    total = sum(values)
     if total == 0:
         raise AllEllipticError("every test class stays elliptic along the orbit")
     return ProjectiveTreeVector(
-        tree.basis, level, classes, tuple(v / total for v in values)
+        tree.basis, level, classes, tuple(Fraction(v, total) for v in values)
     )
 
 

@@ -23,6 +23,17 @@ Translation length is a conjugacy invariant, so every length route accepts
 the cyclic core of the pulled-back word in any rotation and counts letters
 per generator as ints.  Canonical rotation exists only for
 :class:`~currents_lab.words.CyclicWord` values.
+
+One evaluator, :func:`_weigher`, turns a tree into an int function of raw
+cyclic cores over one common denominator of its edge lengths, plus the
+``Fraction`` factor ``scale / denominator``: Cayley weights become letter
+counts times ints, twist edge lengths become int stable-letter weights for
+:func:`_britton_weight`.  :func:`length` and :func:`length_britton` read it
+on the core of the word pulled back through the marking's signed table (no
+checked ``Word`` is built), and the tree orbit kernel in
+:mod:`currents_lab.dynamics` reads it at every orbit step.
+:func:`length_limit` keeps its own twistor count, so the cross-check stays
+two independent routes.
 """
 
 from __future__ import annotations
@@ -30,13 +41,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import chain
+from math import lcm
+from typing import Callable, Mapping, Sequence
 
 from .automorphisms import (
     FreeAutomorphism,
     _apply_table,
     _signed_table,
-    apply_inverse,
     identity_automorphism,
     parse_automorphism,
 )
@@ -170,53 +183,94 @@ def _weighted_count(letters: Sequence[int], weights: Mapping[int, Fraction]) -> 
     return sum((w * counts[g] for g, w in weights.items() if g in counts), Fraction(0))
 
 
-def _britton_weight(core: TwistSplittingCore, letters: Sequence[int]) -> Fraction:
-    """Edge-length total of the stable letters surviving cyclic pinching.
+def _britton_weight(core: TwistSplittingCore, weights: Mapping[int, int], letters: Sequence[int]) -> int:
+    """Total of ``weights[t]`` over the stable letters ``t^±1`` surviving cyclic pinching.
 
     ``letters`` is a cyclically reduced word in any rotation.  Works over the
     extended alphabet where letter ``rank + 1 + i`` stands for
     ``t_i z_i t_i^-1``.  A pinch replaces ``t_i z_i^m t_i^-1`` by the fresh
     symbol to the ``m`` and ``t_i^-1 (fresh)^m t_i`` by ``z_i^m``; the vertex
     group is free on the non-stable generators plus the fresh symbols, so a
-    subword lies in an edge group exactly when it is such a power.
+    segment between two stable letters lies in an edge group exactly when it
+    is such a power.  Stable letters go on a stack, each after the reduced
+    segment before it, and a pinch pops the stack like a free cancellation;
+    pinches across the ends of the cycle then trim both ends.  Every order of
+    pinching leaves the same number of stable letters (Collins' lemma).
     """
     rank = core.basis.rank
-    stable_index = {t.stable: i for i, t in enumerate(core.twists)}
-    current = list(letters)
-    while current:
-        positions = [p for p, x in enumerate(current) if abs(x) in stable_index]
-        if not positions:
-            return Fraction(0)
-        n = len(current)
-        for which in range(len(positions)):
-            p1 = positions[which]
-            p2 = positions[(which + 1) % len(positions)]
-            s1 = current[p1]
-            s2 = current[p2]
-            if s2 != -s1:
-                continue
-            i = stable_index[abs(s1)]
-            edge = core.twists[i]
-            fresh = rank + 1 + i
-            inner = edge.twistor if s1 > 0 else fresh
-            outer = fresh if s1 > 0 else edge.twistor
-            segment = [current[(p1 + 1 + j) % n] for j in range((p2 - p1 - 1) % n)]
-            if all(x == inner for x in segment):
-                replacement = [outer] * len(segment)
-            elif all(x == -inner for x in segment):
-                replacement = [-outer] * len(segment)
-            else:
-                continue
-            rotated = current[p1:] + current[:p1]
-            span = (p2 - p1) % n
-            current = list(_cyclic_core(_reduced(replacement + rotated[span + 1 :])))
-            break
+    # signed stable letter -> (letter whose powers it pinches, letter they become)
+    pinch: dict[int, tuple[int, int]] = {}
+    for i, t in enumerate(core.twists):
+        pinch[t.stable] = (t.twistor, rank + 1 + i)
+        pinch[-t.stable] = (rank + 1 + i, t.twistor)
+    stables = [p for p, x in enumerate(letters) if x in pinch]
+    ends = stables[1:] + [len(letters)]
+    kept: list[int] = []
+    # segments[j] comes before kept[j]; the last one trails the last stable letter
+    segments = [letters[: stables[0] if stables else len(letters)]]
+    for p, end in zip(stables, ends):
+        x = letters[p]
+        replacement = _pinched(segments[-1], *pinch[kept[-1]]) if kept and kept[-1] == -x else None
+        if replacement is None:
+            kept.append(x)
+            segments.append(letters[p + 1 : end])
         else:
-            return _weighted_count(current, {t.stable: t.length for t in core.twists})
-    return Fraction(0)
+            kept.pop()
+            segments.pop()
+            segments[-1] = _reduced(chain(segments[-1], replacement, letters[p + 1 : end]))
+    lo, hi = 0, len(kept) - 1
+    # the segment from kept[hi] round the end of the cycle to kept[lo], in pieces
+    wrap = (segments[-1], segments[0])
+    while lo < hi and kept[hi] == -kept[lo]:
+        replacement = _pinched(_reduced(chain(*wrap)), *pinch[kept[hi]])
+        if replacement is None:
+            break
+        wrap = (segments[hi], replacement, segments[lo + 1])
+        lo += 1
+        hi -= 1
+    return _letter_weight(weights, kept[lo : hi + 1])
 
 
-def _core_letters(tree: TreeLengthFunction, g: Word) -> tuple[int, ...]:
+def _pinched(segment: Sequence[int], inner: int, outer: int) -> tuple[int, ...] | None:
+    """``outer^m`` when the reduced segment is ``inner^m`` for some integer ``m``, else None."""
+    if segment.count(inner) == len(segment):
+        return (outer,) * len(segment)
+    if segment.count(-inner) == len(segment):
+        return (-outer,) * len(segment)
+    return None
+
+
+def _letter_weight(weights: Mapping[int, int], letters: Sequence[int]) -> int:
+    """Total of ``weights[abs(x)]`` over the letters; unweighted generators count 0."""
+    return sum(w * (letters.count(g) + letters.count(-g)) for g, w in weights.items())
+
+
+Weigher = Callable[[Sequence[int]], int]
+
+
+def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
+    """The core's translation length as an int function of a cyclic core, and its factor.
+
+    Edge lengths go over one common denominator, so the weigher counts in
+    ints; ``factor * weigh(letters)`` is the translation length on the
+    scaled tree of the cyclically reduced ``letters`` (any rotation), read in
+    the core's own basis, that is, already pulled back through the marking.
+    """
+    core = tree.core
+    if isinstance(core, WeightedCayleyCore):
+        lengths = dict(enumerate(core.weights, start=1))
+    else:
+        lengths = {t.stable: t.length for t in core.twists}
+    denominator = lcm(*(w.denominator for w in lengths.values()))
+    ints = {g: w.numerator * (denominator // w.denominator) for g, w in lengths.items()}
+    if isinstance(core, WeightedCayleyCore):
+        weigh: Weigher = partial(_letter_weight, ints)
+    else:
+        weigh = partial(_britton_weight, core, ints)
+    return weigh, tree.scale / denominator
+
+
+def _core_letters(tree: TreeLengthFunction, g: Word) -> Sequence[int]:
     """Cyclic core of the pulled-back word, in the rotation it comes in.
 
     Translation length is a conjugacy invariant, so no canonical rotation is
@@ -226,14 +280,14 @@ def _core_letters(tree: TreeLengthFunction, g: Word) -> tuple[int, ...]:
         raise BasisMismatchError("tree and word use different bases")
     if g.is_identity():
         raise IdentityElementError("translation length needs a nontrivial element")
-    return _cyclic_core(apply_inverse(tree.marking, g).letters)
+    return _cyclic_core(_apply_table(tree.marking.inverse_table, g.letters))
 
 
 def length_britton(tree: TreeLengthFunction, g: Word) -> Fraction:
     """Translation length on a twist core via cyclic Britton pinching."""
     if not isinstance(tree.core, TwistSplittingCore):
         raise ValueError("length_britton needs a twist splitting core")
-    return tree.scale * _britton_weight(tree.core, _core_letters(tree, g))
+    return length(tree, g)
 
 
 def _max_cyclic_run(letters: Sequence[int], targets: set[int]) -> int:
@@ -301,11 +355,8 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
 
 def length(tree: TreeLengthFunction, g: Word) -> Fraction:
     """Translation length of ``g`` on the marked, scaled tree."""
-    letters = _core_letters(tree, g)
-    if isinstance(tree.core, WeightedCayleyCore):
-        weights = dict(enumerate(tree.core.weights, start=1))
-        return tree.scale * _weighted_count(letters, weights)
-    return tree.scale * _britton_weight(tree.core, letters)
+    weigh, factor = _weigher(tree)
+    return factor * weigh(_core_letters(tree, g))
 
 
 def intersection_form(tree: TreeLengthFunction, nu: RationalCurrent) -> Fraction:

@@ -1,9 +1,13 @@
 """Automorphism tables: twists, basis changes, parsing, group laws."""
 
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
 from currents_lab.automorphisms import (
+    _apply_table,
+    _signed_table,
     apply,
     automorphism_str,
     compose,
@@ -17,7 +21,7 @@ from currents_lab.automorphisms import (
     simple_twist,
 )
 from currents_lab.errors import ParseError, RankError
-from currents_lab.words import Basis, concat, word
+from currents_lab.words import Basis, _reduced, concat, free_reduce, word
 
 B3 = Basis(3)
 B5 = Basis(5)
@@ -46,6 +50,16 @@ class TestTwists:
         assert str(apply(D, word(B3, "b"))) == "b"
         assert str(apply(power(D, 3), word(B3, "a"))) == "abbb"
         assert str(apply(inverse(D), word(B3, "a"))) == "aB"
+
+    @pytest.mark.parametrize("basis", [B3, B5])
+    def test_letter_built_twists_match_string_built(self, basis):
+        for t in basis.generators():
+            for z in basis.generators():
+                if t == z:
+                    continue
+                name, twistor = basis.letter_name(t), basis.letter_name(z)
+                literal = f"{name}->{name}{twistor} | {name}->{name}{twistor.upper()}"
+                assert simple_twist(basis, t, z) == parse_automorphism(basis, literal)
 
     def test_degenerate_twist_rejected(self):
         with pytest.raises(ValueError):
@@ -134,3 +148,18 @@ class TestParsing:
     @given(small_automorphisms(B3))
     def test_str_roundtrip(self, phi):
         assert parse_automorphism(B3, automorphism_str(phi)) == phi
+
+
+def reduced_images(basis):
+    letters = st.lists(st.sampled_from(basis.signed_letters()), max_size=4)
+    return st.lists(letters.map(lambda ls: free_reduce(basis, ls).letters), min_size=basis.rank, max_size=basis.rank)
+
+
+class TestApplyTable:
+    @given(
+        st.one_of(small_automorphisms(B3).map(lambda phi: phi.table), reduced_images(B3).map(_signed_table)),
+        st.lists(st.sampled_from(B3.signed_letters()), max_size=16),
+    )
+    def test_junction_cancellation_is_free_reduction(self, table, letters):
+        # any table of reduced images, on possibly unreduced letter sequences
+        assert _apply_table(table, letters) == _reduced(chain.from_iterable(map(table.__getitem__, letters)))

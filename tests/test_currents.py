@@ -17,7 +17,7 @@ from currents_lab.automorphisms import (
     prime_basis_change,
     simple_twist,
 )
-from currents_lab.corpus import random_current
+from currents_lab.corpus import random_current, random_cyclic_word
 from currents_lab.currents import (
     ConjugacyClass,
     _orbit_current,
@@ -335,3 +335,21 @@ class TestCriticalSet:
         assert check.half_twisted == 1
         assert check.with_twistor == 1
         assert check.with_twistor_inverse == 1
+
+
+def term_by_term_current(rng, basis, max_terms=3, max_root_len=8, max_weight=5):
+    """``random_current`` as one checked current per term, merged with ``add``."""
+    nu = None
+    for _ in range(rng.randint(1, max_terms)):
+        root = random_cyclic_word(rng, basis, max_root_len)
+        weight = Fraction(rng.randint(1, max_weight), rng.randint(1, 3))
+        term = scale(weight, rational_current(root.as_word()))
+        nu = term if nu is None else add(nu, term)
+    return nu
+
+
+class TestRandomCurrent:
+    @pytest.mark.parametrize("basis", [B2, B3, B5])
+    def test_one_merge_equals_term_by_term_fold(self, basis):
+        for seed in range(200):
+            assert random_current(Random(seed), basis) == term_by_term_current(Random(seed), basis)

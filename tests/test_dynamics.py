@@ -1,12 +1,26 @@
 """Orbit iteration, escape choices, and the packaged experiments."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from currents_lab.automorphisms import identity_automorphism, inverse, power, simple_twist
+from currents_lab.automorphisms import (
+    _signed_table,
+    apply,
+    compose,
+    double_prime_basis_change,
+    double_twist,
+    identity_automorphism,
+    inverse,
+    power,
+    prime_basis_change,
+    simple_twist,
+)
 from currents_lab.currents import parse_current, rational_current, zero_current
 from currents_lab.dynamics import (
+    _tree_orbit,
     escape_from_critical,
     iterate_current,
     run_minimality_walk,
@@ -19,16 +33,19 @@ from currents_lab.dynamics import (
     tree_orbit_limit,
     walk_to_target,
 )
-from currents_lab.errors import NotStabilizedError, RankError, ZeroCurrentError
+from currents_lab.errors import IdentityElementError, NotStabilizedError, RankError, ZeroCurrentError
 from currents_lab.trees import (
+    _weigher,
     cayley_tree,
+    length,
     projective_tree_vector,
     tree_projective_eq,
     twist_tree,
 )
-from currents_lab.words import Basis, word
+from currents_lab.words import Basis, free_reduce, word
 
 B3 = Basis(3)
+B5 = Basis(5)
 D = simple_twist(B3, 1, 2)
 
 
@@ -114,6 +131,78 @@ class TestTreeOrbit:
         assert [seq[i + 1] - seq[i] for i in range(len(seq) - 1)] == [-1] * 8
         limit = tree_orbit_limit(inverse(D), wound, level=2, cap=64)
         assert tree_projective_eq(limit, tree_orbit_limit(inverse(D), cayley_tree(B3), level=2, cap=64))
+
+
+def basic_moves(basis):
+    """Simple twists and, at rank >= 5, both basis changes, with their inverses."""
+    gens = basis.generators()
+    moves = [simple_twist(basis, t, z) for t in gens for z in gens if t != z]
+    if basis.rank >= 5:
+        moves += [prime_basis_change(basis), double_prime_basis_change(basis)]
+    return moves + [inverse(m) for m in moves]
+
+
+def compositions(basis, moves, max_size):
+    return st.lists(st.sampled_from(moves), max_size=max_size).map(
+        lambda picks: reduce(compose, picks, identity_automorphism(basis))
+    )
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+
+
+@st.composite
+def marked_trees(draw, basis):
+    marking = draw(compositions(basis, basic_moves(basis), 3))
+    scale = draw(POSITIVE.filter(lambda r: r != 1))
+    if draw(st.booleans()):
+        weights = draw(st.lists(POSITIVE, min_size=basis.rank, max_size=basis.rank))
+        return cayley_tree(basis, weights, marking, scale)
+    order = draw(st.permutations(list(basis.generators())))
+    edges = draw(st.integers(1, 2 if basis.rank >= 4 else 1))
+    lengths = draw(st.lists(POSITIVE, min_size=edges, max_size=edges))
+    twists = list(zip(order[:edges], order[edges : 2 * edges], lengths))
+    return twist_tree(basis, twists, marking, scale)
+
+
+def steppers(basis):
+    moves = basic_moves(basis)
+    if basis.rank >= 5:
+        moves += [double_twist(basis), inverse(double_twist(basis))]
+    return compositions(basis, moves, 2)
+
+
+class TestTreeOrbitKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_kernel_lengths_are_public_lengths(self, data):
+        basis = data.draw(st.sampled_from([B3, B5]))
+        tree = data.draw(marked_trees(basis))
+        phi = data.draw(steppers(basis))
+        letters = data.draw(st.lists(st.sampled_from(basis.signed_letters()), min_size=1, max_size=8))
+        g = free_reduce(basis, letters)
+        if g.is_identity():
+            return
+        steps = data.draw(st.integers(0, 6))
+        weigh, factor = _weigher(tree)
+        kernel = _tree_orbit(weigh, phi.inverse_table, tree.marking.inverse_table, basis.rank, g.letters, steps)
+        back = inverse(phi)
+        public = [length(tree, apply(power(back, n), g)) for n in range(steps + 1)]
+        assert [factor * v for v in kernel] == public
+
+    def test_non_automorphism_tables_raise_explicit_errors(self):
+        # the per-step checks must hold under python -O too
+        weigh, _ = _weigher(cayley_tree(B3))
+        fixed = identity_automorphism(B3).table
+        killing = _signed_table([(), (2,), (3,)])  # a -> 1
+        outside = _signed_table([(1, 4), (2,), (3,)])  # a -> ad over rank 3
+        unreduced = _signed_table([(1, 2, -2), (2,), (3,)])  # a -> abB
+        with pytest.raises(IdentityElementError):
+            _tree_orbit(weigh, killing, fixed, 3, (1,), 1)
+        with pytest.raises(ValueError, match="rank 3"):
+            _tree_orbit(weigh, outside, fixed, 3, (1,), 1)
+        with pytest.raises(ValueError, match="cyclically reduced"):
+            _tree_orbit(weigh, fixed, unreduced, 3, (1, 3), 0)
 
 
 class TestExperiments:
