@@ -259,15 +259,13 @@ def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
     core = tree.core
     if isinstance(core, WeightedCayleyCore):
         lengths = dict(enumerate(core.weights, start=1))
+        weigh: Callable[..., int] = _letter_weight
     else:
         lengths = {t.stable: t.length for t in core.twists}
+        weigh = partial(_britton_weight, core)
     denominator = lcm(*(w.denominator for w in lengths.values()))
     ints = {g: w.numerator * (denominator // w.denominator) for g, w in lengths.items()}
-    if isinstance(core, WeightedCayleyCore):
-        weigh: Weigher = partial(_letter_weight, ints)
-    else:
-        weigh = partial(_britton_weight, core, ints)
-    return weigh, tree.scale / denominator
+    return partial(weigh, ints), tree.scale / denominator
 
 
 def _core_letters(tree: TreeLengthFunction, g: Word) -> Sequence[int]:

@@ -190,6 +190,13 @@ class TestTreeOrbitKernel:
         public = [length(tree, apply(power(back, n), g)) for n in range(steps + 1)]
         assert [factor * v for v in kernel] == public
 
+    def test_pull_back_whose_ends_cancel(self):
+        # the marking's inverse sends ba to baB, whose cyclic core is a
+        tree = cayley_tree(B3, marking=D)
+        weigh, factor = _weigher(tree)
+        kernel = _tree_orbit(weigh, identity_automorphism(B3).table, D.inverse_table, 3, (2, 1), 2)
+        assert [factor * v for v in kernel] == [length(tree, word(B3, "ba"))] * 3 == [1] * 3
+
     def test_non_automorphism_tables_raise_explicit_errors(self):
         # the per-step checks must hold under python -O too
         weigh, _ = _weigher(cayley_tree(B3))
