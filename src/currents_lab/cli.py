@@ -120,6 +120,8 @@ def _emit_report(report: ConvergenceReport, out: str | None, csv_path: str | Non
             mark = "ok  " if result.passed else "FAIL"
             suffix = f" :: {result.witness}" if not result.passed and result.witness else ""
             print(f"{mark} {result.name}{suffix}")
+        if not report.assertions:
+            print("FAIL no assertion was checked")
     else:
         sys.stdout.write(report.to_json())
     return EXIT_OK if report.passed else EXIT_ASSERTION

@@ -10,15 +10,17 @@ Coordinates ``(v; nu)`` count starting vertices reading ``v`` or ``v^-1``
 around each root circle, weighted; wrapping reads make the count well
 defined for ``|v|`` larger than the circle.
 
-Orbit loops run on a private integer kernel (the ``_orbit_*`` functions): a
+Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
-denominator.  An automorphism maps conjugacy classes bijectively and keeps
-power-free classes power-free, so ``phi . eta_g = eta_phi(g)`` term by term
+denominator, and :func:`_orbit` yields the terms step by step.  An
+automorphism maps conjugacy classes bijectively and keeps power-free
+classes power-free, so ``phi . eta_g = eta_phi(g)`` term by term
 and a step needs no merging, root finding or sorting.  Read counts do not
 depend on where a cycle starts, so the kernel keeps each core in whatever
 rotation the image step leaves it and never computes a canonical rotation.
 The public :func:`act` and :func:`projective_vector` are the same image step
-and read counter followed by canonicalization and division.
+and read counter followed by canonicalization and division, and
+:func:`_coordinates` reads ``(v; nu)`` for every short ``v`` off one count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .automorphisms import FreeAutomorphism, SignedTable, _cyclic_image
 from .errors import BasisMismatchError, LevelMismatchError, ParseError, ZeroCurrentError
@@ -193,6 +195,14 @@ def _orbit_step(table: SignedTable, terms: Terms, rank: int) -> Terms:
     return [(_image_core(table, core, rank), weight) for core, weight in terms]
 
 
+def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int) -> Iterator[Terms]:
+    """The terms at steps ``0..steps``; no image is computed past the last step."""
+    yield terms
+    for _ in range(steps):
+        terms = _orbit_step(table, terms, rank)
+        yield terms
+
+
 def _orbit_reads(terms: Terms, level: int) -> Reads:
     """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm."""
     if level < 1:
@@ -216,6 +226,13 @@ def _orbit_reads(terms: Terms, level: int) -> Reads:
 def _current_reads(nu: RationalCurrent, level: int) -> Reads:
     """:func:`_orbit_reads` of a public current; zero currents raise :class:`ZeroCurrentError`."""
     return _orbit_reads(_orbit_terms(nu)[0], level)
+
+
+def _coordinates(nu: RationalCurrent, level: int) -> Callable[[Sequence[Letter]], Fraction]:
+    """``letters -> (v; nu)`` for reduced ``v`` with ``1 <= |v| <= level``, read off one count."""
+    terms, denominator = _orbit_terms(nu)
+    counts, _ = _orbit_reads(terms, level)
+    return lambda letters: Fraction(counts.get(_pair_key(tuple(_keys(letters))), 0), denominator)
 
 
 def _orbit_distance(a: Reads, b: Reads) -> Fraction:
@@ -299,15 +316,14 @@ def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> Critical
     """Check ``(t;nu)/2 == (tz;nu) == (tz^-1;nu)`` for the twist ``t -> tz``."""
     if nu.is_zero():
         raise ZeroCurrentError("criticality is undefined for the zero current")
-    basis = nu.basis
-    basis.check_letter(twisted)
-    basis.check_letter(twistor)
-    t = Word(basis, (twisted,))
-    tz = Word(basis, (twisted, twistor))
-    tz_inv = Word(basis, (twisted, -twistor))
-    half = coordinate(t, nu) / 2
-    a = coordinate(tz, nu)
-    b = coordinate(tz_inv, nu)
+    nu.basis.check_letter(twisted)
+    nu.basis.check_letter(twistor)
+    if abs(twisted) == abs(twistor):
+        raise ValueError(f"twistor {twistor} must be a generator other than twisted letter {twisted}")
+    coord = _coordinates(nu, 2)
+    half = coord((twisted,)) / 2
+    a = coord((twisted, twistor))
+    b = coord((twisted, -twistor))
     return CriticalCheck(half == a == b, half, a, b)
 
 

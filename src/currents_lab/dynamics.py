@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automorphisms import (
     FreeAutomorphism,
@@ -38,10 +38,11 @@ from .corpus import random_current, random_reduced_word
 from .currents import (
     RationalCurrent,
     Reads,
+    _coordinates,
     _current_reads,
+    _orbit,
     _orbit_distance,
     _orbit_reads,
-    _orbit_step,
     _orbit_terms,
     act,
     coordinate,
@@ -74,7 +75,7 @@ from .trees import (
     tree_projective_eq,
     twist_tree,
 )
-from .words import Basis, Letter, Word, _keys, _pair_key, concat, word, word_power
+from .words import Basis, Letter, Word, concat, word, word_power
 
 
 DERIVED_RATE_NOTE = (
@@ -111,7 +112,8 @@ class ConvergenceReport:
 
     @property
     def passed(self) -> bool:
-        return all(a.passed for a in self.assertions)
+        """At least one assertion was checked, and all of them held."""
+        return bool(self.assertions) and all(a.passed for a in self.assertions)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,6 +150,22 @@ def _assert(results: list[AssertionResult], name: str, passed: bool, witness: st
     results.append(AssertionResult(name, bool(passed), witness))
 
 
+def _assert_all(results: list[AssertionResult], name: str, failures: Sequence[str], held: str) -> None:
+    """A law checked case by case: it passes with no failures; the witness is the first one."""
+    _assert(results, name, not failures, failures[0] if failures else held)
+
+
+def _increases(distances: Sequence[Fraction]) -> list[str]:
+    """A witness for each step from 2 on whose distance exceeds the step before's."""
+    steps = range(2, len(distances))
+    return [f"first increase at n={n}" for n in steps if distances[n] > distances[n - 1]]
+
+
+def _violations(distances: Sequence[Fraction], bound: Callable[[int], Fraction]) -> list[str]:
+    """A witness for each step from 1 on whose distance exceeds ``bound(step)``."""
+    return [f"first violation at n={n}" for n in range(1, len(distances)) if distances[n] > bound(n)]
+
+
 def _at_least_one(**counts: int) -> None:
     """Reject step, trial, cap and level counts below 1: no claim may pass untested."""
     for name, value in counts.items():
@@ -170,8 +188,9 @@ def iterate_current(
 
     When the first step strictly increases the length, the whole orbit is
     checked against the linear lower bound
-    ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``.  The orbit runs
-    on the integer kernel; lengths are norms over the common denominator.
+    ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``; an orbit that
+    does not grow checks nothing, so its report does not pass.  The orbit
+    runs on the integer kernel; lengths are norms over the common denominator.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -183,27 +202,24 @@ def iterate_current(
     if limit is not None and limit.basis != nu0.basis:
         raise BasisMismatchError("limit and current use different bases")
     goal = _current_reads(limit, level) if limit is not None else None
-    terms, denominator = _orbit_terms(nu0)
+    start, denominator = _orbit_terms(nu0)
     norms: list[int] = []
     rows: list[tuple[str, ...]] = []
-    for n in range(steps + 1):
+    for n, terms in enumerate(_orbit(phi.table, start, phi.basis.rank, steps)):
         norm = sum(weight * len(core) for core, weight in terms)
         norms.append(norm)
         row = [str(n), str(Fraction(norm, denominator))]
         if goal is not None:
             row.append(str(_orbit_distance(_orbit_reads(terms, level), goal)))
         rows.append(tuple(row))
-        if n < steps:
-            terms = _orbit_step(phi.table, terms, phi.basis.rank)
     columns = ("step", "length") + (("distance",) if goal is not None else ())
     assertions: list[AssertionResult] = []
     increment = norms[1] - norms[0] if steps >= 1 else 0
     if increment > 0:
-        ok = all(norms[n] >= norms[0] + n * increment for n in range(len(norms)))
         _assert(
             assertions,
             "linear growth lower bound",
-            ok,
+            all(norms[n] >= norms[0] + n * increment for n in range(len(norms))),
             f"||nu0||={Fraction(norms[0], denominator)}, "
             f"first increment={Fraction(increment, denominator)}, lengths up to step {steps}",
         )
@@ -338,12 +354,7 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     if nu.is_zero():
         raise ZeroCurrentError("the zero current has no escape direction")
     gens = list(basis.generators())
-    terms, denominator = _orbit_terms(nu)
-    counts, _ = _orbit_reads(terms, 2)
-
-    def coord(letters: tuple[int, ...]) -> Fraction:
-        return Fraction(counts.get(_pair_key(tuple(_keys(letters))), 0), denominator)
-
+    coord = _coordinates(nu, 2)
     t = max(gens, key=lambda i: (coord((i,)), -i))
     name = basis.letter_name
     t_count = coord((t,))
@@ -391,14 +402,11 @@ def walk_to_target(
         raise BasisMismatchError("escape twist and current use different bases")
     table = twist.table if choice.direction == 1 else twist.inverse_table
     goal = _current_reads(rational_current(Word(nu.basis, (choice.target,))), level)
-    terms, _ = _orbit_terms(nu)
     last = Fraction(0)
-    for n in range(steps + 1):
+    for n, terms in enumerate(_orbit(table, _orbit_terms(nu)[0], nu.basis.rank, steps)):
         last = _orbit_distance(_orbit_reads(terms, level), goal)
         if last <= WALK_RADIUS:
             return n, last
-        if n < steps:
-            terms = _orbit_step(table, terms, nu.basis.rank)
     return None, last
 
 
@@ -437,11 +445,11 @@ def run_minimality_walk(
         else:
             worst = max(worst, reached)
     assertions: list[AssertionResult] = []
-    _assert(
+    _assert_all(
         assertions,
         f"every walk reaches distance <= 1/10 within {steps} steps",
-        not failures,
-        failures[0] if failures else f"worst case {worst} steps over {trials} trials",
+        failures,
+        f"worst case {worst} steps over {trials} trials",
     )
     return ConvergenceReport(
         experiment="minimality-walk",
@@ -527,26 +535,21 @@ def run_theorem_main(
     )
     distance_columns = ["step"]
     distance_rows = [[str(n)] for n in range(iters + 1)]
-    law_ok = True
-    law_witness = ""
+    law_failures: list[str] = []
     for seed_name, seed, target in seeds:
         goal = _current_reads(target, 1)
         for direction, stepper in (("forward", phi), ("backward", phi_back)):
             distance_columns.append(f"{seed_name}-{direction}")
-            terms, _ = _orbit_terms(seed)
-            for n in range(iters + 1):
+            for n, terms in enumerate(_orbit(stepper.table, _orbit_terms(seed)[0], rank, iters)):
                 d = _orbit_distance(_orbit_reads(terms, 1), goal)
                 distance_rows[n].append(str(d))
-                if d != Fraction(2, n + 2) and law_ok:
-                    law_ok = False
-                    law_witness = f"{seed_name} {direction} step {n}: {d} != 2/{n + 2}"
-                if n < iters:
-                    terms = _orbit_step(stepper.table, terms, rank)
-    _assert(
+                if d != Fraction(2, n + 2):
+                    law_failures.append(f"{seed_name} {direction} step {n}: {d} != 2/{n + 2}")
+    _assert_all(
         assertions,
         "current orbit distance law 2/(n+2) at level 1, both directions",
-        law_ok,
-        law_witness or f"exact for all steps n <= {iters}",
+        law_failures,
+        f"exact for all steps n <= {iters}",
     )
     separation = projective_distance(projective_vector(mu_b, 1), projective_vector(mu_d, 1))
     _assert(
@@ -668,35 +671,30 @@ def run_product_minimal(
     goal_level = _current_reads(mu_b, level)
     base_len = current_length(mu_a)
     rows = []
-    law_ok = True
-    bound_ok = True
-    witness1 = witness2 = ""
-    terms, denominator = _orbit_terms(mu_a)
-    for n in range(iters + 1):
+    law_failures: list[str] = []
+    bound_failures: list[str] = []
+    start, denominator = _orbit_terms(mu_a)
+    for n, terms in enumerate(_orbit(twist.table, start, rank, iters)):
         reads1 = _orbit_reads(terms, 1)
         ln = Fraction(reads1[1], denominator)
         d1 = _orbit_distance(reads1, goal1)
         dl = _orbit_distance(_orbit_reads(terms, level), goal_level)
         rows.append((str(n), str(ln), str(d1), str(dl)))
-        if d1 != base_len / ln and law_ok:
-            law_ok = False
-            witness1 = f"step {n}: {d1} != {base_len / ln}"
-        if dl > level * base_len / ln and bound_ok:
-            bound_ok = False
-            witness2 = f"step {n}: {dl} > {level * base_len / ln}"
-        if n < iters:
-            terms = _orbit_step(twist.table, terms, rank)
-    _assert(
+        if d1 != base_len / ln:
+            law_failures.append(f"step {n}: {d1} != {base_len / ln}")
+        if dl > level * base_len / ln:
+            bound_failures.append(f"step {n}: {dl} > {level * base_len / ln}")
+    _assert_all(
         assertions,
         "current distance at level 1 equals ||nu0||/||nu_n|| (= 1/(n+1))",
-        law_ok,
-        witness1 or f"equality for all n <= {iters}",
+        law_failures,
+        f"equality for all n <= {iters}",
     )
-    _assert(
+    _assert_all(
         assertions,
         f"current distance at level {level} is at most level*||nu0||/||nu_n||",
-        bound_ok,
-        witness2 or f"bound holds for all n <= {iters}",
+        bound_failures,
+        f"bound holds for all n <= {iters}",
     )
     return ConvergenceReport(
         experiment="product-minimal",
@@ -728,30 +726,26 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
     mu_u = rational_current(u)
     base_len = current_length(mu_u)
     goal = _current_reads(mu_u, level)
+
+    def bound(n: int) -> Fraction:
+        return Fraction(level + 1, n * base_len + 1)
+
     rows = []
     distances: list[Fraction] = []
     for n in range(iters + 1):
         nu = rational_current(concat(lead, word_power(u, n)))
         d = _distance(nu, goal, level)
         distances.append(d)
-        bound = str(Fraction(level + 1, n * base_len + 1)) if n >= 1 else ""
-        rows.append((str(n), str(d), bound))
+        rows.append((str(n), str(d), str(bound(n)) if n >= 1 else ""))
     assertions: list[AssertionResult] = []
-    bad_bound = [
-        n for n in range(1, iters + 1) if distances[n] > Fraction(level + 1, n * base_len + 1)
-    ]
-    _assert(
+    _assert_all(
         assertions,
         "distance at step n is at most (level+1)/(n*||u||+1) for n >= 1",
-        not bad_bound,
-        f"first violation at n={bad_bound[0]}" if bad_bound else f"holds up to n={iters}",
+        _violations(distances, bound),
+        f"holds up to n={iters}",
     )
-    bad_mono = [n for n in range(2, iters + 1) if distances[n] > distances[n - 1]]
-    _assert(
-        assertions,
-        "distances are nonincreasing from step 1 on",
-        not bad_mono,
-        f"first increase at n={bad_mono[0]}" if bad_mono else "monotone tail",
+    _assert_all(
+        assertions, "distances are nonincreasing from step 1 on", _increases(distances), "monotone tail"
     )
     return ConvergenceReport(
         experiment="primitive-limit",
@@ -796,9 +790,8 @@ def run_off_critical_perturbation(
         notes.append("seed current is already off the critical set; perturbation unnecessary")
     rows = []
     distances: list[Fraction] = []
-    all_off = True
-    all_odd = True
-    witness_off = witness_odd = ""
+    critical: list[str] = []
+    even: list[str] = []
     for n in range(iters + 1):
         nu = rational_current(concat(word_power(g, n), f))
         count = coordinate(letter_a, nu)
@@ -806,40 +799,28 @@ def run_off_critical_perturbation(
         d = _distance(nu, goal, level)
         distances.append(d)
         rows.append((str(n), str(count), "yes" if crit.member else "no", str(d)))
-        if crit.member and all_off:
-            all_off = False
-            witness_off = f"step {n}: {crit.witness()}"
-        if count % 2 != 1 and all_odd:
-            all_odd = False
-            witness_odd = f"step {n}: (a; nu) = {count}"
+        if crit.member:
+            critical.append(f"step {n}: {crit.witness()}")
+        if count % 2 != 1:
+            even.append(f"step {n}: (a; nu) = {count}")
     assertions: list[AssertionResult] = []
-    _assert(
-        assertions,
-        "every perturbed current stays off the critical set",
-        all_off,
-        witness_off or f"checked n <= {iters}",
+    _assert_all(
+        assertions, "every perturbed current stays off the critical set", critical, f"checked n <= {iters}"
     )
-    _assert(
-        assertions,
-        "the twisted-letter count stays odd along the orbit",
-        all_odd,
-        witness_odd or f"checked n <= {iters}",
+    _assert_all(
+        assertions, "the twisted-letter count stays odd along the orbit", even, f"checked n <= {iters}"
     )
-    bad_mono = [n for n in range(2, iters + 1) if distances[n] > distances[n - 1]]
-    _assert(
+    _assert_all(
         assertions,
         "distances to the unperturbed current are nonincreasing from step 1",
-        not bad_mono,
-        f"first increase at n={bad_mono[0]}" if bad_mono else "monotone tail",
+        _increases(distances),
+        "monotone tail",
     )
-    bad_bound = [
-        n for n in range(1, iters + 1) if distances[n] > 2 * f_len / (n * g_len)
-    ]
-    _assert(
+    _assert_all(
         assertions,
         "distance at step n is at most 2*||f||/(n*||g||) for n >= 1",
-        not bad_bound,
-        f"first violation at n={bad_bound[0]}" if bad_bound else f"holds up to n={iters}",
+        _violations(distances, lambda n: 2 * f_len / (n * g_len)),
+        f"holds up to n={iters}",
     )
     return ConvergenceReport(
         experiment="off-critical",
@@ -871,8 +852,7 @@ def run_outlook_identity(iters: int = 20, rank: int = 3, seed: int = 1) -> Conve
     twist = simple_twist(basis, 1, 2)
     mu_a = rational_current(word(basis, "a"))
     rows = []
-    all_equal = True
-    witness = ""
+    unequal: list[str] = []
     for n in range(1, iters + 1):
         stepper = power(twist, n)
         tree_n = cayley_tree(basis, marking=stepper, scale=Fraction(1, n))
@@ -880,33 +860,30 @@ def run_outlook_identity(iters: int = 20, rank: int = 3, seed: int = 1) -> Conve
         value = intersection_form(tree_n, nu_n)
         expected = Fraction(1, n * (n + 1))
         rows.append((str(n), str(value), str(expected)))
-        if value != expected and all_equal:
-            all_equal = False
-            witness = f"n={n}: {value} != {expected}"
+        if value != expected:
+            unequal.append(f"n={n}: {value} != {expected}")
     assertions: list[AssertionResult] = []
-    _assert(
+    _assert_all(
         assertions,
         "pairing equals 1/(n(n+1)) exactly for every n",
-        all_equal,
-        witness or f"equality for 1 <= n <= {iters}",
+        unequal,
+        f"equality for 1 <= n <= {iters}",
     )
     rng = Random(seed)
-    spot_ok = True
-    spot_witness = ""
+    moved_apart: list[str] = []
     plain = cayley_tree(basis)
     moved = cayley_tree(basis, marking=twist)
     for _ in range(5):
         nu = rational_current(random_reduced_word(rng, basis, 8))
         lhs = intersection_form(moved, act(twist, nu))
         rhs = intersection_form(plain, nu)
-        if lhs != rhs and spot_ok:
-            spot_ok = False
-            spot_witness = f"{current_str(nu)}: {lhs} != {rhs}"
-    _assert(
+        if lhs != rhs:
+            moved_apart.append(f"{current_str(nu)}: {lhs} != {rhs}")
+    _assert_all(
         assertions,
         "pairing is invariant under applying the twist to both arguments",
-        spot_ok,
-        spot_witness or "5 random spot checks",
+        moved_apart,
+        "5 random spot checks",
     )
     return ConvergenceReport(
         experiment="outlook-identity",

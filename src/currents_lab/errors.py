@@ -1,20 +1,12 @@
-"""Exception types shared across the package.
-
-Every error carries a short machine-readable ``code`` so the command line
-front end can map failures to named exit diagnostics.
-"""
+"""Exception types shared across the package."""
 
 
 class CurrentsLabError(Exception):
     """Base class for all library errors."""
 
-    code = "error"
-
 
 class ParseError(CurrentsLabError):
     """Rejected literal input; remembers the offending position."""
-
-    code = "parse-error"
 
     def __init__(self, text: str, position: int, message: str):
         self.text = text
@@ -23,33 +15,31 @@ class ParseError(CurrentsLabError):
 
 
 class BasisMismatchError(CurrentsLabError):
-    code = "basis-mismatch"
+    pass
 
 
 class IdentityElementError(CurrentsLabError):
-    code = "identity-element"
+    pass
 
 
 class ZeroCurrentError(CurrentsLabError):
-    code = "zero-current"
+    pass
 
 
 class RankError(CurrentsLabError):
-    code = "rank-too-small"
+    pass
 
 
 class LevelMismatchError(CurrentsLabError):
-    code = "level-mismatch"
+    pass
 
 
 class AllEllipticError(CurrentsLabError):
-    code = "all-elliptic"
+    pass
 
 
 class NotStabilizedError(CurrentsLabError):
     """Limit evaluation ran out of iterations before the window settled."""
-
-    code = "not-stabilized"
 
     def __init__(self, message: str, sequence=()):
         self.sequence = tuple(sequence)
@@ -57,4 +47,4 @@ class NotStabilizedError(CurrentsLabError):
 
 
 class AutomorphismTableError(CurrentsLabError):
-    code = "bad-automorphism-table"
+    pass

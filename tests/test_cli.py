@@ -194,6 +194,21 @@ class TestReports:
         orbit = payload["tables"][0]
         assert orbit["rows"][5] == ["5", "6", "1/6"]
 
+    @pytest.mark.parametrize("iters", ["3", "0"])
+    def test_iterate_that_asserts_nothing_fails(self, capsys, iters):
+        # phi fixes [b], so the orbit never grows and no law is checked
+        code, out, _ = run(capsys, ["iterate", "--aut", "phi", "-c", "1*[b]", "--iters", iters])
+        payload = json.loads(out)
+        assert payload["assertions"] == []
+        assert payload["passed"] is False
+        assert code == 1
+
+    def test_report_file_that_asserts_nothing_says_so(self, capsys, tmp_path):
+        path = tmp_path / "orbit.json"
+        code, out, _ = run(capsys, ["iterate", "--aut", "phi", "-c", "1*[b]", "--out", str(path)])
+        assert code == 1
+        assert out.splitlines() == [f"wrote {path}", "FAIL no assertion was checked"]
+
     @pytest.mark.parametrize(
         "argv, digest",
         [

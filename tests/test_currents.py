@@ -20,6 +20,9 @@ from currents_lab.automorphisms import (
 from currents_lab.corpus import random_current, random_cyclic_word
 from currents_lab.currents import (
     ConjugacyClass,
+    CriticalCheck,
+    _coordinates,
+    _orbit,
     _orbit_current,
     _orbit_distance,
     _orbit_reads,
@@ -45,7 +48,7 @@ from currents_lab.errors import (
     ParseError,
     ZeroCurrentError,
 )
-from currents_lab.words import Basis, cyclic_word, free_reduce, invert, letter_key, word
+from currents_lab.words import Basis, Word, cyclic_word, free_reduce, invert, letter_key, word
 
 B2 = Basis(2)
 B3 = Basis(3)
@@ -264,6 +267,25 @@ class TestOrbitKernel:
         with pytest.raises(RuntimeError, match="single-letter counts"):
             _orbit_reads([((1, 2), 1)], 1)
 
+    def test_orbit_computes_no_image_past_the_last_step(self):
+        # at rank 2 this table's first image raises
+        table = simple_twist(B3, 1, 3).table
+        terms = [((1,), 1)]
+        assert list(_orbit(table, terms, 2, 0)) == [terms]
+        with pytest.raises(ValueError, match="rank 2"):
+            list(_orbit(table, terms, 2, 1))
+
+    def test_coordinates_are_public_coordinates(self):
+        rng = Random(7)
+        reads = [
+            v for n in (1, 2, 3) for letters in product(B3.signed_letters(), repeat=n)
+            if len(v := free_reduce(B3, letters)) == n
+        ]
+        for _ in range(40):
+            nu = random_current(rng, B3)
+            coord = _coordinates(nu, 3)
+            assert all(coord(v.letters) == coordinate(v, nu) for v in reads)
+
 
 class TestProjective:
     def test_unit_vectors(self):
@@ -335,6 +357,24 @@ class TestCriticalSet:
         assert check.half_twisted == 1
         assert check.with_twistor == 1
         assert check.with_twistor_inverse == 1
+
+    @pytest.mark.parametrize("twistor", [1, -1])
+    def test_twistor_must_be_another_generator(self, twistor):
+        with pytest.raises(ValueError):
+            in_critical_set(rational_current(word(B3, "ab")), 1, twistor)
+
+    def test_values_are_coordinates(self):
+        rng = Random(11)
+        for _ in range(300):
+            nu = random_current(rng, B3)
+            t, z = rng.sample([1, 2, 3, -1, -2, -3], 2)
+            if abs(t) == abs(z):
+                continue
+            check = in_critical_set(nu, t, z)
+            half = coordinate(Word(B3, (t,)), nu) / 2
+            a = coordinate(Word(B3, (t, z)), nu)
+            b = coordinate(Word(B3, (t, -z)), nu)
+            assert check == CriticalCheck(half == a == b, half, a, b)
 
 
 def term_by_term_current(rng, basis, max_terms=3, max_root_len=8, max_weight=5):

@@ -1,5 +1,7 @@
 """Orbit iteration, escape choices, and the packaged experiments."""
 
+import dataclasses
+import hashlib
 from fractions import Fraction
 from functools import reduce
 
@@ -18,6 +20,7 @@ from currents_lab.automorphisms import (
     prime_basis_change,
     simple_twist,
 )
+from currents_lab import dynamics
 from currents_lab.currents import parse_current, rational_current, zero_current
 from currents_lab.dynamics import (
     _tree_orbit,
@@ -268,6 +271,82 @@ class TestExperiments:
     def test_minimality_walk(self):
         report = run_minimality_walk(trials=20, seed=3)
         assert report.passed
+
+
+def failing_after(real, calls, spoil):
+    """``real`` for the first ``calls`` calls, then its value spoiled by the call count."""
+    count = 0
+
+    def fake(*args):
+        nonlocal count
+        count += 1
+        value = real(*args)
+        return value if count <= calls else spoil(value, count)
+
+    return fake
+
+
+def grow(value, count):
+    return value + count
+
+
+def critical(check, count):
+    return dataclasses.replace(check, member=True)
+
+
+class TestFailingReports:
+    """Report bytes when per-step laws fail: every failing assertion names its first failure."""
+
+    @pytest.mark.parametrize(
+        "patches, make, digest",
+        [
+            (
+                {"_orbit_distance": (12, grow)},
+                lambda: run_minimality_walk(trials=4, seed=3),
+                "c762eb451d40daf6b61d7108deaa7c7b46d7d7d6504b14d27a8aa1d50bbea983",
+            ),
+            (
+                {"_orbit_distance": (10, grow)},
+                lambda: run_theorem_main(iters=6),
+                "eb14fcfcd11c2d58ff122bcff33a5b6ebcc15be9d253170c7346016ffa87edc1",
+            ),
+            (
+                {"_orbit_distance": (5, grow)},
+                lambda: run_product_minimal(iters=6),
+                "283356268ae8edfda4d0f3809eaffed9a0bc853954aeeccc36bed769d44a344b",
+            ),
+            (
+                {"_orbit_distance": (3, grow)},
+                lambda: run_primitive_limit(word(B3, "ab"), iters=6),
+                "54b7873d46aef7921dc1ba0dbeea22b875301b2943507d85de76854931a2cfb9",
+            ),
+            (
+                {
+                    "_orbit_distance": (3, grow),
+                    "coordinate": (4, grow),
+                    "in_critical_set": (3, critical),
+                },
+                lambda: run_off_critical_perturbation(word(B3, "abaB"), word(B3, "a"), iters=6),
+                "860a25dff5e7de05ca8d53583da80806c14585622248566cb3577396b2eb6c81",
+            ),
+            (
+                {"intersection_form": (3, grow)},
+                lambda: run_outlook_identity(iters=5),
+                "35af3947c79c10589f2f13344edb14db174f406a08a5433a1b61245a19e02e19",
+            ),
+        ],
+        ids=[
+            "minimality-walk", "theorem-main", "product-minimal", "primitive-limit",
+            "off-critical", "outlook-identity",
+        ],
+    )
+    def test_failing_report_bytes(self, monkeypatch, patches, make, digest):
+        # digests recorded before the per-step laws shared one first-witness rule
+        for name, (calls, spoil) in patches.items():
+            monkeypatch.setattr(dynamics, name, failing_after(getattr(dynamics, name), calls, spoil))
+        report = make()
+        assert not report.passed
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 class TestReports:
