@@ -8,7 +8,10 @@ definition.
 
 Coordinates ``(v; nu)`` count starting vertices reading ``v`` or ``v^-1``
 around each root circle, weighted; wrapping reads make the count well
-defined for ``|v|`` larger than the circle.
+defined for ``|v|`` larger than the circle.  One counter, ``words._reads``,
+counts every read: :func:`coordinate` asks it for one ``v`` per root through
+:func:`occurrences`, and :func:`_coordinates` reads every short ``v`` off one
+prefix-folded count of all roots.
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common

@@ -25,8 +25,8 @@ from .automorphisms import (
 )
 from .corpus import random_current, random_cyclic_word, random_reduced_word
 from .currents import (
+    _coordinates,
     act,
-    coordinate,
     in_critical_set,
     length as current_length,
     projective_distance,
@@ -52,13 +52,13 @@ from .trees import (
 )
 from .words import (
     Basis,
-    Word,
+    _reads,
     concat,
     count_subwords,
     cyclic_reduce,
     free_reduce,
+    inverse_cyclic,
     invert,
-    occurrences,
     word,
     word_power,
 )
@@ -118,6 +118,11 @@ def _trials(label: str, full: int, case: Case) -> Check:
     return check
 
 
+def _name(basis: Basis, letters: tuple[int, ...]) -> str:
+    """The text of a reduced word given by its letters, for witnesses."""
+    return "".join(basis.letter_name(x) for x in letters)
+
+
 def _raw_letters(rng: Random, basis: Basis, max_len: int) -> list[int]:
     alphabet = basis.signed_letters()
     return [rng.choice(alphabet) for _ in range(rng.randint(0, max_len))]
@@ -148,10 +153,12 @@ def _reduction(rng: Random, i: int) -> str | None:
 
 
 def _occurrence_symmetry(rng: Random, i: int) -> str | None:
+    # reading the circle backwards: v around w as often as v^-1 around w^-1
     basis = Basis(rng.choice(RANKS))
     v = random_reduced_word(rng, basis, 5)
     w = random_cyclic_word(rng, basis, 30)
-    if occurrences(v, w) != occurrences(invert(v), w):
+    forward = _reads(w.letters, len(v))[v.letters]
+    if forward != _reads(inverse_cyclic(w).letters, len(v))[invert(v).letters]:
         return f"v={v} w={w}"
     return None
 
@@ -165,8 +172,7 @@ def _power_coherence(rng: Random, i: int) -> str | None:
     lifted = count_subwords(high, 5)
     for key in set(base) | set(lifted):
         if lifted.get(key, 0) != m * base.get(key, 0):
-            name = "".join(basis.letter_name(x) for x in key)
-            return f"f={root} m={m} v={name}"
+            return f"f={root} m={m} v={_name(basis, key)}"
     return None
 
 
@@ -248,29 +254,16 @@ def _extension_identities(rng: Random, i: int) -> str | None:
     seen: set[tuple[int, ...]] = set()
     for cls, _ in nu.terms:
         seen.update(count_subwords(cls.root, 4))
+    coord = _coordinates(nu, 5)
+    alphabet = basis.signed_letters()
     for letters in seen:
-        v = Word(basis, letters)
-        left = coordinate(v, nu)
+        left = coord(letters)
         if left < 0:
-            return str(v)
-        right_sum = sum(
-            (
-                coordinate(Word(basis, letters + (x,)), nu)
-                for x in basis.signed_letters()
-                if x != -letters[-1]
-            ),
-            Fraction(0),
-        )
-        left_sum = sum(
-            (
-                coordinate(Word(basis, (x,) + letters), nu)
-                for x in basis.signed_letters()
-                if x != -letters[0]
-            ),
-            Fraction(0),
-        )
+            return _name(basis, letters)
+        right_sum = sum((coord(letters + (x,)) for x in alphabet if x != -letters[-1]), Fraction(0))
+        left_sum = sum((coord((x,) + letters) for x in alphabet if x != -letters[0]), Fraction(0))
         if left != right_sum or left != left_sum:
-            return f"v={v} ({left} vs {right_sum}/{left_sum})"
+            return f"v={_name(basis, letters)} ({left} vs {right_sum}/{left_sum})"
     return None
 
 
@@ -307,17 +300,14 @@ def _twist_identities(rng: Random, i: int) -> str | None:
     t = rng.choice(list(basis.generators()))
     z = rng.choice([x for x in basis.generators() if x != t])
     image = act(simple_twist(basis, t, z), nu)
-
-    def co(current, *letters: int) -> Fraction:
-        return coordinate(Word(basis, letters), current)
-
+    before, after = _coordinates(nu, 3), _coordinates(image, 2)
     for x in basis.generators():
-        if x != z and co(image, x) != co(nu, x):
+        if x != z and after((x,)) != before((x,)):
             return f"x={x} nu={nu}"
     checks = (
-        co(image, z) == co(nu, z) + co(nu, t) - 2 * co(nu, t, -z),
-        co(image, t, -z) == co(nu, t, -z, -z) + co(nu, t, -z, -t),
-        current_length(image) - current_length(nu) == co(nu, t) - 2 * co(nu, t, -z),
+        after((z,)) == before((z,)) + before((t,)) - 2 * before((t, -z)),
+        after((t, -z)) == before((t, -z, -z)) + before((t, -z, -t)),
+        current_length(image) - current_length(nu) == before((t,)) - 2 * before((t, -z)),
     )
     if not all(checks):
         return f"t={t} z={z} nu={nu}"
@@ -418,12 +408,14 @@ def _check_dichotomy(seed: int, quick: bool) -> Outcome:
         if draws > 40 * trials:
             return trials, "corpus almost surely critical: generator broken"
         nu = random_current(rng, basis, max_terms=2, max_root_len=6)
-        if in_critical_set(nu, 1, 2).member:
+        crit = in_critical_set(nu, 1, 2)
+        if crit.member:
             continue
         done += 1
-        a_coord = coordinate(word(basis, "a"), nu)
-        toward_inverse = coordinate(word(basis, "aB"), nu)
-        toward = coordinate(word(basis, "ab"), nu)
+        # (a;nu), (aB;nu) and (ab;nu), read off the critical check's one count
+        a_coord = 2 * crit.half_twisted
+        toward_inverse = crit.with_twistor_inverse
+        toward = crit.with_twistor
         if not (a_coord > 2 * toward_inverse or a_coord > 2 * toward):
             return trials, str(nu)
         direction = 1 if a_coord > 2 * toward_inverse else -1

@@ -13,6 +13,11 @@ therefore produce equal :class:`CyclicWord` values.  One key map,
 ``k ^ 1``), computed for whole words by :func:`_keys`, feeds the canonical
 rotation, its re-check in :class:`CyclicWord`, :func:`rotation_key` and the
 inverse-pair keys of :func:`_pair_key` (read back by :func:`_key_letters`).
+
+One counter, :func:`_reads`, counts the clockwise reads of a fixed length
+around a cycle, and it has two readers: :func:`occurrences` looks up one word
+and its inverse, and :func:`_subword_counts` (behind :func:`count_subwords`
+and the current kernels) folds in every shorter prefix.
 """
 
 from __future__ import annotations
@@ -278,40 +283,37 @@ def occurrences(v: Word, w: CyclicWord) -> int:
 
     Reads may wrap around the circle any number of times, so the value is
     defined for every freely reduced ``v``, also when ``|v|`` exceeds the
-    cyclic length of ``w``.
+    cyclic length of ``w``.  Both reads come off one :func:`_reads` count.
     """
     if v.basis != w.basis:
         raise BasisMismatchError("word and cyclic word use different bases")
     if not v.letters:
         raise IdentityElementError("occurrence counts need a nonempty word")
-    return _count_reads(v.letters, w.letters) + _count_reads(invert(v).letters, w.letters)
+    reads = _reads(w.letters, len(v.letters))
+    return reads[v.letters] + reads[tuple([-x for x in reversed(v.letters)])]
 
 
-def _count_reads(target: Sequence[Letter], cycle: Sequence[Letter]) -> int:
+def _reads(cycle: Sequence, length: int) -> Counter:
+    """Counts of the clockwise reads of exactly ``length`` letters, one from each vertex of ``cycle``.
+
+    The one counter of cylinder reads: works on any sequence (letters or
+    letter keys), and a read wraps around the circle as often as it needs.
+    """
     n = len(cycle)
-    m = len(target)
-    count = 0
-    for i in range(n):
-        for j in range(m):
-            if cycle[(i + j) % n] != target[j]:
-                break
-        else:
-            count += 1
-    return count
+    # Enough copies that every read of ``length`` letters from a vertex fits.
+    repeated = cycle * -(-(n + length - 1) // n)
+    # The j-th slice holds the j-th letter of the read from each vertex.
+    return Counter(zip(*(repeated[j : j + n] for j in range(length))))
 
 
 def _subword_counts(cycle: Sequence, max_len: int) -> dict[tuple, int]:
     """Counts of every clockwise read of length 1..max_len from each vertex of ``cycle``.
 
-    Works on any sequence (letters or letter keys).  Only the reads of length
-    ``max_len`` are counted position by position; every vertex starts exactly
-    one of them, so the shorter reads are their prefixes, counted per distinct read.
+    The :func:`_reads` of length ``max_len`` with their prefixes folded in:
+    every vertex starts exactly one such read, so the shorter reads are their
+    prefixes, counted per distinct read.
     """
-    n = len(cycle)
-    # Enough copies that every read of max_len letters from a vertex fits.
-    repeated = cycle * -(-(n + max_len - 1) // n)
-    # The j-th slice holds the j-th letter of the read from each vertex.
-    counts = Counter(zip(*(repeated[j : j + n] for j in range(max_len))))
+    counts = _reads(cycle, max_len)
     if max_len > 1:
         for read, count in list(counts.items()):
             for m in range(1, max_len):
@@ -323,7 +325,9 @@ def count_subwords(w: CyclicWord, max_len: int) -> dict[tuple[Letter, ...], int]
     """Counts of every clockwise read of length 1..max_len from each vertex of ``w``.
 
     Keys are letter tuples; a read wraps as often as needed.  The coordinate
-    of ``v`` on ``w`` is ``counts.get(v, 0) + counts.get(v^-1, 0)``.
+    of ``v`` on ``w`` is ``counts.get(v, 0) + counts.get(v^-1, 0)``, which
+    :func:`occurrences` reads off the same :func:`_reads` count without the
+    prefix fold.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

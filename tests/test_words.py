@@ -175,6 +175,7 @@ class TestOccurrences:
         assert occurrences(word(B2, "a"), cyclic_word(B2, "ab")) == 1
         assert occurrences(word(B2, "aa"), cyclic_word(B2, "aaaa")) == 4
         assert occurrences(word(B2, "aa"), cyclic_word(B2, "a")) == 1
+        assert occurrences(word(B2, "ab" * 5000), cyclic_word(B2, "ab")) == 1
 
     @given(nonempty_words(B2, 5), nonempty_words(B2, 10))
     def test_matches_bruteforce(self, v, w):
