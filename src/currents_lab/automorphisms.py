@@ -154,11 +154,16 @@ def inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
 
 
 def power(phi: FreeAutomorphism, n: int) -> FreeAutomorphism:
+    """``phi^n`` for any integer ``n``, by repeated squaring: O(log |n|) checked compositions."""
     if n < 0:
         return power(inverse(phi), -n)
     acc = identity_automorphism(phi.basis)
-    for _ in range(n):
-        acc = compose(phi, acc)
+    while n:
+        if n & 1:
+            acc = compose(phi, acc)
+        n >>= 1
+        if n:
+            phi = compose(phi, phi)
     return acc
 
 

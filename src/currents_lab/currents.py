@@ -11,7 +11,8 @@ around each root circle, weighted; wrapping reads make the count well
 defined for ``|v|`` larger than the circle.  One counter, ``words._reads``,
 counts every read: :func:`coordinate` asks it for one ``v`` per root through
 :func:`occurrences`, and :func:`_coordinates` reads every short ``v`` off one
-prefix-folded count of all roots.
+prefix-folded count of all roots (:func:`_read_counts` gives the same reads
+as ints over the weights' common denominator).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
@@ -231,11 +232,20 @@ def _current_reads(nu: RationalCurrent, level: int) -> Reads:
     return _orbit_reads(_orbit_terms(nu)[0], level)
 
 
-def _coordinates(nu: RationalCurrent, level: int) -> Callable[[Sequence[Letter]], Fraction]:
-    """``letters -> (v; nu)`` for reduced ``v`` with ``1 <= |v| <= level``, read off one count."""
+def _read_counts(nu: RationalCurrent, level: int) -> tuple[Callable[[Sequence[Letter]], int], int]:
+    """``letters -> (v; nu)`` times the weights' common denominator, as an int, and that denominator.
+
+    Defined for reduced ``v`` with ``1 <= |v| <= level``; every ``v`` is read off one count.
+    """
     terms, denominator = _orbit_terms(nu)
     counts, _ = _orbit_reads(terms, level)
-    return lambda letters: Fraction(counts.get(_pair_key(tuple(_keys(letters))), 0), denominator)
+    return lambda letters: counts.get(_pair_key(tuple(_keys(letters))), 0), denominator
+
+
+def _coordinates(nu: RationalCurrent, level: int) -> Callable[[Sequence[Letter]], Fraction]:
+    """``letters -> (v; nu)`` for reduced ``v`` with ``1 <= |v| <= level``, read off one count."""
+    count, denominator = _read_counts(nu, level)
+    return lambda letters: Fraction(count(letters), denominator)
 
 
 def _orbit_distance(a: Reads, b: Reads) -> Fraction:

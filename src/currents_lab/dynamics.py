@@ -286,14 +286,18 @@ def tree_orbit_limit(
     is zero the orbit converges without rescaling and the stabilized constant
     lengths are used instead.
 
-    The orbit runs on raw letter tuples (:func:`_tree_orbit`).  Translation
-    length is a conjugacy invariant, so each class is stepped as a cyclic
-    core, ``g <- core of phi^-1(g)``, and measured by the tree's int weigher
-    (:func:`trees._weigher`) on the core of its pull-back through the
-    marking.  Every image is checked with raises that ``python -O`` keeps.
+    The rule reads only the last four values, steps ``cap - 3`` to ``cap``
+    (all of them when ``cap < 3``), so each class jumps straight to step
+    ``jump = max(cap - 3, 0)`` through one power ``phi^-jump``, built once
+    per orbit, and steps the rest of the way on raw letter tuples
+    (:func:`_tree_orbit`).  Translation length is a conjugacy invariant, so
+    each class is kept as a cyclic core, ``g <- core of phi^-1(g)``, and
+    measured by the tree's int weigher (:func:`trees._weigher`) on the core
+    of its pull-back through the marking.  Every image is checked with raises that ``python -O`` keeps.
     Rates and values stay ints over the weigher's common factor, which
-    cancels in the projective vector; a :class:`NotStabilizedError` carries
-    the scaled lengths.
+    cancels in the projective vector.  A :class:`NotStabilizedError` carries
+    the scaled lengths of the whole orbit, steps 0 to ``cap``, of the first
+    class that fails.
     """
     _at_least_one(cap=cap)
     if phi.basis != tree.basis:
@@ -301,20 +305,23 @@ def tree_orbit_limit(
     classes = power_free_classes(tree.basis, level)
     weigh, factor = _weigher(tree)
     rank = tree.basis.rank
-    sequences = [
-        _tree_orbit(weigh, phi.inverse_table, tree.marking.inverse_table, rank, cls.root.letters, cap)
-        for cls in classes
-    ]
+    step, pull = phi.inverse_table, tree.marking.inverse_table
+    jump = max(cap - 3, 0)
+    skip = power(phi, -jump).table
     rates: list[int] = []
-    for cls, seq in zip(classes, sequences):
-        rate, run = _tail_difference(seq)
+    lasts: list[int] = []
+    for cls in classes:
+        tail = _tree_orbit(weigh, step, pull, rank, _cyclic_image(skip, cls.root.letters, rank), cap - jump)
+        rate, run = _tail_difference(tail)
         if run < 3 or rate < 0:
+            seq = _tree_orbit(weigh, step, pull, rank, cls.root.letters, cap)
             raise NotStabilizedError(
                 f"class {cls}: no stable growth rate within {cap} iterations",
                 tuple(factor * v for v in seq),
             )
         rates.append(rate)
-    values = [seq[-1] for seq in sequences] if all(r == 0 for r in rates) else rates
+        lasts.append(tail[-1])
+    values = lasts if all(r == 0 for r in rates) else rates
     total = sum(values)
     if total == 0:
         raise AllEllipticError("every test class stays elliptic along the orbit")

@@ -26,6 +26,7 @@ from .automorphisms import (
 from .corpus import random_current, random_cyclic_word, random_reduced_word
 from .currents import (
     _coordinates,
+    _read_counts,
     act,
     in_critical_set,
     length as current_length,
@@ -254,15 +255,17 @@ def _extension_identities(rng: Random, i: int) -> str | None:
     seen: set[tuple[int, ...]] = set()
     for cls, _ in nu.terms:
         seen.update(count_subwords(cls.root, 4))
-    coord = _coordinates(nu, 5)
+    # integer counts over one common denominator compare exactly; only a witness needs fractions
+    count, denominator = _read_counts(nu, 5)
     alphabet = basis.signed_letters()
     for letters in seen:
-        left = coord(letters)
+        left = count(letters)
         if left < 0:
             return _name(basis, letters)
-        right_sum = sum((coord(letters + (x,)) for x in alphabet if x != -letters[-1]), Fraction(0))
-        left_sum = sum((coord((x,) + letters) for x in alphabet if x != -letters[0]), Fraction(0))
+        right_sum = sum(count(letters + (x,)) for x in alphabet if x != -letters[-1])
+        left_sum = sum(count((x,) + letters) for x in alphabet if x != -letters[0])
         if left != right_sum or left != left_sum:
+            left, right_sum, left_sum = (Fraction(c, denominator) for c in (left, right_sum, left_sum))
             return f"v={_name(basis, letters)} ({left} vs {right_sum}/{left_sum})"
     return None
 

@@ -21,7 +21,7 @@ from currents_lab.automorphisms import (
     simple_twist,
 )
 from currents_lab import dynamics
-from currents_lab.currents import parse_current, rational_current, zero_current
+from currents_lab.currents import parse_current, power_free_classes, rational_current, zero_current
 from currents_lab.dynamics import (
     _tree_orbit,
     escape_from_critical,
@@ -36,8 +36,15 @@ from currents_lab.dynamics import (
     tree_orbit_limit,
     walk_to_target,
 )
-from currents_lab.errors import IdentityElementError, NotStabilizedError, RankError, ZeroCurrentError
+from currents_lab.errors import (
+    AllEllipticError,
+    IdentityElementError,
+    NotStabilizedError,
+    RankError,
+    ZeroCurrentError,
+)
 from currents_lab.trees import (
+    ProjectiveTreeVector,
     _weigher,
     cayley_tree,
     length,
@@ -175,7 +182,77 @@ def steppers(basis):
     return compositions(basis, moves, 2)
 
 
+def linear_steppers(basis):
+    """Steppers whose orbits grow at most linearly, so that a cap of 64 stays cheap."""
+    twists = [simple_twist(basis, t, z) for t in basis.generators() for z in basis.generators() if t != z]
+    if basis.rank >= 5:
+        twists.append(double_twist(basis))
+    return st.sampled_from(twists + [inverse(m) for m in twists]).flatmap(
+        lambda m: st.integers(1, 3).map(lambda n: power(m, n))
+    )
+
+
+def stepped_to_the_cap(phi, tree, level, cap):
+    """tree_orbit_limit as a plain reading: every class stepped through every step to the cap."""
+    classes = power_free_classes(tree.basis, level)
+    weigh, factor = _weigher(tree)
+    rates, lasts = [], []
+    for cls in classes:
+        seq = _tree_orbit(weigh, phi.inverse_table, tree.marking.inverse_table, tree.basis.rank, cls.root.letters, cap)
+        diffs = [b - a for a, b in zip(seq, seq[1:])]
+        if len(diffs) < 3 or diffs[-3:] != [diffs[-1]] * 3 or diffs[-1] < 0:
+            raise NotStabilizedError(
+                f"class {cls}: no stable growth rate within {cap} iterations",
+                tuple(factor * v for v in seq),
+            )
+        rates.append(diffs[-1])
+        lasts.append(seq[-1])
+    values = lasts if all(r == 0 for r in rates) else rates
+    if sum(values) == 0:
+        raise AllEllipticError("every test class stays elliptic along the orbit")
+    return ProjectiveTreeVector(tree.basis, level, classes, tuple(Fraction(v, sum(values)) for v in values))
+
+
+def outcome(limit, *args):
+    """The value of ``limit(*args)``, or the type, message and sequence of what it raised."""
+    try:
+        return limit(*args)
+    except (NotStabilizedError, AllEllipticError) as exc:
+        return type(exc), str(exc), getattr(exc, "sequence", None)
+
+
 class TestTreeOrbitKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tail_jump_equals_stepping_to_the_cap(self, data):
+        basis = data.draw(st.sampled_from([B3, B5]))
+        cap = data.draw(st.sampled_from(list(range(1, 11)) + [64]))
+        if basis is B3 and data.draw(st.booleans()):
+            # a pre-wound marking: the orbit of D^-1 (of D) unwinds D^k (D^-k) through a long transient
+            tree = cayley_tree(B3, marking=power(D, data.draw(st.integers(-12, 12))))
+            phi = data.draw(st.sampled_from([D, inverse(D)]))
+        else:
+            tree = data.draw(marked_trees(basis))
+            phi = data.draw(linear_steppers(basis) if cap == 64 else steppers(basis))
+        level = data.draw(st.integers(1, 2))
+        args = (phi, tree, level, cap)
+        assert outcome(tree_orbit_limit, *args) == outcome(stepped_to_the_cap, *args)
+
+    @pytest.mark.parametrize(
+        "phi, cap", [(identity_automorphism(B3), 3), (D, 4), (D, 10), (D, 64), (inverse(D), 64)]
+    )
+    def test_stable_orbit_steps_only_the_tail(self, monkeypatch, phi, cap):
+        steps = []
+
+        def counted(weigh, step, pull, rank, letters, n):
+            steps.append(n)
+            return _tree_orbit(weigh, step, pull, rank, letters, n)
+
+        monkeypatch.setattr(dynamics, "_tree_orbit", counted)
+        tree_orbit_limit(phi, cayley_tree(B3), level=2, cap=cap)
+        assert len(steps) == len(power_free_classes(B3, 2))
+        assert set(steps) == {3}
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_kernel_lengths_are_public_lengths(self, data):
