@@ -293,11 +293,11 @@ def tree_orbit_limit(
     (:func:`_tree_orbit`).  Translation length is a conjugacy invariant, so
     each class is kept as a cyclic core, ``g <- core of phi^-1(g)``, and
     measured by the tree's int weigher (:func:`trees._weigher`) on the core
-    of its pull-back through the marking.  Every image is checked with raises that ``python -O`` keeps.
-    Rates and values stay ints over the weigher's common factor, which
-    cancels in the projective vector.  A :class:`NotStabilizedError` carries
-    the scaled lengths of the whole orbit, steps 0 to ``cap``, of the first
-    class that fails.
+    of its pull-back through the marking.  Every image is checked with
+    raises that ``python -O`` keeps.  Rates and values stay ints over the
+    weigher's common factor, which cancels in the projective vector.  A
+    :class:`NotStabilizedError` carries the scaled lengths of the whole
+    orbit, steps 0 to ``cap``, of the first class that fails.
     """
     _at_least_one(cap=cap)
     if phi.basis != tree.basis:
