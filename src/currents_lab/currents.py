@@ -8,11 +8,11 @@ definition.
 
 Coordinates ``(v; nu)`` count starting vertices reading ``v`` or ``v^-1``
 around each root circle, weighted; wrapping reads make the count well
-defined for ``|v|`` larger than the circle.  One counter, ``words._reads``,
-counts every read: :func:`coordinate` asks it for one ``v`` per root through
-:func:`occurrences`, and :func:`_coordinates` reads every short ``v`` off one
-prefix-folded count of all roots (:func:`_read_counts` gives the same reads
-as ints over the weights' common denominator).
+defined for ``|v|`` larger than the circle.  :func:`coordinate` finds one
+``v`` per root through :func:`occurrences`, a search of the root's keys, and
+:func:`_coordinates` reads every short ``v`` off one prefix-folded
+``words._reads`` count of all roots (:func:`_read_counts` gives the same
+reads as ints over the weights' common denominator).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
@@ -45,11 +45,11 @@ from .words import (
     _canonical_rotation,
     _key_letters,
     _keys,
+    _least_rotation,
     _pair_key,
     _period,
     _subword_counts,
     cyclic_reduce,
-    inverse_cyclic,
     occurrences,
     primitive_root,
     rotation_key,
@@ -343,34 +343,34 @@ def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> Critical
 def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]:
     """All power-free classes of cyclic length <= max_len, one per inverse pair.
 
+    Duval's algorithm walks the Lyndon words of length <= max_len over the
+    2k letter keys: each is aperiodic and its own least rotation, so each
+    power-free cyclic word comes up once, in canonical rotation.  A word is
+    kept when it is cyclically reduced and its keys are less than the least
+    rotation of its inverse's keys (a class is never its own inverse).
     Sorted by length then canonical rotation key; used as the test set for
     projective comparisons of length functions.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    found: set[CyclicWord] = set()
-    alphabet = basis.signed_letters()
-
-    def extend(prefix: list[int], remaining: int):
-        if prefix and remaining == 0:
-            if prefix[-1] != -prefix[0]:
-                cycle = CyclicWord(basis, _canonical_rotation(prefix))
-                _, exponent = primitive_root(cycle)
-                if exponent == 1:
-                    mirror = inverse_cyclic(cycle)
-                    found.add(min(cycle, mirror, key=rotation_key))
-            return
-        for x in alphabet:
-            if prefix and x == -prefix[-1]:
-                continue
-            prefix.append(x)
-            extend(prefix, remaining - 1)
-            prefix.pop()
-
-    for n in range(1, max_len + 1):
-        extend([], n)
-    ordered = sorted(found, key=lambda w: (len(w), rotation_key(w)))
-    return tuple(ConjugacyClass(w) for w in ordered)
+    top = 2 * basis.rank - 1
+    kept = []
+    keys = [-1]
+    while keys:
+        keys[-1] += 1
+        if all(a != b ^ 1 for a, b in zip(keys, keys[1:] + keys[:1])):
+            mirror = [k ^ 1 for k in reversed(keys)]
+            start = _least_rotation(mirror)
+            if keys < mirror[start:] + mirror[:start]:
+                kept.append(tuple(keys))
+        # the next Lyndon word: repeat the current one out to max_len, drop trailing top keys
+        period = len(keys)
+        while len(keys) < max_len:
+            keys.append(keys[-period])
+        while keys and keys[-1] == top:
+            keys.pop()
+    kept.sort(key=lambda t: (len(t), t))
+    return tuple(ConjugacyClass(CyclicWord(basis, _key_letters(t))) for t in kept)
 
 
 _TERM_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?\[([^\]]*)\]\s*")

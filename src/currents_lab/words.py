@@ -14,10 +14,11 @@ therefore produce equal :class:`CyclicWord` values.  One key map,
 rotation, its re-check in :class:`CyclicWord`, :func:`rotation_key` and the
 inverse-pair keys of :func:`_pair_key` (read back by :func:`_key_letters`).
 
-One counter, :func:`_reads`, counts the clockwise reads of a fixed length
-around a cycle, and it has two readers: :func:`occurrences` looks up one word
-and its inverse, and :func:`_subword_counts` (behind :func:`count_subwords`
-and the current kernels) folds in every shorter prefix.
+One counter, :func:`_reads`, counts all the clockwise reads of a fixed
+length around a cycle; :func:`_subword_counts` (behind :func:`count_subwords`
+and the current kernels) folds in every shorter prefix.  :func:`occurrences`
+looks up one word and its inverse without it: it searches the cycle's key
+bytes, so a long pattern costs no tuple per vertex.
 """
 
 from __future__ import annotations
@@ -283,20 +284,36 @@ def occurrences(v: Word, w: CyclicWord) -> int:
 
     Reads may wrap around the circle any number of times, so the value is
     defined for every freely reduced ``v``, also when ``|v|`` exceeds the
-    cyclic length of ``w``.  Both reads come off one :func:`_reads` count.
+    cyclic length of ``w``.  The cycle's keys are read out, wrapping, to
+    ``|w| + |v| - 1`` bytes, so each match in them starts at one vertex and
+    each vertex's read is there; ``v`` and ``v^-1`` are counted with
+    :func:`_matches`, in memory linear in ``|w| + |v|``.
     """
     if v.basis != w.basis:
         raise BasisMismatchError("word and cyclic word use different bases")
     if not v.letters:
         raise IdentityElementError("occurrence counts need a nonempty word")
-    reads = _reads(w.letters, len(v.letters))
-    return reads[v.letters] + reads[tuple([-x for x in reversed(v.letters)])]
+    n, m = len(w.letters), len(v.letters)
+    ring = bytes(_keys(w.letters))
+    text = (ring * -(-(n + m - 1) // n))[: n + m - 1]
+    pattern = _keys(v.letters)
+    return _matches(text, bytes(pattern)) + _matches(text, bytes([k ^ 1 for k in reversed(pattern)]))
+
+
+def _matches(text: bytes, pattern: bytes) -> int:
+    """Number of starts of ``pattern`` in ``text``, overlapping ones included."""
+    count = 0
+    at = text.find(pattern)
+    while at != -1:
+        count += 1
+        at = text.find(pattern, at + 1)
+    return count
 
 
 def _reads(cycle: Sequence, length: int) -> Counter:
     """Counts of the clockwise reads of exactly ``length`` letters, one from each vertex of ``cycle``.
 
-    The one counter of cylinder reads: works on any sequence (letters or
+    The one counter of all the reads: works on any sequence (letters or
     letter keys), and a read wraps around the circle as often as it needs.
     """
     n = len(cycle)
@@ -326,8 +343,7 @@ def count_subwords(w: CyclicWord, max_len: int) -> dict[tuple[Letter, ...], int]
 
     Keys are letter tuples; a read wraps as often as needed.  The coordinate
     of ``v`` on ``w`` is ``counts.get(v, 0) + counts.get(v^-1, 0)``, which
-    :func:`occurrences` reads off the same :func:`_reads` count without the
-    prefix fold.
+    :func:`occurrences` gives for one ``v`` without counting the other reads.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")

@@ -1,5 +1,6 @@
 """Rational currents: coordinates, length, action, projective comparison."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -48,7 +49,20 @@ from currents_lab.errors import (
     ParseError,
     ZeroCurrentError,
 )
-from currents_lab.words import Basis, Word, cyclic_word, free_reduce, invert, letter_key, word
+from currents_lab.words import (
+    Basis,
+    CyclicWord,
+    Word,
+    _canonical_rotation,
+    cyclic_word,
+    free_reduce,
+    inverse_cyclic,
+    invert,
+    letter_key,
+    primitive_root,
+    rotation_key,
+    word,
+)
 
 B2 = Basis(2)
 B3 = Basis(3)
@@ -351,6 +365,86 @@ class TestProjective:
     def test_power_free_classes_small(self):
         classes = power_free_classes(B2, 1)
         assert [str(c.root) for c in classes] == ["a", "b"]
+
+
+def reference_power_free_classes(basis, max_len):
+    # brute-force oracle: every reduced word of each length, canonicalized,
+    # rooted, paired with its inverse and deduplicated through a set
+    found = set()
+    alphabet = basis.signed_letters()
+
+    def extend(prefix, remaining):
+        if prefix and remaining == 0:
+            if prefix[-1] != -prefix[0]:
+                cycle = CyclicWord(basis, _canonical_rotation(prefix))
+                _, exponent = primitive_root(cycle)
+                if exponent == 1:
+                    mirror = inverse_cyclic(cycle)
+                    found.add(min(cycle, mirror, key=rotation_key))
+            return
+        for x in alphabet:
+            if prefix and x == -prefix[-1]:
+                continue
+            prefix.append(x)
+            extend(prefix, remaining - 1)
+            prefix.pop()
+
+    for n in range(1, max_len + 1):
+        extend([], n)
+    ordered = sorted(found, key=lambda w: (len(w), rotation_key(w)))
+    return tuple(ConjugacyClass(w) for w in ordered)
+
+
+def moebius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def classes_of_length(rank, n):
+    # cyclically reduced words of length d, Moebius-inverted to the primitive
+    # ones, then one class per n rotations and per inverse pair
+    def cyclically_reduced(d):
+        return (2 * rank - 1) ** d + 1 + (rank - 1) * (1 + (-1) ** d)
+
+    primitive = sum(moebius(n // d) * cyclically_reduced(d) for d in range(1, n + 1) if n % d == 0)
+    assert primitive % (2 * n) == 0
+    return primitive // (2 * n)
+
+
+class TestPowerFreeClasses:
+    SWEEP = [(rank, level) for rank in (2, 3, 4, 5) for level in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("rank, level", SWEEP)
+    def test_matches_reference(self, rank, level):
+        basis = Basis(rank)
+        assert power_free_classes(basis, level) == reference_power_free_classes(basis, level)
+
+    @pytest.mark.parametrize("rank, level", SWEEP)
+    def test_counts_per_length_follow_moebius(self, rank, level):
+        lengths = Counter(len(c.root) for c in power_free_classes(Basis(rank), level))
+        assert lengths == {n: classes_of_length(rank, n) for n in range(1, level + 1)}
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_one_class_per_inverse_pair(self, rank):
+        classes = power_free_classes(Basis(rank), 4)
+        roots = {c.root for c in classes}
+        assert len(roots) == len(classes)
+        for c in classes:
+            mirror = inverse_cyclic(c.root)
+            assert mirror != c.root
+            assert mirror not in roots
+            assert rotation_key(c.root) < rotation_key(mirror)
+
+    def test_rejects_level_zero(self):
+        with pytest.raises(ValueError):
+            power_free_classes(B2, 0)
 
 
 class TestCriticalSet:

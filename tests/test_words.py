@@ -1,6 +1,8 @@
 """Word kernel: reduction, canonical rotation, occurrence counting."""
 
 import re
+import tracemalloc
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from currents_lab.words import (
     _keys,
     _least_rotation,
     _pair_key,
+    _reads,
     CyclicWord,
     Word,
     concat,
@@ -42,6 +45,16 @@ def words(basis, max_size=14):
 
 def nonempty_words(basis, max_size=14):
     return words(basis, max_size).filter(lambda u: len(u) > 0)
+
+
+def random_word(rng, basis, length):
+    # a random reduced word of exactly ``length`` letters
+    letters = []
+    while len(letters) < length:
+        x = rng.choice(basis.signed_letters())
+        if not letters or x != -letters[-1]:
+            letters.append(x)
+    return Word(basis, tuple(letters))
 
 
 class TestReduction:
@@ -188,6 +201,40 @@ class TestOccurrences:
     def test_empty_pattern_rejected(self):
         with pytest.raises(IdentityElementError):
             occurrences(word(B2, ""), cyclic_word(B2, "ab"))
+
+    def test_matches_all_reads_when_wrapping(self):
+        # v several times longer than w: half read off the cycle (so they
+        # occur), half random; reference is the all-reads counter
+        rng = Random("occurrences-wrap")
+        for i in range(400):
+            basis = Basis(rng.choice([2, 3, 5]))
+            cycle = cyclic_reduce(random_word(rng, basis, rng.randint(1, 8)))[0]
+            n = len(cycle)
+            m = rng.randint(1, 5 * n + 3)
+            if i % 2:
+                start = rng.randrange(n)
+                letters = tuple(cycle.letters[(start + j) % n] for j in range(m))
+                v = Word(basis, letters if i % 4 == 1 else tuple(-x for x in reversed(letters)))
+            else:
+                v = random_word(rng, basis, m)
+            reads = _reads(cycle.letters, len(v))
+            assert occurrences(v, cycle) == reads[v.letters] + reads[invert(v).letters]
+
+    def test_long_pattern_stays_small(self):
+        # one read of an 894-letter word on a 4094-letter cycle
+        rng = Random("occurrences-long")
+        cycle = cyclic_reduce(random_word(rng, B3, 4100))[0]
+        start = rng.randrange(len(cycle))
+        v = Word(B3, (cycle.letters * 2)[start : start + 894])
+        tracemalloc.start()
+        try:
+            count = occurrences(v, cycle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        reads = _reads(cycle.letters, len(v))
+        assert count == reads[v.letters] + reads[invert(v).letters] >= 1
+        assert peak < 5_000_000
 
     @given(nonempty_words(B3, 10), st.integers(min_value=1, max_value=25))
     def test_count_subwords_matches_windows(self, u, max_len):
