@@ -4,10 +4,13 @@ Every automorphism carries the images of the inverse map as well, and the
 constructor checks both compositions on all generators, so an inconsistent
 table cannot be built.  Both directions are also kept as signed tables built
 once per automorphism (see :func:`_signed_table`), which every image
-computation reads.  Named constructors cover the maps used throughout
-the package: simple Dehn twists, the rank >= 5 double twist, and the two
-basis changes that re-express the standard generators through a twisted
-basis.
+computation reads.  The check runs at the public constructor (and so in
+:func:`parse_automorphism`); :func:`compose`, :func:`inverse` and
+:func:`power` of checked automorphisms are automorphisms by construction and
+build their results through :func:`_trusted` without it.  Named
+constructors cover the maps used throughout the package: simple Dehn twists,
+the rank >= 5 double twist, and the two basis changes that re-express the
+standard generators through a twisted basis.
 """
 
 from __future__ import annotations
@@ -111,6 +114,19 @@ class FreeAutomorphism:
         return automorphism_str(self)
 
 
+def _trusted(
+    basis: Basis, images: tuple[Word, ...], inverse_images: tuple[Word, ...]
+) -> FreeAutomorphism:
+    """An automorphism from image tables already known to be mutually inverse: no check."""
+    phi = object.__new__(FreeAutomorphism)
+    object.__setattr__(phi, "basis", basis)
+    object.__setattr__(phi, "images", images)
+    object.__setattr__(phi, "inverse_images", inverse_images)
+    object.__setattr__(phi, "table", _signed_table([im.letters for im in images]))
+    object.__setattr__(phi, "inverse_table", _signed_table([im.letters for im in inverse_images]))
+    return phi
+
+
 def _image(phi: FreeAutomorphism, table: SignedTable, u: Word | CyclicWord) -> Word:
     """Checked image of the letters of ``u`` (a reduced word either way) under ``table``."""
     if phi.basis != u.basis:
@@ -146,15 +162,15 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     inverse_images = tuple(
         Word(basis, _apply_table(psi.inverse_table, im.letters)) for im in phi.inverse_images
     )
-    return FreeAutomorphism(basis, images, inverse_images)
+    return _trusted(basis, images, inverse_images)
 
 
 def inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
-    return FreeAutomorphism(phi.basis, phi.inverse_images, phi.images)
+    return _trusted(phi.basis, phi.inverse_images, phi.images)
 
 
 def power(phi: FreeAutomorphism, n: int) -> FreeAutomorphism:
-    """``phi^n`` for any integer ``n``, by repeated squaring: O(log |n|) checked compositions."""
+    """``phi^n`` for any integer ``n``, by repeated squaring: O(log |n|) compositions."""
     if n < 0:
         return power(inverse(phi), -n)
     acc = identity_automorphism(phi.basis)

@@ -16,27 +16,44 @@ reads as ints over the weights' common denominator).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
-denominator, and :func:`_orbit` yields the terms step by step.  An
-automorphism maps conjugacy classes bijectively and keeps power-free
-classes power-free, so ``phi . eta_g = eta_phi(g)`` term by term
-and a step needs no merging, root finding or sorting.  Read counts do not
-depend on where a cycle starts, so the kernel keeps each core in whatever
-rotation the image step leaves it and never computes a canonical rotation.
-The public :func:`act` and :func:`projective_vector` are the same image step
-and read counter followed by canonicalization and division, and
-:func:`_coordinates` reads ``(v; nu)`` for every short ``v`` off one count.
+denominator, and the one orbit loop, :func:`_orbit`, yields its weighted
+read counts (:data:`Reads`) step by step.  An automorphism maps conjugacy
+classes bijectively and keeps power-free classes power-free, so
+``phi . eta_g = eta_phi(g)`` term by term and a step needs no merging, root
+finding or sorting.  Read counts do not depend on where a cycle starts, so the
+kernel keeps each core, and the skeleton each syllable cycle, in whatever
+rotation its reduction leaves and never computes a canonical rotation.
+
+Twist-form tables (:func:`_twist_form`: each generator fixed or sent to
+``y^s x y^t`` with ``y`` fixed, as for every twist the experiments iterate)
+are read off a syllable skeleton.  Since ``phi^n(x) = y^(sn) x y^(tn)``, each
+step builds ``phi^n(w)`` from the step-0 core as syllables ``y^e``: merging
+syllables of one generator is the free reduction, merging the two ends the
+cyclic one, and the reads are counted per syllable, so a step costs
+``O(|w| level^2)`` however long ``phi^n(w)`` is.  Other tables step the
+kernel (:func:`_orbit_step`, then :func:`_orbit_reads`), which is also the
+syllable path's test oracle.  The public :func:`act` and
+:func:`projective_vector` are the kernel's image step and read counter
+followed by canonicalization and division.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .automorphisms import FreeAutomorphism, SignedTable, _cyclic_image
-from .errors import BasisMismatchError, LevelMismatchError, ParseError, ZeroCurrentError
+from .errors import (
+    BasisMismatchError,
+    IdentityElementError,
+    LevelMismatchError,
+    ParseError,
+    ZeroCurrentError,
+)
 from .words import (
     Basis,
     CyclicWord,
@@ -48,8 +65,11 @@ from .words import (
     _least_rotation,
     _pair_key,
     _period,
+    _reads,
     _subword_counts,
+    _with_prefixes,
     cyclic_reduce,
+    letter_key,
     occurrences,
     primitive_root,
     rotation_key,
@@ -199,24 +219,21 @@ def _orbit_step(table: SignedTable, terms: Terms, rank: int) -> Terms:
     return [(_image_core(table, core, rank), weight) for core, weight in terms]
 
 
-def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int) -> Iterator[Terms]:
-    """The terms at steps ``0..steps``; no image is computed past the last step."""
-    yield terms
-    for _ in range(steps):
-        terms = _orbit_step(table, terms, rank)
-        yield terms
-
-
 def _orbit_reads(terms: Terms, level: int) -> Reads:
     """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    raw: dict[tuple[int, ...], int] = {}
+    raw: Counter = Counter()
     norm = 0
     for core, weight in terms:
         norm += weight * len(core)
         for read, count in _subword_counts(_keys(core), level).items():
-            raw[read] = raw.get(read, 0) + weight * count
+            raw[read] += weight * count
+    return _pair_reads(raw, norm)
+
+
+def _pair_reads(raw: dict[tuple[int, ...], int], norm: int) -> Reads:
+    """Weighted read counts keyed by inverse pair; the single letters must sum to the norm."""
     counts: dict[tuple[int, ...], int] = {}
     for read, count in raw.items():
         rep = _pair_key(read)
@@ -225,6 +242,167 @@ def _orbit_reads(terms: Terms, level: int) -> Reads:
     if ones != norm:
         raise RuntimeError(f"single-letter counts sum to {ones}, not ||nu|| = {norm}")
     return counts, norm
+
+
+# Per generator (index 0 unused): None if the table fixes it, else ``(y, s, t)``
+# for ``x -> y^s x y^t``.
+TwistForm = tuple[tuple[int, int, int] | None, ...]
+# A syllable ``y^e`` as ``(y, e)``.
+Syllable = tuple[int, int]
+# The syllables of ``phi^n(w)`` for every n, each as ``(y, c, slope)`` with ``e = c + slope*n``.
+Skeleton = list[tuple[int, int, int]]
+
+
+def _twist_form(table: SignedTable, rank: int) -> TwistForm | None:
+    """The twist form of a signed table over rank ``rank``, or None if it has none.
+
+    Every generator ``x`` must be fixed or map to the reduced word
+    ``y^s x y^t``, where ``y != x`` is a generator the table fixes; then
+    ``phi^n(x) = y^(sn) x y^(tn)``.  Simple twists, their left-handed and
+    inverse tables, and commuting products such as the double twist qualify.
+    A table over another rank has no form, so its orbit steps the kernel,
+    which raises the rank error.
+    """
+    if len(table) != 2 * rank + 1:
+        return None
+    form: list[tuple[int, int, int] | None] = [None]
+    for x in range(1, rank + 1):
+        image = table[x]
+        if image == (x,):
+            form.append(None)
+            continue
+        if x not in image:
+            return None
+        i = image.index(x)
+        left, right = image[:i], image[i + 1 :]
+        twistors = {abs(z) for z in left + right}
+        if len(set(left)) > 1 or len(set(right)) > 1 or len(twistors) != 1:
+            return None
+        y = twistors.pop()
+        if y == x or y > rank or table[y] != (y,):
+            return None
+        form.append((y, sum(z // y for z in left), sum(z // y for z in right)))
+    return tuple(form)
+
+
+def _skeleton(form: TwistForm, core: Sequence[Letter]) -> Skeleton:
+    """The :data:`Skeleton` of ``core``: neighbours that share a generator are merged for every n."""
+    raw: Skeleton = []
+    for x in core:
+        twist = form[abs(x)]
+        if twist is None:
+            raw.append((abs(x), 1 if x > 0 else -1, 0))
+        elif x > 0:
+            y, s, t = twist
+            raw += [(y, 0, s), (x, 1, 0), (y, 0, t)]
+        else:
+            y, s, t = twist
+            raw += [(y, 0, -t), (-x, -1, 0), (y, 0, -s)]
+    skeleton: Skeleton = []
+    for y, c, slope in raw:
+        if skeleton and skeleton[-1][0] == y:
+            _, c0, slope0 = skeleton.pop()
+            c, slope = c + c0, slope + slope0
+        if c or slope:
+            skeleton.append((y, c, slope))
+    return skeleton
+
+
+def _syllables(skeleton: Skeleton, n: int) -> list[Syllable]:
+    """The cyclically reduced syllables of ``phi^n(core)``, in some rotation.
+
+    A free product of the cyclic groups of the generators: merging syllables
+    of one generator is the free reduction, merging the two ends the cyclic one.
+    """
+    stack: list[Syllable] = []
+    for y, c, slope in skeleton:
+        e = c + slope * n
+        if stack and stack[-1][0] == y:
+            e += stack.pop()[1]
+        if e:
+            stack.append((y, e))
+    i = 0
+    while len(stack) - i >= 2 and stack[i][0] == stack[-1][0]:
+        y, e = stack.pop()
+        e += stack[i][1]
+        if e:
+            stack[i] = (y, e)
+            break
+        i += 1
+    return stack[i:]
+
+
+def _syllable_letters(syllables: Sequence[Syllable]) -> tuple[Letter, ...]:
+    """The letters a syllable sequence spells."""
+    return tuple(x for y, e in syllables for x in [y if e > 0 else -y] * abs(e))
+
+
+def _syllable_reads(syllables: Sequence[Syllable], level: int) -> Counter:
+    """The :func:`_reads` of ``level`` letter keys around a cyclic syllable sequence.
+
+    A read that stays inside the syllable ``x^m`` it starts in is
+    ``x^level``, and ``m - level + 1`` vertices start one.  Every other read
+    starts in the last ``level - 1`` letters of its syllable and runs on into
+    the letters after it, which stay the same when every syllable is cut to
+    ``level`` letters.  So the cut cycle's reads are all the reads, less the
+    ``m - level`` reads of ``x^level`` that each longer syllable loses.
+    """
+    cut = []
+    long = []
+    for y, e in syllables:
+        key = letter_key(y if e > 0 else -y)
+        cut += [key] * min(abs(e), level)
+        if abs(e) > level:
+            long.append(((key,) * level, abs(e) - level))
+    counts = _reads(cut, level)
+    for read, extra in long:
+        counts[read] += extra
+    return counts
+
+
+def _twist_reads(
+    skeletons: list[tuple[Sequence[Letter], Skeleton, int]], n: int, level: int
+) -> Reads:
+    """:func:`_orbit_reads` of ``phi^n`` of the terms, read off their skeletons.
+
+    Raises what the kernel steps would, with raises that ``python -O`` keeps.
+    """
+    raw: Counter = Counter()
+    norm = 0
+    for core, skeleton, weight in skeletons:
+        syllables = _syllables(skeleton, n)
+        if not syllables:
+            raise IdentityElementError(f"the image of {tuple(core)} is the identity")
+        if _period(syllables) != len(syllables) or len(syllables) == 1 and abs(syllables[0][1]) > 1:
+            raise RuntimeError(
+                f"image {_syllable_letters(syllables)} is a proper power: "
+                "automorphisms preserve power-freeness"
+            )
+        norm += weight * sum(abs(e) for _, e in syllables)
+        for read, count in _syllable_reads(syllables, level).items():
+            raw[read] += weight * count
+    return _pair_reads(_with_prefixes(raw, level), norm)
+
+
+def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
+    """The :func:`_orbit_reads` of the terms at steps ``0..steps``, none past the last.
+
+    A twist-form table (:func:`_twist_form`) reads each step off the terms'
+    syllable skeletons, at a cost per step that does not grow with n; any
+    other table steps the kernel (:func:`_orbit_step`).
+    """
+    yield _orbit_reads(terms, level)
+    if steps < 1:
+        return
+    form = _twist_form(table, rank)
+    if form is None:
+        for _ in range(steps):
+            terms = _orbit_step(table, terms, rank)
+            yield _orbit_reads(terms, level)
+        return
+    skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
+    for n in range(1, steps + 1):
+        yield _twist_reads(skeletons, n, level)
 
 
 def _current_reads(nu: RationalCurrent, level: int) -> Reads:

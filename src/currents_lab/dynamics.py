@@ -42,7 +42,6 @@ from .currents import (
     _current_reads,
     _orbit,
     _orbit_distance,
-    _orbit_reads,
     _orbit_terms,
     act,
     coordinate,
@@ -190,7 +189,8 @@ def iterate_current(
     checked against the linear lower bound
     ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``; an orbit that
     does not grow checks nothing, so its report does not pass.  The orbit
-    runs on the integer kernel; lengths are norms over the common denominator.
+    runs through ``currents._orbit``; lengths are norms over the common
+    denominator, and an orbit without a limit is read at level 1 only.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -205,12 +205,13 @@ def iterate_current(
     start, denominator = _orbit_terms(nu0)
     norms: list[int] = []
     rows: list[tuple[str, ...]] = []
-    for n, terms in enumerate(_orbit(phi.table, start, phi.basis.rank, steps)):
-        norm = sum(weight * len(core) for core, weight in terms)
+    read_level = level if goal is not None else 1
+    for n, reads in enumerate(_orbit(phi.table, start, phi.basis.rank, steps, read_level)):
+        norm = reads[1]
         norms.append(norm)
         row = [str(n), str(Fraction(norm, denominator))]
         if goal is not None:
-            row.append(str(_orbit_distance(_orbit_reads(terms, level), goal)))
+            row.append(str(_orbit_distance(reads, goal)))
         rows.append(tuple(row))
     columns = ("step", "length") + (("distance",) if goal is not None else ())
     assertions: list[AssertionResult] = []
@@ -413,8 +414,8 @@ def walk_to_target(
     table = twist.table if choice.direction == 1 else twist.inverse_table
     goal = _current_reads(rational_current(Word(nu.basis, (choice.target,))), level)
     last = Fraction(0)
-    for n, terms in enumerate(_orbit(table, _orbit_terms(nu)[0], nu.basis.rank, steps)):
-        last = _orbit_distance(_orbit_reads(terms, level), goal)
+    for n, reads in enumerate(_orbit(table, _orbit_terms(nu)[0], nu.basis.rank, steps, level)):
+        last = _orbit_distance(reads, goal)
         if last <= WALK_RADIUS:
             return n, last
     return None, last
@@ -550,8 +551,8 @@ def run_theorem_main(
         goal = _current_reads(target, 1)
         for direction, stepper in (("forward", phi), ("backward", phi_back)):
             distance_columns.append(f"{seed_name}-{direction}")
-            for n, terms in enumerate(_orbit(stepper.table, _orbit_terms(seed)[0], rank, iters)):
-                d = _orbit_distance(_orbit_reads(terms, 1), goal)
+            for n, reads in enumerate(_orbit(stepper.table, _orbit_terms(seed)[0], rank, iters, 1)):
+                d = _orbit_distance(reads, goal)
                 distance_rows[n].append(str(d))
                 if d != Fraction(2, n + 2):
                     law_failures.append(f"{seed_name} {direction} step {n}: {d} != 2/{n + 2}")
@@ -684,11 +685,11 @@ def run_product_minimal(
     law_failures: list[str] = []
     bound_failures: list[str] = []
     start, denominator = _orbit_terms(mu_a)
-    for n, terms in enumerate(_orbit(twist.table, start, rank, iters)):
-        reads1 = _orbit_reads(terms, 1)
-        ln = Fraction(reads1[1], denominator)
-        d1 = _orbit_distance(reads1, goal1)
-        dl = _orbit_distance(_orbit_reads(terms, level), goal_level)
+    for n, (counts, norm) in enumerate(_orbit(twist.table, start, rank, iters, level)):
+        ln = Fraction(norm, denominator)
+        # the level-1 reads are the single letters among the level's reads
+        d1 = _orbit_distance(({v: c for v, c in counts.items() if len(v) == 1}, norm), goal1)
+        dl = _orbit_distance((counts, norm), goal_level)
         rows.append((str(n), str(ln), str(d1), str(dl)))
         if d1 != base_len / ln:
             law_failures.append(f"step {n}: {d1} != {base_len / ln}")

@@ -16,7 +16,9 @@ inverse-pair keys of :func:`_pair_key` (read back by :func:`_key_letters`).
 
 One counter, :func:`_reads`, counts all the clockwise reads of a fixed
 length around a cycle; :func:`_subword_counts` (behind :func:`count_subwords`
-and the current kernels) folds in every shorter prefix.  :func:`occurrences`
+and the current kernels) folds in every shorter prefix with
+:func:`_with_prefixes`, which also finishes the read counts that
+``currents`` takes off twist syllables.  :func:`occurrences`
 looks up one word and its inverse without it: it searches the cycle's key
 bytes, so a long pattern costs no tuple per vertex.
 """
@@ -330,7 +332,11 @@ def _subword_counts(cycle: Sequence, max_len: int) -> dict[tuple, int]:
     every vertex starts exactly one such read, so the shorter reads are their
     prefixes, counted per distinct read.
     """
-    counts = _reads(cycle, max_len)
+    return _with_prefixes(_reads(cycle, max_len), max_len)
+
+
+def _with_prefixes(counts: Counter, max_len: int) -> Counter:
+    """Reads of ``max_len`` letters, one from each vertex, with every shorter prefix counted too."""
     if max_len > 1:
         for read, count in list(counts.items()):
             for m in range(1, max_len):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from currents_lab.automorphisms import (
+    FreeAutomorphism,
     _apply_table,
     _signed_table,
     apply,
@@ -20,7 +21,7 @@ from currents_lab.automorphisms import (
     prime_basis_change,
     simple_twist,
 )
-from currents_lab.errors import ParseError, RankError
+from currents_lab.errors import AutomorphismTableError, ParseError, RankError
 from currents_lab.words import Basis, _reduced, concat, free_reduce, word
 
 B3 = Basis(3)
@@ -125,6 +126,36 @@ class TestGroupLaws:
                 break
             assert power(phi, sign * m) == direct
             direct = compose(step, direct)
+
+
+class TestValidationBoundary:
+    """compose, inverse and power build checked automorphisms' results without re-checking."""
+
+    GROWING = compose(simple_twist(B3, 2, 1), simple_twist(B3, 1, 2))
+
+    def test_power_of_a_growing_map_is_stepwise_composition(self):
+        stepwise = identity_automorphism(B3)
+        for _ in range(8):
+            stepwise = compose(self.GROWING, stepwise)
+        fast = power(self.GROWING, 8)
+        assert (fast.images, fast.inverse_images) == (stepwise.images, stepwise.inverse_images)
+        assert (fast.table, fast.inverse_table) == (stepwise.table, stepwise.inverse_table)
+
+    @pytest.mark.parametrize("n", [-6, -1, 0, 1, 6])
+    def test_unchecked_results_pass_the_public_check(self, n):
+        phi = power(self.GROWING, n)
+        checked = FreeAutomorphism(B3, phi.images, phi.inverse_images)
+        assert checked == phi
+        assert (checked.table, checked.inverse_table) == (phi.table, phi.inverse_table)
+        back = inverse(phi)
+        assert (back.table, back.inverse_table) == (phi.inverse_table, phi.table)
+
+    def test_mismatched_table_still_raises(self):
+        phi = power(self.GROWING, 3)
+        with pytest.raises(AutomorphismTableError, match="not mutually inverse"):
+            FreeAutomorphism(B3, phi.images, phi.images)
+        with pytest.raises(ParseError, match="not mutually inverse"):
+            parse_automorphism(B3, "a->ab | a->ab")
 
 
 class TestParsing:

@@ -228,6 +228,14 @@ class TestReports:
                 "8f98c8344939a3b0258eb831242c275fd0b67a163fdfe0ec5f4d3cd4aca68d2a",
             ),
             (
+                [
+                    "iterate", "--rank", "5", "--aut", "phi",
+                    "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--limit", "1*[b] + 1*[d]",
+                    "--level", "3", "--iters", "300",
+                ],
+                "61adc38af5ab65e9a02d7251199107ef50c36cb3f73b9aa9994c155412459cdf",
+            ),
+            (
                 ["experiment", "minimality-walk", "--trials", "40"],
                 "15825826375d8034c2e595153b0fdce9a91f022ac0d9c689aa045330637ada60",
             ),
@@ -257,15 +265,16 @@ class TestReports:
             ),
         ],
         ids=[
-            "iterate-limit", "iterate-no-limit", "minimality-walk", "product-minimal",
-            "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
+            "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
+            "product-minimal", "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
             "primitive-limit", "off-critical",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
         # stdout digests recorded before the current orbits moved to the integer kernel;
         # the two level-3 digests, recorded before test classes were enumerated as
-        # Lyndon words, pin the tree tables' class order at 145 classes
+        # Lyndon words, pin the tree tables' class order at 145 classes; the 300-step
+        # digest, recorded before twist orbits were read off syllables, pins long orbits
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -29,6 +29,7 @@ from currents_lab.currents import (
     _orbit_reads,
     _orbit_step,
     _orbit_terms,
+    _twist_form,
     act,
     add,
     coordinate,
@@ -54,6 +55,7 @@ from currents_lab.words import (
     CyclicWord,
     Word,
     _canonical_rotation,
+    _period,
     cyclic_word,
     free_reduce,
     inverse_cyclic,
@@ -286,9 +288,9 @@ class TestOrbitKernel:
         # at rank 2 this table's first image raises
         table = simple_twist(B3, 1, 3).table
         terms = [((1,), 1)]
-        assert list(_orbit(table, terms, 2, 0)) == [terms]
+        assert list(_orbit(table, terms, 2, 0, 1)) == [_orbit_reads(terms, 1)]
         with pytest.raises(ValueError, match="rank 2"):
-            list(_orbit(table, terms, 2, 1))
+            list(_orbit(table, terms, 2, 1, 1))
 
     def test_coordinates_are_public_coordinates(self):
         rng = Random(7)
@@ -300,6 +302,166 @@ class TestOrbitKernel:
             nu = random_current(rng, B3)
             coord = _coordinates(nu, 3)
             assert all(coord(v.letters) == coordinate(v, nu) for v in reads)
+
+
+def _kernel_orbit(table, terms, rank, steps, level):
+    """The oracle: the kernel stepped and read at every step 0..steps."""
+    reads = [_orbit_reads(terms, level)]
+    for _ in range(steps):
+        terms = _orbit_step(table, terms, rank)
+        reads.append(_orbit_reads(terms, level))
+    return reads
+
+
+def _syllable(y, e):
+    return (y if e > 0 else -y,) * abs(e)
+
+
+def _twisting(basis, twists):
+    """The signed table sending each ``x`` in ``twists`` to ``y^s x y^t`` for its ``(y, s, t)``."""
+    images = [(x,) for x in basis.generators()]
+    for x, (y, s, t) in twists.items():
+        images[x - 1] = _syllable(y, s) + (x,) + _syllable(y, t)
+    return _signed_table(images)
+
+
+@st.composite
+def twist_tables(draw, basis):
+    """Commuting multi-twists: some generators go to ``y^s x y^t``, s, t in -2..2, each twistor fixed."""
+    gens = list(basis.generators())
+    twisted = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens) - 1, unique=True))
+    fixed = [y for y in gens if y not in twisted]
+    twists = {}
+    for x in twisted:
+        s, t = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        twists[x] = (draw(st.sampled_from(fixed)), s, t)
+    return _twisting(basis, twists)
+
+
+def _named_twist_tables(basis):
+    """Every simple twist both ways, every left twist, a -> ab with c -> cb, and phi both ways."""
+    gens = basis.generators()
+    tables = []
+    for x in gens:
+        for y in gens:
+            if x != y:
+                twist = simple_twist(basis, x, y)
+                tables += [twist.table, twist.inverse_table, _twisting(basis, {x: (y, 1, 0)})]
+    if basis.rank >= 3:
+        tables.append(_twisting(basis, {1: (2, 0, 1), 3: (2, 0, 1)}))
+    if basis.rank >= 5:
+        tables += [double_twist(basis).table, double_twist(basis).inverse_table]
+    return tables
+
+
+TWIST_BASES = (B2, B3, B5)
+NAMED_TWIST_TABLES = {basis: _named_twist_tables(basis) for basis in TWIST_BASES}
+
+
+def roots(basis):
+    """Raw cyclic cores, short ones (under the level, so reads wrap) as likely as long ones."""
+    short = st.sampled_from([c.root.letters for c in power_free_classes(basis, 2)])
+    long = cyclic_candidates(basis, 8).map(lambda u: u.letters).filter(lambda ls: _period(ls) == len(ls))
+    return st.one_of(short, long)
+
+
+def _outcome(orbit):
+    """The reads of an orbit, or the error it raises."""
+    try:
+        return list(orbit())
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTwistOrbits:
+    """The syllable path of the orbit loop against the kernel, and its recognizer."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_orbit_reads_equal_kernel_stepping(self, data):
+        basis = data.draw(st.sampled_from(TWIST_BASES))
+        table = data.draw(st.one_of(st.sampled_from(NAMED_TWIST_TABLES[basis]), twist_tables(basis)))
+        assert _twist_form(table, basis.rank) is not None
+        terms = data.draw(st.lists(st.tuples(roots(basis), st.integers(1, 5)), min_size=1, max_size=3))
+        level = data.draw(st.integers(1, 4))
+        assert list(_orbit(table, terms, basis.rank, 12, level)) == _kernel_orbit(
+            table, terms, basis.rank, 12, level
+        )
+
+    @pytest.mark.parametrize("s, t", [(s, t) for s in range(-2, 3) for t in range(-2, 3) if s or t])
+    def test_every_one_sided_exponent_pair(self, s, t):
+        # a -> b^s a b^t at rank 2 on short roots, and on roots whose syllables
+        # cancel through a sign change ([aBB] under a -> ab)
+        table = _twisting(B2, {1: (2, s, t)})
+        for text in ("a", "ab", "aB", "aBB", "abAB", "aabAAB", "abbAbb"):
+            terms = [(word(B2, text).letters, 1)]
+            for level in (1, 2, 3, 4):
+                assert list(_orbit(table, terms, 2, 12, level)) == _kernel_orbit(table, terms, 2, 12, level)
+
+    def test_double_twist_at_step_300(self):
+        nu = parse_current(B5, "1*[ECDBCb] + 4/3*[adddBC]")
+        terms, _ = _orbit_terms(nu)
+        phi = double_twist(B5)
+        *_, last = _orbit(phi.table, terms, 5, 300, 3)
+        for _ in range(300):
+            terms = _orbit_step(phi.table, terms, 5)
+        assert last == _orbit_reads(terms, 3)
+        assert last[1] == 3 * (6 + 300) + 4 * (6 + 300)
+
+    def test_forms(self):
+        assert _twist_form(simple_twist(B3, 1, 2).table, 3) == (None, (2, 0, 1), None, None)
+        assert _twist_form(simple_twist(B3, 1, 2).inverse_table, 3) == (None, (2, 0, -1), None, None)
+        assert _twist_form(_twisting(B3, {3: (1, -2, 1)}), 3) == (None, None, None, (1, -2, 1))
+        assert _twist_form(double_twist(B5).table, 5) == (None, (2, 0, 1), None, None, None, (4, 0, 1))
+        assert _twist_form(identity_automorphism(B3).table, 3) == (None, None, None, None)
+        # a table over another rank has no form: its kernel raises the rank error
+        assert _twist_form(simple_twist(B3, 1, 3).table, 2) is None
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            prime_basis_change(B5).table,
+            prime_basis_change(B5).inverse_table,
+            double_prime_basis_change(B5).table,
+            double_prime_basis_change(B5).inverse_table,
+            _signed_table([(1, 1), (2,), (3,)]),  # a -> aa
+            _signed_table([(1, 2, -2), (2,), (3,)]),  # a -> abB
+            _signed_table([(1, 2), (2, 3), (3,)]),  # a -> ab, b -> bc: the twistor moves
+        ],
+        ids=["prime", "prime-inverse", "double-prime", "double-prime-inverse", "a-aa", "a-abB", "b-bc"],
+    )
+    def test_tables_without_a_form_step_the_kernel(self, table):
+        rank = (len(table) - 1) // 2
+        assert _twist_form(table, rank) is None
+        terms = [((1, 2), 1), ((-3, 1), 2)]
+        assert _outcome(lambda: _orbit(table, terms, rank, 3, 2)) == _outcome(
+            lambda: _kernel_orbit(table, terms, rank, 3, 2)
+        )
+
+    def test_tables_without_a_form_keep_the_kernel_errors(self):
+        with pytest.raises(RuntimeError, match="proper power"):
+            list(_orbit(_signed_table([(1, 1), (2,), (3,)]), [((1, 2), 1), ((1,), 1)], 3, 1, 1))
+        with pytest.raises(ValueError, match="not cyclically reduced"):
+            list(_orbit(_signed_table([(1, 2, -2), (2,), (3,)]), [((1,), 1)], 3, 1, 1))
+
+    def test_syllable_checks_are_explicit_errors(self, monkeypatch):
+        # what the kernel checks per step, checked on the syllables under python -O too
+        import currents_lab.currents as currents_module
+
+        table = simple_twist(B3, 1, 2).table
+        with pytest.raises(IdentityElementError):
+            list(_orbit(table, [((1, -1), 1)], 3, 1, 1))
+        with pytest.raises(RuntimeError, match="proper power"):
+            list(_orbit(table, [((1, 2, 1, 2), 1)], 3, 1, 1))
+        with pytest.raises(RuntimeError, match="proper power"):
+            list(_orbit(table, [((3, 3), 1)], 3, 1, 1))
+        reads = currents_module._syllable_reads
+        # one stray read of c (letter key 4) around the circle
+        monkeypatch.setattr(
+            currents_module, "_syllable_reads", lambda cycle, n: reads(cycle, n) + Counter({(4,): 1})
+        )
+        with pytest.raises(RuntimeError, match="single-letter counts"):
+            list(_orbit(table, [((1, 2), 1)], 3, 1, 1))
 
 
 class TestProjective:
