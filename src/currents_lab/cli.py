@@ -12,6 +12,7 @@ literal, 3 domain precondition, 4 limit evaluation not stabilized.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable
@@ -190,6 +191,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_ASSERTION
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="currents-lab",

@@ -12,7 +12,8 @@ defined for ``|v|`` larger than the circle.  :func:`coordinate` finds one
 ``v`` per root through :func:`occurrences`, a search of the root's keys, and
 :func:`_coordinates` reads every short ``v`` off one prefix-folded
 ``words._reads`` count of all roots (:func:`_read_counts` gives the same
-reads as ints over the weights' common denominator).
+reads as ints over the weights' common denominator, from a dict built once
+with every read in both orientations).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
@@ -34,7 +35,11 @@ cyclic one, and the reads are counted per syllable, so a step costs
 kernel (:func:`_orbit_step`, then :func:`_orbit_reads`), which is also the
 syllable path's test oracle.  The public :func:`act` and
 :func:`projective_vector` are the kernel's image step and read counter
-followed by canonicalization and division.
+followed by canonicalization and division.  :func:`act` builds its result
+without re-running the public constructors' checks (:func:`_orbit_current`):
+:func:`_image_core` has already checked every image core with raises that
+``python -O`` keeps, so only the canonical rotation and the term order are
+computed.
 """
 
 from __future__ import annotations
@@ -410,17 +415,23 @@ def _current_reads(nu: RationalCurrent, level: int) -> Reads:
     return _orbit_reads(_orbit_terms(nu)[0], level)
 
 
-def _read_counts(nu: RationalCurrent, level: int) -> tuple[Callable[[Sequence[Letter]], int], int]:
+def _read_counts(nu: RationalCurrent, level: int) -> tuple[Callable[[tuple[Letter, ...]], int], int]:
     """``letters -> (v; nu)`` times the weights' common denominator, as an int, and that denominator.
 
-    Defined for reduced ``v`` with ``1 <= |v| <= level``; every ``v`` is read off one count.
+    Defined for reduced ``v`` with ``1 <= |v| <= level``, given as a tuple of
+    letters; every ``v`` is read off one count, expanded once into a dict
+    that holds each read in both orientations, so a lookup is one ``dict.get``.
     """
     terms, denominator = _orbit_terms(nu)
     counts, _ = _orbit_reads(terms, level)
-    return lambda letters: counts.get(_pair_key(tuple(_keys(letters))), 0), denominator
+    lookup: dict[tuple[Letter, ...], int] = {}
+    for rep, count in counts.items():
+        letters = _key_letters(rep)
+        lookup[letters] = lookup[tuple([-x for x in reversed(letters)])] = count
+    return lambda letters: lookup.get(letters, 0), denominator
 
 
-def _coordinates(nu: RationalCurrent, level: int) -> Callable[[Sequence[Letter]], Fraction]:
+def _coordinates(nu: RationalCurrent, level: int) -> Callable[[tuple[Letter, ...]], Fraction]:
     """``letters -> (v; nu)`` for reduced ``v`` with ``1 <= |v| <= level``, read off one count."""
     count, denominator = _read_counts(nu, level)
     return lambda letters: Fraction(count(letters), denominator)
@@ -433,15 +444,32 @@ def _orbit_distance(a: Reads, b: Reads) -> Fraction:
     return Fraction(gap, na * nb)
 
 
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance built without its ``__post_init__`` checks."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 def _orbit_current(basis: Basis, terms: Terms, denominator: int) -> RationalCurrent:
-    """The public current of kernel terms: canonical roots, every constructor check."""
+    """The public current of kernel terms, built without re-running the constructor checks.
+
+    Every core is a checked root or has passed :func:`_image_core`'s explicit
+    checks (nonempty, in rank, cyclically reduced, power-free), so only the
+    canonical rotation and the order of the terms are left to compute.  An
+    automorphism maps distinct classes to distinct classes; a repeated class
+    raises, explicitly so that ``python -O`` keeps the check.
+    """
     items = []
     for core, weight in terms:
-        root, exponent = primitive_root(CyclicWord(basis, _canonical_rotation(core)))
-        if exponent != 1:
-            raise RuntimeError(f"{root} is a proper power: automorphisms preserve power-freeness")
-        items.append((ConjugacyClass(root), Fraction(weight, denominator)))
-    return current_from_terms(basis, items)
+        root = _unchecked(CyclicWord, basis=basis, letters=_canonical_rotation(core))
+        items.append((_unchecked(ConjugacyClass, root=root), Fraction(weight, denominator)))
+    items.sort(key=lambda item: item[0].sort_key())
+    for (a, _), (b, _) in zip(items, items[1:]):
+        if a == b:
+            raise RuntimeError(f"two terms map to {a}: automorphisms map classes bijectively")
+    return _unchecked(RationalCurrent, basis=basis, terms=tuple(items))
 
 
 @dataclass(frozen=True)

@@ -32,17 +32,18 @@ counts times ints, twist edge lengths become int stable-letter weights for
 on the core of the word pulled back through the marking's signed table (no
 checked ``Word`` is built), and the tree orbit kernel in
 :mod:`currents_lab.dynamics` reads it at every orbit step.
-:func:`length_limit` keeps its own twistor count, so the cross-check stays
-two independent routes.
+:func:`length_limit` keeps its own twistor count, independent of Britton
+pinching, so the cross-check stays two independent routes; it too counts in
+ints, with the twistor edge lengths over their common denominator
+(:func:`_over_denominator`, shared with :func:`_weigher`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
@@ -173,16 +174,6 @@ def double_twist_tree(basis: Basis, rho: Fraction, theta: Fraction) -> TreeLengt
     return twist_tree(basis, [(1, 2, Fraction(rho)), (5, 4, Fraction(theta))])
 
 
-def _weighted_count(letters: Sequence[int], weights: Mapping[int, Fraction]) -> Fraction:
-    """Total of ``weights[abs(x)]`` over the letters; unweighted generators count 0.
-
-    Letters are counted per generator as ints, so the exact arithmetic is one
-    multiply per weighted generator that occurs.
-    """
-    counts = Counter(map(abs, letters))
-    return sum((w * counts[g] for g, w in weights.items() if g in counts), Fraction(0))
-
-
 def _britton_weight(core: TwistSplittingCore, weights: Mapping[int, int], letters: Sequence[int]) -> int:
     """Total of ``weights[t]`` over the stable letters ``t^±1`` surviving cyclic pinching.
 
@@ -248,6 +239,12 @@ def _letter_weight(weights: Mapping[int, int], letters: Sequence[int]) -> int:
 Weigher = Callable[[Sequence[int]], int]
 
 
+def _over_denominator(lengths: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """The lengths as ints over their least common denominator, and that denominator."""
+    denominator = lcm(*(w.denominator for w in lengths.values()))
+    return {g: w.numerator * (denominator // w.denominator) for g, w in lengths.items()}, denominator
+
+
 def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
     """The core's translation length as an int function of a cyclic core, and its factor.
 
@@ -263,8 +260,7 @@ def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
     else:
         lengths = {t.stable: t.length for t in core.twists}
         weigh = partial(_britton_weight, core)
-    denominator = lcm(*(w.denominator for w in lengths.values()))
-    ints = {g: w.numerator * (denominator // w.denominator) for g, w in lengths.items()}
+    ints, denominator = _over_denominator(lengths)
     return partial(weigh, ints), tree.scale / denominator
 
 
@@ -289,25 +285,16 @@ def length_britton(tree: TreeLengthFunction, g: Word) -> Fraction:
 
 
 def _max_cyclic_run(letters: Sequence[int], targets: set[int]) -> int:
-    """Longest cyclic run of a single letter whose absolute value is a target."""
-    n = len(letters)
-    if n == 0:
-        return 0
-    if all(abs(x) in targets and x == letters[0] for x in letters):
-        return n
-    best = 0
-    run = 0
-    prev = None
-    for x in list(letters) + list(letters):  # doubled pass covers wrap-around runs
-        if abs(x) in targets and x == prev:
-            run += 1
-        elif abs(x) in targets:
-            run = 1
-        else:
-            run = 0
-        prev = x
-        best = max(best, min(run, n))
-    return best
+    """Longest cyclic run of a single letter whose absolute value is a target.
+
+    One pass over the runs of equal letters; when the first and last runs
+    share a letter they are one run across the wrap.
+    """
+    runs = [(x, sum(1 for _ in group)) for x, group in groupby(letters)]
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        x, m = runs.pop()
+        runs[0] = (x, runs[0][1] + m)
+    return max((m for x, m in runs if abs(x) in targets), default=0)
 
 
 def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
@@ -326,7 +313,7 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
     if cap < 8:
         raise ValueError(f"cap must be at least 8, got {cap}")
     core = tree.core
-    weights = {t.twistor: t.length for t in core.twists}
+    weights, denominator = _over_denominator({t.twistor: t.length for t in core.twists})
     # the multi-twist as an automorphism table: generator i's image at index i - 1
     images = [(i,) for i in core.basis.generators()]
     for t in core.twists:
@@ -338,16 +325,18 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
         raise NotStabilizedError(
             f"need {transient + 3} iterations but cap is {cap} for {g}", ()
         )
-    values = [_weighted_count(current, weights)]
-    diffs: list[Fraction] = []
+    # twistor-weighted lengths times the denominator, as ints
+    values = [_letter_weight(weights, current)]
+    diffs: list[int] = []
     for n in range(cap):
         current = _apply_table(table, current)
-        values.append(_weighted_count(_cyclic_core(current), weights))
+        values.append(_letter_weight(weights, _cyclic_core(current)))
         diffs.append(values[-1] - values[-2])
         if n + 1 >= transient + 3 and diffs[-1] == diffs[-2] == diffs[-3]:
-            return tree.scale * diffs[-1]
+            return tree.scale * Fraction(diffs[-1], denominator)
     raise NotStabilizedError(
-        f"no stable growth rate within {cap} iterations for {g}", values
+        f"no stable growth rate within {cap} iterations for {g}",
+        [Fraction(v, denominator) for v in values],
     )
 
 

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from currents_lab.cli import EXPERIMENTS, main
+import currents_lab
+from currents_lab.cli import EXPERIMENTS, _build_parser, main
 
 MINIMUM_RANKS = {
     "theorem-main": 5,
@@ -145,6 +150,30 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "bad rational '1/0' (position 0" in err
         assert err.splitlines()[-1].strip() == "^"
+
+
+class TestRepeatedCalls:
+    """The parser is built once per process, so every call after the first reuses it."""
+
+    ARGVS = [
+        ["length", "--rank", "3", "--tree", "twist (a:b,1/2)", "-g", "abaB", "--route", "both"],
+        ["coord", "--rank", "3", "-v", "ab"],  # missing -c: an argparse usage error
+        ["experiment", "primitive-limit", "--iters", "3", "--level", "2"],
+        ["length", "--rank", "3", "--tree", "twist (a:b,1/2)", "-g", "abaB", "--route", "both"],
+    ]
+
+    def test_one_process_matches_fresh_runs(self, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(currents_lab.__file__).parents[1])}
+        in_process = [run(capsys, argv)[:2] for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            done = subprocess.run(
+                [sys.executable, "-m", "currents_lab.cli", *argv], capture_output=True, text=True, env=env
+            )
+            fresh.append((done.returncode, done.stdout))
+        assert [code for code, _ in in_process] == [0, 2, 0, 0]
+        assert in_process == fresh
+        assert _build_parser() is _build_parser()
 
 
 class TestReports:

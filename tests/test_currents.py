@@ -1,5 +1,6 @@
 """Rational currents: coordinates, length, action, projective comparison."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,7 @@ from currents_lab.currents import (
     act,
     add,
     coordinate,
+    current_from_terms,
     current_str,
     in_critical_set,
     length,
@@ -229,9 +231,15 @@ class TestAction:
         import currents_lab.currents as currents_module
 
         nu = rational_current(word(B3, "a"))
-        monkeypatch.setattr(currents_module, "primitive_root", lambda cycle: (cycle, 2))
+        # act checks power-freeness once, in _image_core, through _period
+        monkeypatch.setattr(currents_module, "_period", lambda letters: 1)
         with pytest.raises(RuntimeError, match="proper power"):
             act(simple_twist(B3, 1, 2), nu)
+
+    def test_repeated_image_class_is_an_explicit_error(self):
+        # two terms of one class cannot come from a current; the unchecked build refuses them
+        with pytest.raises(RuntimeError, match="bijectively"):
+            _orbit_current(B3, [((1, 2), 1), ((2, 1), 1)], 1)
 
 
 def _orbit_maps(basis):
@@ -259,7 +267,18 @@ class TestOrbitKernel:
         for _ in range(data.draw(st.integers(0, 4))):
             terms = _orbit_step(phi.table, terms, basis.rank)
             public = act(phi, public)
-        assert _orbit_current(basis, terms, denominator) == public
+        # the oracle runs every public constructor check on the same terms
+        checked = current_from_terms(basis, [
+            (ConjugacyClass(CyclicWord(basis, _canonical_rotation(core))), Fraction(weight, denominator))
+            for core, weight in terms
+        ])
+        assert _orbit_current(basis, terms, denominator) == checked
+        assert public == checked
+        # re-running every __post_init__ on the unchecked build accepts it unchanged
+        assert dataclasses.replace(public) == public
+        assert all(
+            dataclasses.replace(cls, root=dataclasses.replace(cls.root)) == cls for cls, _ in public.terms
+        )
         goal_terms, _ = _orbit_terms(goal)
         for level in (1, 2, 3):
             kernel = _orbit_distance(_orbit_reads(terms, level), _orbit_reads(goal_terms, level))
@@ -293,15 +312,17 @@ class TestOrbitKernel:
             list(_orbit(table, terms, 2, 1, 1))
 
     def test_coordinates_are_public_coordinates(self):
+        # every reduced v with |v| <= level: the letter-keyed lookup against the byte search
         rng = Random(7)
-        reads = [
-            v for n in (1, 2, 3) for letters in product(B3.signed_letters(), repeat=n)
-            if len(v := free_reduce(B3, letters)) == n
-        ]
-        for _ in range(40):
-            nu = random_current(rng, B3)
-            coord = _coordinates(nu, 3)
-            assert all(coord(v.letters) == coordinate(v, nu) for v in reads)
+        for basis, level in ((B3, 3), (B2, 3), (B5, 2)):
+            reads = [
+                v for n in range(1, level + 1) for letters in product(basis.signed_letters(), repeat=n)
+                if len(v := free_reduce(basis, letters)) == n
+            ]
+            for _ in range(40):
+                nu = random_current(rng, basis)
+                coord = _coordinates(nu, level)
+                assert all(coord(v.letters) == coordinate(v, nu) for v in reads)
 
 
 def _kernel_orbit(table, terms, rank, steps, level):

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from currents_lab.automorphisms import apply, inverse, parse_automorphism, simple_twist
+from currents_lab.automorphisms import apply, inverse, parse_automorphism, power, simple_twist
 from currents_lab.corpus import random_reduced_word
 from currents_lab.currents import rational_current, scale
 from currents_lab.errors import (
@@ -15,6 +15,7 @@ from currents_lab.errors import (
     ParseError,
 )
 from currents_lab.trees import (
+    _max_cyclic_run,
     cayley_tree,
     double_twist_tree,
     intersection_form,
@@ -118,6 +119,10 @@ class TestRoutesAgree:
             T_D5,
             double_twist_tree(B5, Fraction(1), Fraction(1, 2)),
             double_twist_tree(B5, Fraction(3), Fraction(1)),
+            # edge lengths over different denominators: the limit route counts over their lcm
+            double_twist_tree(B5, Fraction(1, 2), Fraction(2, 3)),
+            double_twist_tree(B5, Fraction(2, 3), Fraction(3)),
+            twist_tree(B5, [(1, 2, Fraction(1, 2)), (3, 4, Fraction(2, 3))], scale=Fraction(3)),
         ]
         for _ in range(150):
             g = random_reduced_word(rng, B5, 30)
@@ -133,6 +138,57 @@ class TestRoutesAgree:
     def test_small_cap_rejected(self):
         with pytest.raises(ValueError):
             length_limit(T_D3, word(B3, "a"), cap=4)
+
+    def test_unstabilized_sequence_keeps_its_fractions(self, monkeypatch):
+        # past the true transient the window always settles, so hide the transient
+        import currents_lab.trees as trees_module
+
+        monkeypatch.setattr(trees_module, "_max_cyclic_run", lambda letters, targets: 0)
+        tree = twist_tree(B3, [(1, 2, Fraction(2, 3))])
+        g = word(B3, "aB" + "aBBB" + "aBBBBB" + "aBBBBBBB" + "aBBBBBBBBB")  # twistor runs 1, 3, 5, 7, 9
+        with pytest.raises(NotStabilizedError, match="no stable growth rate within 8 iterations") as caught:
+            length_limit(tree, g, cap=8)
+        # the twistor-weighted cyclic length of each step, read off the public image
+        twist = simple_twist(B3, 1, 2)
+        expected = tuple(
+            Fraction(2, 3) * sum(abs(x) == 2 for x in cyclic_reduce(apply(power(twist, n), g))[0].letters)
+            for n in range(9)
+        )
+        assert caught.value.sequence == expected
+        assert all(type(value) is Fraction for value in caught.value.sequence)
+
+
+def _longest_leading_run(letters, targets):
+    """Brute force: the longest run of the first letter at the start of any rotation."""
+    best = 0
+    for k in range(len(letters)):
+        rotation = letters[k:] + letters[:k]
+        if abs(rotation[0]) in targets:
+            run = next((i for i, x in enumerate(rotation) if x != rotation[0]), len(rotation))
+            best = max(best, run)
+    return best
+
+
+class TestMaxCyclicRun:
+    @pytest.mark.parametrize(
+        "letters, targets, expected",
+        [
+            ((), {2}, 0),
+            ((2,) * 5, {2}, 5),  # one letter all round the cycle
+            ((-2,) * 4, {2}, 4),
+            ((2,) * 5, {3}, 0),  # all one letter, not a target
+            ((2, 2, 1, 2), {2}, 3),  # the run wraps round the end
+            ((2, 1, 2, 2, 1, 2), {2}, 2),
+            ((2, -2, 2), {2}, 2),  # the wrap joins 2 with 2, not with -2
+            ((1, 1, 1, 2), {2}, 1),  # a longer run of a non-target letter
+        ],
+    )
+    def test_examples(self, letters, targets, expected):
+        assert _max_cyclic_run(letters, targets) == expected == _longest_leading_run(letters, targets)
+
+    @given(st.lists(st.sampled_from((1, -1, 2, -2, 3)), max_size=12), st.sets(st.sampled_from((1, 2, 3))))
+    def test_agrees_with_every_rotation(self, letters, targets):
+        assert _max_cyclic_run(tuple(letters), targets) == _longest_leading_run(tuple(letters), targets)
 
 
 def rotations(g):
