@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -137,42 +138,61 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     return _emit_report(report, args.out, args.csv)
 
 
-def _given(args: argparse.Namespace, *flags: str, **renamed: str) -> dict[str, int]:
-    """Keyword arguments for the knobs the user set; the run_* defaults fill the rest.
+@dataclass(frozen=True)
+class Experiment:
+    """A ``run_*`` function and the experiment flags it takes.
 
-    ``renamed`` maps a run_* parameter to the flag that sets it.
+    ``knobs`` maps each keyword of ``run`` to the flag that sets it; a knob
+    left unset gets the ``run_*`` default.  ``words`` maps each flag whose
+    word ``run`` takes first, in order, to its default word; words are parsed
+    over ``--rank``, 3 when unset.  Any other experiment flag is a usage error.
     """
-    pairs = [(flag, flag) for flag in flags] + list(renamed.items())
-    return {param: getattr(args, flag) for param, flag in pairs if getattr(args, flag) is not None}
+
+    run: Callable[..., ConvergenceReport]
+    knobs: dict[str, str]
+    words: dict[str, str] = field(default_factory=dict)
+
+    def flags(self) -> set[str]:
+        """The flags this experiment takes, by their ``argparse`` names."""
+        return {*self.knobs.values(), *self.words, *(["rank"] if self.words else [])}
+
+    def __call__(self, args: argparse.Namespace) -> ConvergenceReport:
+        basis = Basis(getattr(args, "rank", 3))
+        words = [word(basis, getattr(args, flag, default)) for flag, default in self.words.items()]
+        given = {param: getattr(args, flag) for param, flag in self.knobs.items() if hasattr(args, flag)}
+        return self.run(*words, **given)
 
 
-def _word_basis(args: argparse.Namespace) -> Basis:
-    """Basis for parsing -u/-g/-f; rank 3 unless --rank is given."""
-    return Basis(3 if args.rank is None else args.rank)
+def _knobs(*flags: str, **renamed: str) -> dict[str, str]:
+    """Knobs set by the flag of the same name, and ``renamed`` ones (keyword=flag)."""
+    return {**{flag: flag for flag in flags}, **renamed}
 
 
-# experiment id -> run; each run_* owns its knob defaults and its rank check
-EXPERIMENTS: dict[str, Callable[[argparse.Namespace], ConvergenceReport]] = {
-    "theorem-main": lambda a: run_theorem_main(**_given(a, "iters", "level", "rank", "cap")),
-    "theorem-back": lambda a: run_theorem_back(**_given(a, "rank")),
-    "product-minimal": lambda a: run_product_minimal(
-        **_given(a, "iters", "level", "rank", "cap")
+# experiment id -> experiment; each run_* owns its knob defaults and its rank check
+EXPERIMENTS: dict[str, Experiment] = {
+    "theorem-main": Experiment(run_theorem_main, _knobs("iters", "level", "rank", "cap")),
+    "theorem-back": Experiment(run_theorem_back, _knobs("rank")),
+    "product-minimal": Experiment(run_product_minimal, _knobs("iters", "level", "rank", "cap")),
+    "primitive-limit": Experiment(run_primitive_limit, _knobs("iters", "level"), {"u": "ab"}),
+    "off-critical": Experiment(
+        run_off_critical_perturbation, _knobs("iters", "level"), {"g": "abaB", "f": "a"}
     ),
-    "primitive-limit": lambda a: run_primitive_limit(
-        word(_word_basis(a), a.u), **_given(a, "iters", "level")
-    ),
-    "off-critical": lambda a: run_off_critical_perturbation(
-        word(_word_basis(a), a.g), word(_word_basis(a), a.f), **_given(a, "iters", "level")
-    ),
-    "outlook-identity": lambda a: run_outlook_identity(**_given(a, "iters", "rank", "seed")),
-    "minimality-walk": lambda a: run_minimality_walk(
-        **_given(a, "trials", "level", "seed", "rank", steps="iters")
+    "outlook-identity": Experiment(run_outlook_identity, _knobs("iters", "rank", "seed")),
+    "minimality-walk": Experiment(
+        run_minimality_walk, _knobs("trials", "level", "seed", "rank", steps="iters")
     ),
 }
+# every experiment flag; the experiment parser leaves each one unset unless it is given
+KNOBS = set().union(*(experiment.flags() for experiment in EXPERIMENTS.values()))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    return _emit_report(EXPERIMENTS[args.id](args), args.out, args.csv)
+    experiment = EXPERIMENTS[args.id]
+    ignored = sorted(KNOBS.intersection(vars(args)) - experiment.flags())
+    if ignored:
+        names = ", ".join(("-" if len(flag) == 1 else "--") + flag for flag in ignored)
+        _build_parser().error(f"experiment {args.id} does not take {names}")
+    return _emit_report(experiment(args), args.out, args.csv)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -256,15 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment")
     p.add_argument("id", choices=sorted(EXPERIMENTS))
-    common(p, rank_default=None)
-    p.add_argument("--level", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("-u", default="ab", help="primitive-limit: word in a, b")
-    p.add_argument("-g", default="abaB", help="off-critical: base word")
-    p.add_argument("-f", default="a", help="off-critical: perturbation word")
+    unset = argparse.SUPPRESS  # cmd_experiment tells the flags given from the ones left out
+    common(p, rank_default=unset)
+    for knob in ("level", "iters", "cap", "seed", "trials"):
+        p.add_argument(f"--{knob}", type=int, default=unset)
+    p.add_argument("-u", default=unset, help="primitive-limit: word in a, b (default ab)")
+    p.add_argument("-g", default=unset, help="off-critical: base word (default abaB)")
+    p.add_argument("-f", default=unset, help="off-critical: perturbation word (default a)")
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write the CSV tables here")
     p.set_defaults(handler=cmd_experiment)

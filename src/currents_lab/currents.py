@@ -31,9 +31,14 @@ are read off a syllable skeleton.  Since ``phi^n(x) = y^(sn) x y^(tn)``, each
 step builds ``phi^n(w)`` from the step-0 core as syllables ``y^e``: merging
 syllables of one generator is the free reduction, merging the two ends the
 cyclic one, and the reads are counted per syllable, so a step costs
-``O(|w| level^2)`` however long ``phi^n(w)`` is.  Other tables step the
-kernel (:func:`_orbit_step`, then :func:`_orbit_reads`), which is also the
-syllable path's test oracle.  The public :func:`act` and
+``O(|w| level^2)`` however long ``phi^n(w)`` is.  The orbits are eventually
+affine (Cohen-Lustig): :func:`_affine_tail` reads each term's onset ``n0``
+and growth ``B`` off its skeleton, and past the orbit's ``n0`` every count
+is ``A_v + B_v k`` at step ``n0 + k``, with ``A`` the counts at ``n0`` and
+``k = 1`` cross-checked against the syllable count; a later step costs its
+identity and proper-power checks, ``O(|w|)``, and one copy of ``A``.  Other
+tables step the kernel (:func:`_orbit_step`, then :func:`_orbit_reads`),
+which is also the syllable path's test oracle.  The public :func:`act` and
 :func:`projective_vector` are the kernel's image step and read counter
 followed by canonicalization and division.  :func:`act` builds its result
 without re-running the public constructors' checks (:func:`_orbit_current`):
@@ -365,36 +370,76 @@ def _syllable_reads(syllables: Sequence[Syllable], level: int) -> Counter:
     return counts
 
 
+def _image_syllables(core: Sequence[Letter], skeleton: Skeleton, n: int) -> list[Syllable]:
+    """:func:`_syllables` at ``n``, checked as a kernel step is, with raises that ``python -O`` keeps."""
+    syllables = _syllables(skeleton, n)
+    if not syllables:
+        raise IdentityElementError(f"the image of {tuple(core)} is the identity")
+    if _period(syllables) != len(syllables) or len(syllables) == 1 and abs(syllables[0][1]) > 1:
+        raise RuntimeError(
+            f"image {_syllable_letters(syllables)} is a proper power: "
+            "automorphisms preserve power-freeness"
+        )
+    return syllables
+
+
 def _twist_reads(
     skeletons: list[tuple[Sequence[Letter], Skeleton, int]], n: int, level: int
 ) -> Reads:
-    """:func:`_orbit_reads` of ``phi^n`` of the terms, read off their skeletons.
-
-    Raises what the kernel steps would, with raises that ``python -O`` keeps.
-    """
+    """:func:`_orbit_reads` of ``phi^n`` of the terms, read off their skeletons."""
     raw: Counter = Counter()
     norm = 0
     for core, skeleton, weight in skeletons:
-        syllables = _syllables(skeleton, n)
-        if not syllables:
-            raise IdentityElementError(f"the image of {tuple(core)} is the identity")
-        if _period(syllables) != len(syllables) or len(syllables) == 1 and abs(syllables[0][1]) > 1:
-            raise RuntimeError(
-                f"image {_syllable_letters(syllables)} is a proper power: "
-                "automorphisms preserve power-freeness"
-            )
+        syllables = _image_syllables(core, skeleton, n)
         norm += weight * sum(abs(e) for _, e in syllables)
         for read, count in _syllable_reads(syllables, level).items():
             raw[read] += weight * count
     return _pair_reads(_with_prefixes(raw, level), norm)
 
 
+def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
+    """``n0`` and the per-step growth ``B`` of the :func:`_syllable_reads` of ``phi^n(core)`` past it.
+
+    The skeleton is freely reduced for every n, so for large n only its ends
+    merge; merging them on ``(c, slope)`` pairs, where zero means identically
+    zero, gives the limit syllables.  From the first ``n >= 1`` at which every
+    moving syllable, in the skeleton and in the limit, has ``sign(slope) * e
+    >= level``, no syllable vanishes, the merges are the limit's, and every
+    syllable is cut to the same letters, so each step adds only
+    ``|slope|`` reads of ``x^level`` per moving limit syllable ``x^e``.  (The
+    counts can turn affine a step sooner: ``n0`` is an onset, not the least.)
+    """
+    ends = list(skeleton)
+    i = 0
+    while len(ends) - i >= 2 and ends[i][0] == ends[-1][0]:
+        y, c, slope = ends.pop()
+        c, slope = c + ends[i][1], slope + ends[i][2]
+        if c or slope:
+            ends[i] = (y, c, slope)
+            break
+        i += 1
+    limit = ends[i:]
+    n0 = 1
+    for _, c, slope in skeleton + limit:
+        if slope:  # the least n with sign(slope) * (c + slope n) >= level
+            n0 = max(n0, -((c - level if slope > 0 else -c - level) // abs(slope)))
+    growth: Counter = Counter()
+    for y, _, slope in limit:
+        if slope:
+            growth[(letter_key(y if slope > 0 else -y),) * level] += abs(slope)
+    return n0, growth
+
+
 def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
     """The :func:`_orbit_reads` of the terms at steps ``0..steps``, none past the last.
 
     A twist-form table (:func:`_twist_form`) reads each step off the terms'
-    syllable skeletons, at a cost per step that does not grow with n; any
-    other table steps the kernel (:func:`_orbit_step`).
+    syllable skeletons; any other table steps the kernel (:func:`_orbit_step`).
+    Past the orbit's ``n0``, the latest of its terms' (:func:`_affine_tail`),
+    each count is affine in n: steps up to ``n0 + 1`` are counted off the
+    syllables, step ``n0 + 1`` must equal ``A + B`` for the counts ``A`` at
+    ``n0`` and the growth ``B`` read off the skeletons, and every later step
+    is ``A + k B`` after its syllables pass the kernel's checks.
     """
     yield _orbit_reads(terms, level)
     if steps < 1:
@@ -406,8 +451,34 @@ def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) 
             yield _orbit_reads(terms, level)
         return
     skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
-    for n in range(1, steps + 1):
-        yield _twist_reads(skeletons, n, level)
+    tails = [_affine_tail(skeleton, level) for _, skeleton, _ in skeletons]
+    n0 = max(n for n, _ in tails)
+    for n in range(1, min(steps, n0 + 1) + 1):
+        reads = _twist_reads(skeletons, n, level)
+        if n == n0:
+            a, a_norm = reads
+        elif n == n0 + 1:
+            growth: Counter = Counter()
+            for (_, _, weight), (_, term_growth) in zip(skeletons, tails):
+                for read, count in term_growth.items():
+                    growth[read] += weight * count
+            # B's single letters must sum to the norm's slope
+            b, b_norm = _pair_reads(_with_prefixes(growth, level), reads[1] - a_norm)
+            if _shifted(a, b, 1) != reads[0]:
+                raise RuntimeError(f"step {n} is not step {n0} plus the growth read off the syllables")
+        yield reads
+    for n in range(n0 + 2, steps + 1):
+        for core, skeleton, _ in skeletons:
+            _image_syllables(core, skeleton, n)
+        yield _shifted(a, b, n - n0), a_norm + (n - n0) * b_norm
+
+
+def _shifted(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], k: int) -> dict:
+    """``a + k b``, as a new dict."""
+    out = a.copy()
+    for read, count in b.items():
+        out[read] = out.get(read, 0) + k * count
+    return out
 
 
 def _current_reads(nu: RationalCurrent, level: int) -> Reads:
@@ -546,6 +617,24 @@ def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> Critical
     return CriticalCheck(half == a == b, half, a, b)
 
 
+# The most test classes a level may have (rank 5 reaches 6859 at level 5, 51079 at level 6).
+CLASS_BUDGET = 10_000
+
+
+def class_count(rank: int, max_len: int) -> int:
+    """The number of classes :func:`power_free_classes` gives at rank ``rank``, in closed form.
+
+    There are ``(2k-1)^n + 1 + (k-1)(1 + (-1)^n)`` cyclically reduced words
+    of length n at rank k.  Moebius inversion over the divisors of n leaves
+    the power-free ones; each class has n rotations and is not its own inverse.
+    """
+    primitive = [0] * (max_len + 1)
+    for n in range(1, max_len + 1):
+        reduced = (2 * rank - 1) ** n + 1 + (rank - 1) * (1 + (-1) ** n)
+        primitive[n] = reduced - sum(primitive[d] for d in range(1, n // 2 + 1) if n % d == 0)
+    return sum(primitive[n] // (2 * n) for n in range(1, max_len + 1))
+
+
 def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]:
     """All power-free classes of cyclic length <= max_len, one per inverse pair.
 
@@ -555,10 +644,18 @@ def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]
     kept when it is cyclically reduced and its keys are less than the least
     rotation of its inverse's keys (a class is never its own inverse).
     Sorted by length then canonical rotation key; used as the test set for
-    projective comparisons of length functions.
+    projective comparisons of length functions.  A level with more than
+    :data:`CLASS_BUDGET` classes (:func:`class_count`) is refused before
+    anything is enumerated.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    count = class_count(basis.rank, max_len)
+    if count > CLASS_BUDGET:
+        raise ValueError(
+            f"level {max_len} at rank {basis.rank} has {count} test classes, "
+            f"over the budget of {CLASS_BUDGET}"
+        )
     top = 2 * basis.rank - 1
     kept = []
     keys = [-1]

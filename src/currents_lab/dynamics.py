@@ -300,7 +300,7 @@ def tree_orbit_limit(
     :class:`NotStabilizedError` carries the scaled lengths of the whole
     orbit, steps 0 to ``cap``, of the first class that fails.
     """
-    _at_least_one(cap=cap)
+    _at_least_one(cap=cap, level=level)
     if phi.basis != tree.basis:
         raise BasisMismatchError("automorphism and tree use different bases")
     classes = power_free_classes(tree.basis, level)
@@ -429,7 +429,7 @@ def run_minimality_walk(
     rank: int = 3,
 ) -> ConvergenceReport:
     """Random currents all walk to within 1/10 of a generator current."""
-    _at_least_one(trials=trials, steps=steps)
+    _at_least_one(trials=trials, steps=steps, level=level)
     if rank < 3:
         raise RankError(f"minimality-walk requires rank >= 3, got {rank}")
     basis = Basis(rank)
@@ -504,7 +504,7 @@ def run_theorem_main(
     the twist structure converge to generator currents at mutual distance 1.
     Both iteration directions are certified.
     """
-    _at_least_one(iters=iters)
+    _at_least_one(iters=iters, level=level)
     if rank < 5:
         raise RankError(f"theorem-main requires rank >= 5, got {rank}")
     basis = Basis(rank)
@@ -645,7 +645,7 @@ def run_product_minimal(
     iters: int = 20, level: int = 2, rank: int = 5, cap: int = 64
 ) -> ConvergenceReport:
     """Paired twist orbit of (marked tree, generator current) hits its limit."""
-    _at_least_one(iters=iters)
+    _at_least_one(iters=iters, level=level)
     if rank < 5:
         raise RankError(f"product-minimal requires rank >= 5, got {rank}")
     basis = Basis(rank)
@@ -725,7 +725,7 @@ def run_product_minimal(
 
 def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> ConvergenceReport:
     """Distances of the perturbed-power currents to the base current."""
-    _at_least_one(iters=iters)
+    _at_least_one(iters=iters, level=level)
     basis = u.basis
     if basis.rank < 3:
         raise RankError(f"primitive-limit requires rank >= 3, got {basis.rank}")
@@ -780,7 +780,7 @@ def run_off_critical_perturbation(
     g: Word, f: Word, iters: int = 16, level: int = 2
 ) -> ConvergenceReport:
     """Odd twisted-letter count keeps the perturbed orbit off the critical set."""
-    _at_least_one(iters=iters)
+    _at_least_one(iters=iters, level=level)
     if g.basis != f.basis:
         raise BasisMismatchError("g and f use different bases")
     basis = g.basis

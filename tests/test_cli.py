@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import currents_lab
-from currents_lab.cli import EXPERIMENTS, _build_parser, main
+from currents_lab.cli import EXPERIMENTS, KNOBS, _build_parser, main
 
 MINIMUM_RANKS = {
     "theorem-main": 5,
@@ -137,6 +137,46 @@ class TestExitCodes:
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
+
+    KNOB_VALUES = {
+        "level": "2", "iters": "3", "cap": "8", "seed": "4", "trials": "9", "rank": "5",
+        "u": "ab", "g": "abaB", "f": "a",
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_flags_the_experiment_does_not_take_are_usage_errors(self, capsys, experiment):
+        ignored = sorted(KNOBS - EXPERIMENTS[experiment].flags())
+        assert ignored
+        names = [("-" if len(flag) == 1 else "--") + flag for flag in ignored]
+        argv = ["experiment", experiment]
+        for name, flag in zip(names, ignored):
+            argv += [name, self.KNOB_VALUES[flag]]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"error: experiment {experiment} does not take {', '.join(names)}" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["theorem-back", "--iters", "3", "--cap", "2", "--trials", "9", "--seed", "4", "-u", "ab"],
+             "--cap, --iters, --seed, --trials, -u"),
+            (["outlook-identity", "--level", "0"], "--level"),
+        ],
+    )
+    def test_ignored_knobs_are_named_before_any_other_check(self, capsys, argv, named):
+        code, out, err = run(capsys, ["experiment", *argv])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"does not take {named}\n")
+
+    @pytest.mark.parametrize("experiment", ["theorem-main", "product-minimal"])
+    def test_level_below_one_names_the_level(self, capsys, experiment):
+        code, out, err = run(capsys, ["experiment", experiment, "--level", "0"])
+        assert (code, out, err) == (3, "", "error: level must be at least 1, got 0\n")
+
+    def test_level_over_the_class_budget(self, capsys):
+        code, out, err = run(capsys, ["experiment", "theorem-main", "--level", "6"])
+        assert (code, out) == (3, "")
+        assert err == "error: level 6 at rank 5 has 51079 test classes, over the budget of 10000\n"
 
     @pytest.mark.parametrize(
         "argv",

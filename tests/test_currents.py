@@ -21,8 +21,10 @@ from currents_lab.automorphisms import (
 )
 from currents_lab.corpus import random_current, random_cyclic_word
 from currents_lab.currents import (
+    CLASS_BUDGET,
     ConjugacyClass,
     CriticalCheck,
+    _affine_tail,
     _coordinates,
     _orbit,
     _orbit_current,
@@ -30,9 +32,12 @@ from currents_lab.currents import (
     _orbit_reads,
     _orbit_step,
     _orbit_terms,
+    _skeleton,
     _twist_form,
+    _twist_reads,
     act,
     add,
+    class_count,
     coordinate,
     current_from_terms,
     current_str,
@@ -394,6 +399,12 @@ def _outcome(orbit):
         return type(exc), str(exc)
 
 
+def _n0(table, terms, rank, level):
+    """The orbit's ``n0``: the latest onset of its terms' affine tails."""
+    form = _twist_form(table, rank)
+    return max(_affine_tail(_skeleton(form, core), level)[0] for core, _ in terms)
+
+
 class TestTwistOrbits:
     """The syllable path of the orbit loop against the kernel, and its recognizer."""
 
@@ -405,19 +416,22 @@ class TestTwistOrbits:
         assert _twist_form(table, basis.rank) is not None
         terms = data.draw(st.lists(st.tuples(roots(basis), st.integers(1, 5)), min_size=1, max_size=3))
         level = data.draw(st.integers(1, 4))
-        assert list(_orbit(table, terms, basis.rank, 12, level)) == _kernel_orbit(
-            table, terms, basis.rank, 12, level
+        steps = _n0(table, terms, basis.rank, level) + 10
+        assert list(_orbit(table, terms, basis.rank, steps, level)) == _kernel_orbit(
+            table, terms, basis.rank, steps, level
         )
 
     @pytest.mark.parametrize("s, t", [(s, t) for s in range(-2, 3) for t in range(-2, 3) if s or t])
     def test_every_one_sided_exponent_pair(self, s, t):
         # a -> b^s a b^t at rank 2 on short roots, and on roots whose syllables
-        # cancel through a sign change ([aBB] under a -> ab)
+        # cancel through a sign change ([aBB] under a -> ab), at the ends too ([BaBB])
         table = _twisting(B2, {1: (2, s, t)})
-        for text in ("a", "ab", "aB", "aBB", "abAB", "aabAAB", "abbAbb"):
+        for text in ("a", "ab", "aB", "aBB", "aBBB", "BaBB", "abAB", "aabAAB", "abbAbb"):
             terms = [(word(B2, text).letters, 1)]
             for level in (1, 2, 3, 4):
-                assert list(_orbit(table, terms, 2, 12, level)) == _kernel_orbit(table, terms, 2, 12, level)
+                steps = _n0(table, terms, 2, level) + 10
+                orbit = list(_orbit(table, terms, 2, steps, level))
+                assert orbit == _kernel_orbit(table, terms, 2, steps, level)
 
     def test_double_twist_at_step_300(self):
         nu = parse_current(B5, "1*[ECDBCb] + 4/3*[adddBC]")
@@ -483,6 +497,91 @@ class TestTwistOrbits:
         )
         with pytest.raises(RuntimeError, match="single-letter counts"):
             list(_orbit(table, [((1, 2), 1)], 3, 1, 1))
+
+
+class TestAffineTails:
+    """Past ``n0`` the orbit loop yields ``A + k B``, cross-checked at ``n0 + 1``."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_n0_on_worked_examples(self, level):
+        form = _twist_form(simple_twist(B2, 1, 2).table, 2)  # a -> ab
+        run = (letter_key(2),) * level
+        # [aBBB] -> [a b^(n-3)]: the syllable B^(3-n) changes sign at n = 3
+        skeleton = _skeleton(form, word(B2, "aBBB").letters)
+        assert skeleton == [(1, 1, 0), (2, -3, 1)]
+        assert _affine_tail(skeleton, level) == (3 + level, {run: 1})
+        # [BaBB] -> [B a b^(n-2)]: the ends merge cyclically into b^(n-3), which sets n0
+        skeleton = _skeleton(form, word(B2, "BaBB").letters)
+        assert skeleton == [(2, -1, 0), (1, 1, 0), (2, -2, 1)]
+        assert _affine_tail(skeleton, level) == (3 + level, {run: 1})
+        # [ab] -> [a b^(n+1)] moves from the start; [b] stays fixed
+        assert _affine_tail(_skeleton(form, (1, 2)), level) == (max(1, level - 1), {run: 1})
+        assert _affine_tail(_skeleton(form, (2,)), level) == (1, {})
+
+    def test_wrong_slope_raises_at_n0_plus_one(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        table = simple_twist(B2, 1, 2).table
+        terms = [(word(B2, "aBBB").letters, 1)]
+        n0 = _n0(table, terms, 2, 2)
+        assert n0 == 5
+        tail = currents_module._affine_tail
+        # the growth moved from bb to aa: its single letters still sum to the norm's slope
+        monkeypatch.setattr(
+            currents_module, "_affine_tail", lambda sk, level: (tail(sk, level)[0], Counter({(0, 0): 1}))
+        )
+        assert list(_orbit(table, terms, 2, n0, 2)) == _kernel_orbit(table, terms, 2, n0, 2)
+        with pytest.raises(RuntimeError, match=f"step {n0 + 1} is not step {n0} plus"):
+            list(_orbit(table, terms, 2, n0 + 1, 2))
+        # a doubled growth fails the single-letter sum first
+        monkeypatch.setattr(
+            currents_module, "_affine_tail", lambda sk, level: (tail(sk, level)[0], Counter({(2, 2): 2}))
+        )
+        with pytest.raises(RuntimeError, match="single-letter counts"):
+            list(_orbit(table, terms, 2, n0 + 1, 2))
+
+    def test_steps_past_n0_keep_the_syllable_checks(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        table = simple_twist(B2, 1, 2).table
+        terms = [(word(B2, "aBBB").letters, 1)]
+        n0 = _n0(table, terms, 2, 1)
+        syllables = currents_module._syllables
+        # a stand-in fault: the syllables vanish at one step past the cross-check
+        monkeypatch.setattr(
+            currents_module, "_syllables", lambda sk, n: [] if n == n0 + 3 else syllables(sk, n)
+        )
+        assert len(list(_orbit(table, terms, 2, n0 + 2, 1))) == n0 + 3
+        with pytest.raises(IdentityElementError):
+            list(_orbit(table, terms, 2, n0 + 3, 1))
+
+    def test_double_twist_at_step_3000(self):
+        nu = parse_current(B5, "1*[ECDBCb] + 4/3*[adddBC]")
+        terms, _ = _orbit_terms(nu)
+        form = _twist_form(double_twist(B5).table, 5)
+        skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
+        *_, last = _orbit(double_twist(B5).table, terms, 5, 3000, 3)
+        # counted off the syllables at n = 3000, without the affine tail
+        assert last == _twist_reads(skeletons, 3000, 3)
+        assert last[1] == (3 + 4) * (6 + 3000)
+
+
+class TestClassBudget:
+    @pytest.mark.parametrize("rank, level", [(r, n) for r in (2, 3, 4, 5) for n in (1, 2, 3, 4)])
+    def test_class_count_is_the_enumeration_count(self, rank, level):
+        assert class_count(rank, level) == len(power_free_classes(Basis(rank), level))
+
+    def test_level_over_the_budget_is_refused_before_enumerating(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        assert class_count(5, 5) <= CLASS_BUDGET < class_count(5, 6)
+
+        def enumerate_nothing(keys):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(currents_module, "_least_rotation", enumerate_nothing)
+        with pytest.raises(ValueError, match=f"level 6 at rank 5 has {class_count(5, 6)} test classes"):
+            power_free_classes(B5, 6)
 
 
 class TestProjective:

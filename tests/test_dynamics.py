@@ -131,6 +131,10 @@ class TestTreeOrbit:
         with pytest.raises(NotStabilizedError):
             tree_orbit_limit(D, cayley_tree(B3), level=2, cap=2)
 
+    def test_level_below_one_names_the_level(self):
+        with pytest.raises(ValueError, match="^level must be at least 1, got 0$"):
+            tree_orbit_limit(D, cayley_tree(B3), level=0)
+
     def test_pre_wound_marking(self):
         # the marking D^20 winds [a] up 20 times; the orbit unwinds it at rate -1
         wound = cayley_tree(B3, marking=power(D, 20))
