@@ -38,13 +38,22 @@ is ``A_v + B_v k`` at step ``n0 + k``, with ``A`` the counts at ``n0`` and
 ``k = 1`` cross-checked against the syllable count; a later step costs its
 identity and proper-power checks, ``O(|w|)``, and one copy of ``A``.  Other
 tables step the kernel (:func:`_orbit_step`, then :func:`_orbit_reads`),
-which is also the syllable path's test oracle.  The public :func:`act` and
-:func:`projective_vector` are the kernel's image step and read counter
-followed by canonicalization and division.  :func:`act` builds its result
-without re-running the public constructors' checks (:func:`_orbit_current`):
-:func:`_image_core` has already checked every image core with raises that
-``python -O`` keeps, so only the canonical rotation and the term order are
-computed.
+which is also the syllable path's test oracle.
+
+Distances to a goal ``g`` run on one driver, :func:`_orbit_distances`.
+Past ``n0 + 1`` each distance term is a line ``+-(alpha_v + k beta_v)`` over
+the affine norm ``(||A|| + k ||B||) ||g||`` (:func:`_distance_lines`); from
+the crossing point ``K`` (:func:`_crossing`) on, the line of largest slope
+is the max, so a step reads one line, and the first step that does is
+cross-checked against :func:`_orbit_distance` of ``A + k B``.  Without a
+goal the driver counts no reads, only norms (:func:`_orbit_norms`).
+
+The public :func:`act` and :func:`projective_vector` are the kernel's image
+step and read counter followed by canonicalization and division.
+:func:`act` builds its result without re-running the public constructors'
+checks (:func:`_orbit_current`): :func:`_image_core` has already checked
+every image core with raises that ``python -O`` keeps, so only the canonical
+rotation and the term order are computed.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .automorphisms import FreeAutomorphism, SignedTable, _cyclic_image
 from .errors import (
@@ -430,47 +439,169 @@ def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
     return n0, growth
 
 
-def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
-    """The :func:`_orbit_reads` of the terms at steps ``0..steps``, none past the last.
+# A twist orbit past step ``n0 + 1``: the terms' skeletons, ``n0``, the reads ``A`` at
+# ``n0`` and the growth ``B``, so that step ``n0 + k`` reads ``A + k B``.
+AffineTail = tuple[list[tuple[Sequence[Letter], Skeleton, int]], int, Reads, Reads]
 
-    A twist-form table (:func:`_twist_form`) reads each step off the terms'
-    syllable skeletons; any other table steps the kernel (:func:`_orbit_step`).
-    Past the orbit's ``n0``, the latest of its terms' (:func:`_affine_tail`),
-    each count is affine in n: steps up to ``n0 + 1`` are counted off the
-    syllables, step ``n0 + 1`` must equal ``A + B`` for the counts ``A`` at
-    ``n0`` and the growth ``B`` read off the skeletons, and every later step
-    is ``A + k B`` after its syllables pass the kernel's checks.
+
+def _orbit_head(
+    table: SignedTable, terms: Terms, rank: int, steps: int, level: int
+) -> Generator[Reads, None, AffineTail | None]:
+    """The :func:`_orbit` reads up to step ``n0 + 1``; returns the affine tail if ``steps`` goes past it.
+
+    A table without a twist form yields every step off the kernel and returns
+    None.  Otherwise steps ``1..n0+1`` are counted off the syllables, and step
+    ``n0 + 1`` must equal ``A + B``, where ``A`` is step ``n0`` and ``B`` the
+    growth read off the skeletons, whose single letters must sum to the norm's slope.
     """
     yield _orbit_reads(terms, level)
     if steps < 1:
-        return
+        return None
     form = _twist_form(table, rank)
     if form is None:
         for _ in range(steps):
             terms = _orbit_step(table, terms, rank)
             yield _orbit_reads(terms, level)
-        return
+        return None
     skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
     tails = [_affine_tail(skeleton, level) for _, skeleton, _ in skeletons]
     n0 = max(n for n, _ in tails)
     for n in range(1, min(steps, n0 + 1) + 1):
         reads = _twist_reads(skeletons, n, level)
         if n == n0:
-            a, a_norm = reads
+            a = reads
         elif n == n0 + 1:
             growth: Counter = Counter()
             for (_, _, weight), (_, term_growth) in zip(skeletons, tails):
                 for read, count in term_growth.items():
                     growth[read] += weight * count
-            # B's single letters must sum to the norm's slope
-            b, b_norm = _pair_reads(_with_prefixes(growth, level), reads[1] - a_norm)
-            if _shifted(a, b, 1) != reads[0]:
+            b = _pair_reads(_with_prefixes(growth, level), reads[1] - a[1])
+            if _shifted(a[0], b[0], 1) != reads[0]:
                 raise RuntimeError(f"step {n} is not step {n0} plus the growth read off the syllables")
         yield reads
+    return (skeletons, n0, a, b) if steps > n0 + 1 else None
+
+
+def _tail_steps(tail: AffineTail, steps: int) -> Iterator[int]:
+    """``k = n - n0`` for each step ``n`` from ``n0 + 2`` to ``steps``, once its syllables are checked."""
+    skeletons, n0, _, _ = tail
     for n in range(n0 + 2, steps + 1):
         for core, skeleton, _ in skeletons:
             _image_syllables(core, skeleton, n)
-        yield _shifted(a, b, n - n0), a_norm + (n - n0) * b_norm
+        yield n - n0
+
+
+def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
+    """The :func:`_orbit_reads` of the terms at steps ``0..steps``, none past the last.
+
+    A twist-form table (:func:`_twist_form`) reads each step off the terms'
+    syllable skeletons; any other table steps the kernel (:func:`_orbit_step`).
+    Past the orbit's ``n0``, the latest of its terms' (:func:`_affine_tail`),
+    each count is affine in n: :func:`_orbit_head` counts the steps up to
+    ``n0 + 1`` off the syllables and cross-checks ``A + B`` at ``n0 + 1``, and
+    every later step is ``A + k B`` after its syllables pass the kernel's checks.
+    """
+    tail = yield from _orbit_head(table, terms, rank, steps, level)
+    if tail is not None:
+        (a, a_norm), (b, b_norm) = tail[2:]
+        for k in _tail_steps(tail, steps):
+            yield _shifted(a, b, k), a_norm + k * b_norm
+
+
+def _orbit_norms(table: SignedTable, terms: Terms, rank: int, steps: int) -> Iterator[int]:
+    """The norms of the terms at steps ``0..steps``, with the kernel's or the syllables' checks but no reads.
+
+    Without reads there is no single-letter check: it checks a read count
+    against its norm.
+    """
+    yield sum(weight * len(core) for core, weight in terms)
+    form = _twist_form(table, rank)
+    if form is None:
+        for _ in range(steps):
+            terms = _orbit_step(table, terms, rank)
+            yield sum(weight * len(core) for core, weight in terms)
+        return
+    skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
+    for n in range(1, steps + 1):
+        yield sum(
+            weight * sum(abs(e) for _, e in _image_syllables(core, skeleton, n))
+            for core, skeleton, weight in skeletons
+        )
+
+
+def _distance_lines(a: Reads, b: Reads, goal: Reads) -> list[tuple[int, int]]:
+    """The gap terms of ``_orbit_distance(A + k B, goal)`` as lines ``(slope, intercept)`` in k.
+
+    Over the reads ``v`` of ``A``, ``B`` and the goal ``g``, the term
+    ``|(a_v + k b_v) ||g|| - g_v (||A|| + k ||B||)|`` is the larger of the
+    lines ``+-(alpha_v + k beta_v)``, with ``alpha_v = a_v ||g|| - g_v ||A||``
+    and ``beta_v = b_v ||g|| - g_v ||B||``.
+    """
+    (ca, a_norm), (cb, b_norm), (cg, g_norm) = a, b, goal
+    lines = []
+    for v in ca.keys() | cb.keys() | cg.keys():
+        g = cg.get(v, 0)
+        alpha = ca.get(v, 0) * g_norm - g * a_norm
+        beta = cb.get(v, 0) * g_norm - g * b_norm
+        lines += [(beta, alpha), (-beta, -alpha)]
+    return lines
+
+
+def _crossing(lines: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """The dominant line ``(slope, intercept)`` and the least ``K >= 0`` from which it is the max.
+
+    The dominant line has the largest slope, ties going to the larger
+    intercept.  A line of smaller slope is at most it from
+    ``ceil((intercept' - intercept) / (slope - slope'))`` on, by exact int division.
+    """
+    slope, intercept = max(lines)
+    crossing = max([0] + [-((intercept - i) // (slope - s)) for s, i in lines if s < slope])
+    return slope, intercept, crossing
+
+
+def _orbit_distances(
+    table: SignedTable, terms: Terms, rank: int, steps: int, level: int, goal: Reads | None
+) -> Iterator[tuple[int, Fraction | None]]:
+    """``(norm, _orbit_distance(reads, goal))`` at the steps ``0..steps`` of :func:`_orbit`.
+
+    Without a goal no reads are counted: the driver yields ``(norm, None)``
+    off :func:`_orbit_norms`.  With one,
+    the steps of :func:`_orbit_head` are measured one by one.  Past
+    ``n0 + 1``, step ``n0 + k`` reads ``A + k B``, so its distance is
+    ``max(lines at k) / ((||A|| + k ||B||) ||g||)`` over the
+    :func:`_distance_lines`, and from the crossing point ``K``
+    (:func:`_crossing`) on the max is the dominant line alone.  At the first
+    step that reads only the dominant line its distance must equal
+    :func:`_orbit_distance` of ``A + k B``; every step keeps its syllable checks.
+    """
+    if goal is None:
+        for norm in _orbit_norms(table, terms, rank, steps):
+            yield norm, None
+        return
+    head = _orbit_head(table, terms, rank, steps, level)
+    while True:
+        try:
+            reads = next(head)
+        except StopIteration as done:
+            tail = done.value
+            break
+        yield reads[1], _orbit_distance(reads, goal)
+    if tail is None:
+        return
+    _, n0, a, b = tail
+    lines = _distance_lines(a, b, goal)
+    slope, intercept, crossing = _crossing(lines)
+    checked = max(crossing, 2)  # the tail starts at k = 2
+    for k in _tail_steps(tail, steps):
+        norm = a[1] + k * b[1]
+        if k < crossing:
+            gap = max(i + k * s for s, i in lines)
+        else:
+            gap = intercept + k * slope
+        distance = Fraction(gap, norm * goal[1])
+        if k == checked and distance != _orbit_distance((_shifted(a[0], b[0], k), norm), goal):
+            raise RuntimeError(f"the dominant read's law misses the distance at step {n0 + k}")
+        yield norm, distance
 
 
 def _shifted(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], k: int) -> dict:

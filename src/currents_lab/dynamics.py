@@ -42,6 +42,7 @@ from .currents import (
     _current_reads,
     _orbit,
     _orbit_distance,
+    _orbit_distances,
     _orbit_terms,
     act,
     coordinate,
@@ -189,8 +190,8 @@ def iterate_current(
     checked against the linear lower bound
     ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``; an orbit that
     does not grow checks nothing, so its report does not pass.  The orbit
-    runs through ``currents._orbit``; lengths are norms over the common
-    denominator, and an orbit without a limit is read at level 1 only.
+    runs through ``currents._orbit_distances``; lengths are norms over the
+    common denominator, and an orbit without a limit counts no reads.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -205,13 +206,12 @@ def iterate_current(
     start, denominator = _orbit_terms(nu0)
     norms: list[int] = []
     rows: list[tuple[str, ...]] = []
-    read_level = level if goal is not None else 1
-    for n, reads in enumerate(_orbit(phi.table, start, phi.basis.rank, steps, read_level)):
-        norm = reads[1]
+    orbit = _orbit_distances(phi.table, start, phi.basis.rank, steps, level, goal)
+    for n, (norm, distance) in enumerate(orbit):
         norms.append(norm)
         row = [str(n), str(Fraction(norm, denominator))]
         if goal is not None:
-            row.append(str(_orbit_distance(reads, goal)))
+            row.append(str(distance))
         rows.append(tuple(row))
     columns = ("step", "length") + (("distance",) if goal is not None else ())
     assertions: list[AssertionResult] = []

@@ -332,18 +332,33 @@ class TestReports:
                 ["experiment", "off-critical", "--iters", "8"],
                 "1718169e7a1fc259b3749952d3c8e392678fa061a70d98dc905eef44596b85ef",
             ),
+            (
+                [
+                    "iterate", "--rank", "5", "--aut", "phi",
+                    "-c", "2*[acdBCB] + 3*[ecbbbD]", "--limit", "1*[b] + 1*[d]",
+                    "--level", "3", "--iters", "300",
+                ],
+                "4d82f50f20870bafcf27f3c01b56e4056005bf5b1a51729c1cc600c29018b078",
+            ),
+            (
+                ["iterate", "--rank", "5", "--aut", "prime-basis-change", "-c", "1*[bc]", "--iters", "12"],
+                "7ce1f508e4a791c56a4e739afec7e43d0f870e3fd1739e77da052ab897997a77",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
             "product-minimal", "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
-            "primitive-limit", "off-critical",
+            "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
         # stdout digests recorded before the current orbits moved to the integer kernel;
         # the two level-3 digests, recorded before test classes were enumerated as
         # Lyndon words, pin the tree tables' class order at 145 classes; the 300-step
-        # digest, recorded before twist orbits were read off syllables, pins long orbits
+        # digest, recorded before twist orbits were read off syllables, pins long orbits;
+        # the last two, recorded before distances past the crossing point were read off
+        # one line and before an iterate without a limit stopped counting reads, pin an
+        # orbit whose dominant read takes over at K = 2 and a kernel orbit without a limit
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -29,6 +29,7 @@ from currents_lab.currents import (
     _orbit,
     _orbit_current,
     _orbit_distance,
+    _orbit_distances,
     _orbit_reads,
     _orbit_step,
     _orbit_terms,
@@ -565,6 +566,157 @@ class TestAffineTails:
         assert last == _twist_reads(skeletons, 3000, 3)
         assert last[1] == (3 + 4) * (6 + 3000)
 
+
+
+def _crossings(patch):
+    """Record the ``(slope, intercept, K)`` of every distance law the driver computes."""
+    import currents_lab.currents as currents_module
+
+    seen = []
+    law = currents_module._crossing
+    patch.setattr(currents_module, "_crossing", lambda lines: seen.append(law(lines)) or seen[-1])
+    return seen
+
+
+def _kernel_distances(table, terms, rank, steps, level, goal):
+    """The oracle: the norm and distance of the kernel's reads at every step 0..steps."""
+    kernel = _kernel_orbit(table, terms, rank, steps, level)
+    return [(reads[1], _orbit_distance(reads, goal)) for reads in kernel]
+
+
+PHI_GOAL = "1*[b] + 1*[d]"
+
+
+def _phi_orbit(literal, level=3):
+    """The terms of a rank-5 current, phi's table, ``n0`` and the goal's reads at ``level``."""
+    terms, _ = _orbit_terms(parse_current(B5, literal))
+    table = double_twist(B5).table
+    goal = _orbit_reads(_orbit_terms(parse_current(B5, PHI_GOAL))[0], level)
+    return table, terms, _n0(table, terms, 5, level), goal
+
+
+class TestOrbitDistances:
+    """Past ``n0 + 1`` the distance driver reads one dominant line from its crossing point ``K`` on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_distances_equal_kernel_stepping(self, data):
+        basis = data.draw(st.sampled_from(TWIST_BASES))
+        table = data.draw(st.sampled_from(NAMED_TWIST_TABLES[basis]))
+        terms = data.draw(st.lists(st.tuples(roots(basis), st.integers(1, 5)), min_size=1, max_size=3))
+        level = data.draw(st.integers(1, 4))
+        goal_current = random_current(Random(data.draw(st.integers(0, 2**32 - 1))), basis)
+        goal = _orbit_reads(_orbit_terms(goal_current)[0], level)
+        n0 = _n0(table, terms, basis.rank, level)
+        with pytest.MonkeyPatch.context() as patch:
+            seen = _crossings(patch)
+            list(_orbit_distances(table, terms, basis.rank, n0 + 2, level, goal))
+        [(_, _, crossing)] = seen
+        steps = n0 + crossing + 10
+        assert list(_orbit_distances(table, terms, basis.rank, steps, level, goal)) == _kernel_distances(
+            table, terms, basis.rank, steps, level, goal
+        )
+
+    @pytest.mark.parametrize(
+        "literal, crossing",
+        [
+            # entries 34, 55 and 0 of the benchmark's current-orbit catalogue
+            ("2*[acdBCB] + 3*[ecbbbD]", 2),
+            ("1*[ECDBCb] + 4/3*[adddBC]", 3),
+            ("1/3*[ECBBDB] + 5/3*[EDCBCD]", 0),
+        ],
+    )
+    def test_catalogue_crossing_points(self, monkeypatch, literal, crossing):
+        table, terms, n0, goal = _phi_orbit(literal)
+        seen = _crossings(monkeypatch)
+        steps = n0 + crossing + 10
+        assert list(_orbit_distances(table, terms, 5, steps, 3, goal)) == _kernel_distances(
+            table, terms, 5, steps, 3, goal
+        )
+        assert [law[2] for law in seen] == [crossing]
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            prime_basis_change(B5).table,
+            prime_basis_change(B5).inverse_table,
+            double_prime_basis_change(B5).table,
+            double_prime_basis_change(B5).inverse_table,
+        ],
+        ids=["prime", "prime-inverse", "double-prime", "double-prime-inverse"],
+    )
+    def test_tables_without_a_form_measure_every_step(self, monkeypatch, table):
+        seen = _crossings(monkeypatch)
+        terms = [((1, 2), 1), ((-3, 1), 2)]
+        goal = _orbit_reads([((2,), 1), ((4,), 1)], 2)
+        assert list(_orbit_distances(table, terms, 5, 6, 2, goal)) == _kernel_distances(
+            table, terms, 5, 6, 2, goal
+        )
+        assert seen == []
+
+    def test_the_runner_up_line_fails_the_cross_check(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        table, terms, n0, goal = _phi_orbit("1*[ECDBCb] + 4/3*[adddBC]")
+        law = currents_module._crossing
+        # the runner-up: the law of every line but the dominant one
+        monkeypatch.setattr(
+            currents_module, "_crossing", lambda lines: law([x for x in lines if x != max(lines)])
+        )
+        # through n0 + 1 every distance is measured, so no law is read
+        assert list(_orbit_distances(table, terms, 5, n0 + 1, 3, goal)) == _kernel_distances(
+            table, terms, 5, n0 + 1, 3, goal
+        )
+        with pytest.raises(RuntimeError, match="the dominant read's law misses the distance at step"):
+            list(_orbit_distances(table, terms, 5, n0 + 20, 3, goal))
+
+    def test_steps_past_n0_keep_the_syllable_checks(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        table, terms, n0, goal = _phi_orbit("2*[acdBCB] + 3*[ecbbbD]")
+        syllables = currents_module._syllables
+        # a stand-in fault: the syllables vanish at one step past the crossing point
+        monkeypatch.setattr(
+            currents_module, "_syllables", lambda sk, n: [] if n == n0 + 5 else syllables(sk, n)
+        )
+        assert len(list(_orbit_distances(table, terms, 5, n0 + 4, 3, goal))) == n0 + 5
+        with pytest.raises(IdentityElementError):
+            list(_orbit_distances(table, terms, 5, n0 + 5, 3, goal))
+
+    @pytest.mark.parametrize(
+        "table, rank",
+        [(t, 3) for t in NAMED_TWIST_TABLES[B3][:3]]
+        + [(prime_basis_change(B5).table, 5), (double_prime_basis_change(B5).inverse_table, 5)],
+    )
+    def test_without_a_goal_no_reads_are_counted(self, monkeypatch, table, rank):
+        import currents_lab.currents as currents_module
+
+        terms = [((1, 2), 1), ((-3, 1, 1, 2), 2)]
+        expected = [(norm, None) for _, norm in _kernel_orbit(table, terms, rank, 8, 1)]
+
+        def counted(*args):
+            raise AssertionError("counted reads")
+
+        for name in ("_orbit_reads", "_twist_reads", "_syllable_reads", "_reads"):
+            monkeypatch.setattr(currents_module, name, counted)
+        assert list(_orbit_distances(table, terms, rank, 8, 3, None)) == expected
+
+    def test_without_a_goal_the_step_checks_stay(self):
+        twist = simple_twist(B3, 1, 2).table
+        with pytest.raises(IdentityElementError):
+            list(_orbit_distances(twist, [((1, -1), 1)], 3, 1, 1, None))
+        with pytest.raises(RuntimeError, match="proper power"):
+            list(_orbit_distances(twist, [((1, 2, 1, 2), 1)], 3, 1, 1, None))
+        with pytest.raises(RuntimeError, match="proper power"):
+            squaring = _signed_table([(1, 1), (2,), (3,)])  # a -> aa: no automorphism
+            list(_orbit_distances(squaring, [((1, 2), 1), ((1,), 1)], 3, 1, 1, None))
+        with pytest.raises(ValueError, match="not cyclically reduced"):
+            list(_orbit_distances(_signed_table([(1, 2, -2), (2,), (3,)]), [((1,), 1)], 3, 1, 1, None))
+        # steps stop at the last: at rank 2 this table's first image raises
+        table = simple_twist(B3, 1, 3).table
+        assert list(_orbit_distances(table, [((1,), 1)], 2, 0, 1, None)) == [(1, None)]
+        with pytest.raises(ValueError, match="rank 2"):
+            list(_orbit_distances(table, [((1,), 1)], 2, 1, 1, None))
 
 class TestClassBudget:
     @pytest.mark.parametrize("rank, level", [(r, n) for r in (2, 3, 4, 5) for n in (1, 2, 3, 4)])
