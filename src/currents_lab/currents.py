@@ -35,10 +35,11 @@ cyclic one, and the reads are counted per syllable, so a step costs
 affine (Cohen-Lustig): :func:`_affine_tail` reads each term's onset ``n0``
 and growth ``B`` off its skeleton, and past the orbit's ``n0`` every count
 is ``A_v + B_v k`` at step ``n0 + k``, with ``A`` the counts at ``n0`` and
-``k = 1`` cross-checked against the syllable count; a later step costs its
-identity and proper-power checks, ``O(|w|)``, and one copy of ``A``.  Other
-tables step the kernel (:func:`_orbit_step`, then :func:`_orbit_reads`),
-which is also the syllable path's test oracle.
+``k = 1`` cross-checked against the syllable count.  The identity and
+proper-power checks at ``n0 + 1`` hold at every later step but the few
+:func:`_root_steps`, checked once, so a later step costs one copy of ``A``.
+Other tables step the kernel (:func:`_orbit_step`, then
+:func:`_orbit_reads`), which is also the syllable path's test oracle.
 
 Distances to a goal ``g`` run on one driver, :func:`_orbit_distances`.
 Past ``n0 + 1`` each distance term is a line ``+-(alpha_v + k beta_v)`` over
@@ -406,18 +407,8 @@ def _twist_reads(
     return _pair_reads(_with_prefixes(raw, level), norm)
 
 
-def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
-    """``n0`` and the per-step growth ``B`` of the :func:`_syllable_reads` of ``phi^n(core)`` past it.
-
-    The skeleton is freely reduced for every n, so for large n only its ends
-    merge; merging them on ``(c, slope)`` pairs, where zero means identically
-    zero, gives the limit syllables.  From the first ``n >= 1`` at which every
-    moving syllable, in the skeleton and in the limit, has ``sign(slope) * e
-    >= level``, no syllable vanishes, the merges are the limit's, and every
-    syllable is cut to the same letters, so each step adds only
-    ``|slope|`` reads of ``x^level`` per moving limit syllable ``x^e``.  (The
-    counts can turn affine a step sooner: ``n0`` is an onset, not the least.)
-    """
+def _limit(skeleton: Skeleton) -> Skeleton:
+    """The syllables of ``phi^n(core)`` for large n: the skeleton's ends merged on ``(c, slope)``."""
     ends = list(skeleton)
     i = 0
     while len(ends) - i >= 2 and ends[i][0] == ends[-1][0]:
@@ -427,7 +418,20 @@ def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
             ends[i] = (y, c, slope)
             break
         i += 1
-    limit = ends[i:]
+    return ends[i:]
+
+
+def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
+    """``n0`` and the per-step growth ``B`` of the :func:`_syllable_reads` of ``phi^n(core)`` past it.
+
+    From the first ``n >= 1`` at which every moving syllable, in the skeleton
+    and in the :func:`_limit`, has ``sign(slope) * e >= level``, no syllable
+    vanishes, the merges are the limit's, and every syllable is cut to the
+    same letters, so each step adds only ``|slope|`` reads of ``x^level`` per
+    moving limit syllable ``x^e``.  (The counts can turn affine a step
+    sooner: ``n0`` is an onset, not the least.)
+    """
+    limit = _limit(skeleton)
     n0 = 1
     for _, c, slope in skeleton + limit:
         if slope:  # the least n with sign(slope) * (c + slope n) >= level
@@ -439,9 +443,23 @@ def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
     return n0, growth
 
 
-# A twist orbit past step ``n0 + 1``: the terms' skeletons, ``n0``, the reads ``A`` at
-# ``n0`` and the growth ``B``, so that step ``n0 + k`` reads ``A + k B``.
-AffineTail = tuple[list[tuple[Sequence[Letter], Skeleton, int]], int, Reads, Reads]
+def _root_steps(skeleton: Skeleton, n0: int, steps: int) -> list[int]:
+    """The steps ``n0 + 1 < n <= steps`` at which two limit syllables of one generator are equal.
+
+    Past ``n0`` step n's syllables are the :func:`_limit`'s at n, none empty
+    and each moving one longer than at ``n0 + 1``, so the checks there hold
+    for good but one: a rotation that misses at ``n0 + 1`` pairs off two
+    syllables that differ there, and only the integer root of
+    ``c + slope n = c' + slope' n`` can make them equal.
+    """
+    limit = _limit(skeleton)
+    pairs = [(c2 - c, s - s2) for y, c, s in limit for y2, c2, s2 in limit if y == y2 and s > s2]
+    return sorted({dc // ds for dc, ds in pairs if dc % ds == 0 and n0 + 1 < dc // ds <= steps})
+
+
+# A twist orbit past step ``n0 + 1``: ``n0``, the reads ``A`` at ``n0`` and the
+# growth ``B``, so that step ``n0 + k`` reads ``A + k B``.
+AffineTail = tuple[int, Reads, Reads]
 
 
 def _orbit_head(
@@ -453,6 +471,8 @@ def _orbit_head(
     None.  Otherwise steps ``1..n0+1`` are counted off the syllables, and step
     ``n0 + 1`` must equal ``A + B``, where ``A`` is step ``n0`` and ``B`` the
     growth read off the skeletons, whose single letters must sum to the norm's slope.
+    The syllable checks at ``n0 + 1`` hold at every later step but the
+    :func:`_root_steps`, which are checked here once.
     """
     yield _orbit_reads(terms, level)
     if steps < 1:
@@ -479,16 +499,10 @@ def _orbit_head(
             if _shifted(a[0], b[0], 1) != reads[0]:
                 raise RuntimeError(f"step {n} is not step {n0} plus the growth read off the syllables")
         yield reads
-    return (skeletons, n0, a, b) if steps > n0 + 1 else None
-
-
-def _tail_steps(tail: AffineTail, steps: int) -> Iterator[int]:
-    """``k = n - n0`` for each step ``n`` from ``n0 + 2`` to ``steps``, once its syllables are checked."""
-    skeletons, n0, _, _ = tail
-    for n in range(n0 + 2, steps + 1):
-        for core, skeleton, _ in skeletons:
+    for core, skeleton, _ in skeletons:
+        for n in _root_steps(skeleton, n0, steps):
             _image_syllables(core, skeleton, n)
-        yield n - n0
+    return (n0, a, b) if steps > n0 + 1 else None
 
 
 def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
@@ -499,12 +513,12 @@ def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) 
     Past the orbit's ``n0``, the latest of its terms' (:func:`_affine_tail`),
     each count is affine in n: :func:`_orbit_head` counts the steps up to
     ``n0 + 1`` off the syllables and cross-checks ``A + B`` at ``n0 + 1``, and
-    every later step is ``A + k B`` after its syllables pass the kernel's checks.
+    every later step is ``A + k B``, its syllables certified once by the head.
     """
     tail = yield from _orbit_head(table, terms, rank, steps, level)
     if tail is not None:
-        (a, a_norm), (b, b_norm) = tail[2:]
-        for k in _tail_steps(tail, steps):
+        n0, (a, a_norm), (b, b_norm) = tail
+        for k in range(2, steps - n0 + 1):
             yield _shifted(a, b, k), a_norm + k * b_norm
 
 
@@ -572,7 +586,8 @@ def _orbit_distances(
     :func:`_distance_lines`, and from the crossing point ``K``
     (:func:`_crossing`) on the max is the dominant line alone.  At the first
     step that reads only the dominant line its distance must equal
-    :func:`_orbit_distance` of ``A + k B``; every step keeps its syllable checks.
+    :func:`_orbit_distance` of ``A + k B``.  No step past ``n0 + 1`` counts
+    syllables: :func:`_orbit_head` has certified them.
     """
     if goal is None:
         for norm in _orbit_norms(table, terms, rank, steps):
@@ -588,11 +603,11 @@ def _orbit_distances(
         yield reads[1], _orbit_distance(reads, goal)
     if tail is None:
         return
-    _, n0, a, b = tail
+    n0, a, b = tail
     lines = _distance_lines(a, b, goal)
     slope, intercept, crossing = _crossing(lines)
     checked = max(crossing, 2)  # the tail starts at k = 2
-    for k in _tail_steps(tail, steps):
+    for k in range(2, steps - n0 + 1):
         norm = a[1] + k * b[1]
         if k < crossing:
             gap = max(i + k * s for s, i in lines)

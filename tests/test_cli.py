@@ -344,11 +344,19 @@ class TestReports:
                 ["iterate", "--rank", "5", "--aut", "prime-basis-change", "-c", "1*[bc]", "--iters", "12"],
                 "7ce1f508e4a791c56a4e739afec7e43d0f870e3fd1739e77da052ab897997a77",
             ),
+            (
+                [
+                    "iterate", "--rank", "2", "--aut", "twist(a,b)", "-c", "1*[aabAbbb]",
+                    "--limit", "1*[b]", "--level", "1", "--iters", "40",
+                ],
+                "b2aa7a9ec22fe52b77a6c960615c69ba312a50210920c2631d7a8a78880fc8da",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
             "product-minimal", "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
             "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
+            "iterate-root-step",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -358,7 +366,9 @@ class TestReports:
         # digest, recorded before twist orbits were read off syllables, pins long orbits;
         # the last two, recorded before distances past the crossing point were read off
         # one line and before an iterate without a limit stopped counting reads, pin an
-        # orbit whose dominant read takes over at K = 2 and a kernel orbit without a limit
+        # orbit whose dominant read takes over at K = 2 and a kernel orbit without a limit;
+        # the last, recorded before the tail's syllables were checked only at root steps,
+        # pins an orbit with a root step past n0 + 1
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -26,6 +26,7 @@ from currents_lab.currents import (
     CriticalCheck,
     _affine_tail,
     _coordinates,
+    _image_syllables,
     _orbit,
     _orbit_current,
     _orbit_distance,
@@ -33,6 +34,7 @@ from currents_lab.currents import (
     _orbit_reads,
     _orbit_step,
     _orbit_terms,
+    _root_steps,
     _skeleton,
     _twist_form,
     _twist_reads,
@@ -500,6 +502,61 @@ class TestTwistOrbits:
             list(_orbit(table, [((1, 2), 1)], 3, 1, 1))
 
 
+def _root_orbit():
+    """``[aabAbbb]`` under ``a -> ab``: ``[a b^n a b A b^3]``, with ``n0 = 1`` at level 1.
+
+    Its syllables ``b^n`` and ``b^3`` are equal at the root ``n = 3``.
+    """
+    return simple_twist(B2, 1, 2).table, [(word(B2, "aabAbbb").letters, 1)]
+
+
+def _fault_at(patch, step, fault=()):
+    """A stand-in fault: the syllables at ``step`` are ``fault``, by default none."""
+    import currents_lab.currents as currents_module
+
+    syllables = currents_module._syllables
+    patch.setattr(
+        currents_module, "_syllables", lambda sk, n: list(fault) if n == step else syllables(sk, n)
+    )
+
+
+def _syllable_word(rng, length, y=None):
+    """Random skeleton syllables ``(y, c, slope)``: generators 1..3, neighbours distinct, none zero."""
+    out = []
+    while len(out) < length:
+        c, slope = rng.randint(-4, 4), rng.randint(-2, 2)
+        gen = y or rng.choice([g for g in (1, 2, 3) if not out or g != out[-1][0]])
+        if c or slope:
+            out.append((gen, c, slope))
+    return out
+
+
+def _near_periodic(rng):
+    """A synthetic skeleton whose rotations often match: a word of 2-3 syllables twice, one redrawn.
+
+    Half the time its first syllable is split across the ends, which the limit merges back.
+    """
+    half = []
+    while not half or half[0][0] == half[-1][0]:
+        half = _syllable_word(rng, rng.choice([2, 3]))
+    skeleton = half + half
+    i = rng.randrange(len(skeleton))
+    skeleton[i] = _syllable_word(rng, 1, skeleton[i][0])[0]
+    (y, c, slope), (_, c1, slope1) = skeleton[0], _syllable_word(rng, 1, skeleton[0][0])[0]
+    if rng.random() < 0.5 and (c1, slope1) != (c, slope):
+        skeleton = [(y, c - c1, slope - slope1)] + skeleton[1:] + [(y, c1, slope1)]
+    return skeleton
+
+
+def _fails(skeleton, n):
+    """Whether the syllables of a skeleton at ``n`` fail the identity or proper-power check."""
+    try:
+        _image_syllables((), skeleton, n)
+    except (IdentityElementError, RuntimeError):
+        return True
+    return False
+
+
 class TestAffineTails:
     """Past ``n0`` the orbit loop yields ``A + k B``, cross-checked at ``n0 + 1``."""
 
@@ -541,20 +598,57 @@ class TestAffineTails:
         with pytest.raises(RuntimeError, match="single-letter counts"):
             list(_orbit(table, terms, 2, n0 + 1, 2))
 
-    def test_steps_past_n0_keep_the_syllable_checks(self, monkeypatch):
+    def test_root_steps_keep_the_syllable_checks(self, monkeypatch):
+        table, terms = _root_orbit()
+        # a step past n0 + 1 that is no root is certified by the checks at n0 + 1
+        _fault_at(monkeypatch, 4)
+        assert len(list(_orbit(table, terms, 2, 40, 1))) == 41
+        monkeypatch.undo()
+        _fault_at(monkeypatch, 3)
+        assert len(list(_orbit(table, terms, 2, 2, 1))) == 3
+        with pytest.raises(IdentityElementError):
+            list(_orbit(table, terms, 2, 3, 1))
+        monkeypatch.undo()
+        _fault_at(monkeypatch, 3, [(1, 1), (2, 3)] * 2)
+        with pytest.raises(RuntimeError, match="proper power"):
+            list(_orbit(table, terms, 2, 3, 1))
+
+    def test_syllables_are_counted_only_up_to_n0_plus_one_and_at_roots(self, monkeypatch):
         import currents_lab.currents as currents_module
 
-        table = simple_twist(B2, 1, 2).table
-        terms = [(word(B2, "aBBB").letters, 1)]
-        n0 = _n0(table, terms, 2, 1)
+        calls = Counter()
         syllables = currents_module._syllables
-        # a stand-in fault: the syllables vanish at one step past the cross-check
         monkeypatch.setattr(
-            currents_module, "_syllables", lambda sk, n: [] if n == n0 + 3 else syllables(sk, n)
+            currents_module, "_syllables", lambda sk, n: calls.update([n]) or syllables(sk, n)
         )
-        assert len(list(_orbit(table, terms, 2, n0 + 2, 1))) == n0 + 3
-        with pytest.raises(IdentityElementError):
-            list(_orbit(table, terms, 2, n0 + 3, 1))
+        table, terms = _root_orbit()
+        assert len(list(_orbit(table, terms, 2, 3000, 1))) == 3001
+        assert calls == {1: 1, 2: 1, 3: 1}
+        calls.clear()
+        assert len(list(_orbit_distances(table, terms, 2, 3000, 1, _orbit_reads([((2,), 1)], 1)))) == 3001
+        assert calls == {1: 1, 2: 1, 3: 1}
+        # a catalogue orbit of two terms has no root past n0 + 1
+        table, terms, n0, goal = _phi_orbit("2*[acdBCB] + 3*[ecbbbD]")
+        calls.clear()
+        assert len(list(_orbit_distances(table, terms, 5, 3000, 3, goal))) == 3001
+        assert calls == {n: 2 for n in range(1, n0 + 2)}
+
+    def test_root_steps_are_every_step_past_n0_plus_one_that_can_fail(self):
+        rng = Random(0)
+        skeletons = [_near_periodic(rng) for _ in range(400)]
+        skeletons += [_syllable_word(rng, rng.randint(1, 8)) for _ in range(1500)]
+        failing = 0
+        for skeleton in skeletons:
+            for level in (1, 2):
+                n0 = _affine_tail(skeleton, level)[0]
+                if _fails(skeleton, n0 + 1):
+                    continue  # the orbit's head raises there
+                certified = _root_steps(skeleton, n0, n0 + 40)
+                for n in range(n0 + 2, n0 + 41):
+                    if _fails(skeleton, n):
+                        failing += 1
+                        assert n in certified, (skeleton, level, n)
+        assert failing > 0
 
     def test_double_twist_at_step_3000(self):
         nu = parse_current(B5, "1*[ECDBCb] + 4/3*[adddBC]")
@@ -670,18 +764,13 @@ class TestOrbitDistances:
         with pytest.raises(RuntimeError, match="the dominant read's law misses the distance at step"):
             list(_orbit_distances(table, terms, 5, n0 + 20, 3, goal))
 
-    def test_steps_past_n0_keep_the_syllable_checks(self, monkeypatch):
-        import currents_lab.currents as currents_module
-
-        table, terms, n0, goal = _phi_orbit("2*[acdBCB] + 3*[ecbbbD]")
-        syllables = currents_module._syllables
-        # a stand-in fault: the syllables vanish at one step past the crossing point
-        monkeypatch.setattr(
-            currents_module, "_syllables", lambda sk, n: [] if n == n0 + 5 else syllables(sk, n)
-        )
-        assert len(list(_orbit_distances(table, terms, 5, n0 + 4, 3, goal))) == n0 + 5
+    def test_root_steps_keep_the_syllable_checks(self, monkeypatch):
+        table, terms = _root_orbit()
+        goal = _orbit_reads([((2,), 1)], 1)
+        _fault_at(monkeypatch, 3)
+        assert len(list(_orbit_distances(table, terms, 2, 2, 1, goal))) == 3
         with pytest.raises(IdentityElementError):
-            list(_orbit_distances(table, terms, 5, n0 + 5, 3, goal))
+            list(_orbit_distances(table, terms, 2, 3, 1, goal))
 
     @pytest.mark.parametrize(
         "table, rank",
