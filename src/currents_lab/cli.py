@@ -18,8 +18,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .automorphisms import apply, apply_cyclic, parse_automorphism, power
-from .currents import coordinate, length as current_length, parse_current
+from .automorphisms import (
+    FreeAutomorphism,
+    apply,
+    compose,
+    identity_automorphism,
+    inverse,
+    parse_automorphism,
+    power,
+)
+from .currents import (
+    _twist_form,
+    check_letter_budget,
+    coordinate,
+    length as current_length,
+    parse_current,
+)
 from .dynamics import (
     ConvergenceReport,
     iterate_current,
@@ -34,7 +48,7 @@ from .dynamics import (
 from .errors import CurrentsLabError, NotStabilizedError, ParseError
 from .selftest import run_selftest
 from .trees import intersection_form, length_britton, length_limit, parse_tree
-from .words import Basis, cyclic_reduce, word
+from .words import Basis, CyclicWord, Word, cyclic_reduce, word
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -60,14 +74,48 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _power_image(phi: FreeAutomorphism, n: int, u: Word | CyclicWord) -> Word:
+    """``phi^n(u)`` by repeated squaring, under the letter budget where the growth may be exponential.
+
+    A twist-form table grows linearly and is raised to the power as it is.
+    For any other table each composition and the final image are refused
+    before they may pass :data:`currents.LETTER_BUDGET`.
+    """
+    if _twist_form(phi.table, phi.basis.rank) is not None:
+        return apply(power(phi, n), u)
+    if n < 0:
+        phi, n = inverse(phi), -n
+    acc = identity_automorphism(phi.basis)
+    while n:
+        if n & 1:
+            acc = _bounded_compose(phi, acc)
+        n >>= 1
+        if n:
+            phi = _bounded_compose(phi, phi)
+    check_letter_budget(len(u), acc.table)
+    return apply(acc, u)
+
+
+def _bounded_compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
+    """``compose(f, g)``, refused first if its images may pass the letter budget.
+
+    Its images are ``f`` of ``g``'s images, and its inverse images ``g^-1``
+    of ``f``'s inverse images.
+    """
+    check_letter_budget(sum(map(len, g.images)), f.table)
+    check_letter_budget(sum(map(len, f.inverse_images)), g.inverse_table)
+    return compose(f, g)
+
+
 def cmd_apply(args: argparse.Namespace) -> int:
     basis = Basis(args.rank)
-    phi = power(parse_automorphism(basis, args.aut), args.power)
+    phi = parse_automorphism(basis, args.aut)
     if args.cyclic:
         cycle, _ = cyclic_reduce(word(basis, args.word))
-        print(str(apply_cyclic(phi, cycle)))
+        image, _ = cyclic_reduce(_power_image(phi, args.power, cycle))
+        print(str(image))
     else:
-        _print_word(apply(phi, word(basis, args.word)))
+        _print_word(_power_image(phi, args.power, word(basis, args.word)))
     return EXIT_OK
 
 

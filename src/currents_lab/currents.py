@@ -39,15 +39,18 @@ is ``A_v + B_v k`` at step ``n0 + k``, with ``A`` the counts at ``n0`` and
 proper-power checks at ``n0 + 1`` hold at every later step but the few
 :func:`_root_steps`, checked once, so a later step costs one copy of ``A``.
 Other tables step the kernel (:func:`_orbit_step`, then
-:func:`_orbit_reads`), which is also the syllable path's test oracle.
+:func:`_orbit_reads`), which is also the syllable path's test oracle; a
+kernel step is refused before it may pass :data:`LETTER_BUDGET` letters.
 
 Distances to a goal ``g`` run on one driver, :func:`_orbit_distances`.
 Past ``n0 + 1`` each distance term is a line ``+-(alpha_v + k beta_v)`` over
 the affine norm ``(||A|| + k ||B||) ||g||`` (:func:`_distance_lines`); from
 the crossing point ``K`` (:func:`_crossing`) on, the line of largest slope
 is the max, so a step reads one line, and the first step that does is
-cross-checked against :func:`_orbit_distance` of ``A + k B``.  Without a
-goal the driver counts no reads, only norms (:func:`_orbit_norms`).
+cross-checked against :func:`_gap` of ``A + k B``.  The driver yields each
+distance as its int numerator over ``norm ||g||``.  Without a goal it counts
+no reads, only norms (:func:`_orbit_norms`), and those too are affine past
+``n0 + 1``.
 
 The public :func:`act` and :func:`projective_vector` are the kernel's image
 step and read counter followed by canonicalization and division.
@@ -467,8 +470,9 @@ def _orbit_head(
 ) -> Generator[Reads, None, AffineTail | None]:
     """The :func:`_orbit` reads up to step ``n0 + 1``; returns the affine tail if ``steps`` goes past it.
 
-    A table without a twist form yields every step off the kernel and returns
-    None.  Otherwise steps ``1..n0+1`` are counted off the syllables, and step
+    A table without a twist form yields every step off the kernel, each
+    refused before it may pass :data:`LETTER_BUDGET`, and returns None.
+    Otherwise steps ``1..n0+1`` are counted off the syllables, and step
     ``n0 + 1`` must equal ``A + B``, where ``A`` is step ``n0`` and ``B`` the
     growth read off the skeletons, whose single letters must sum to the norm's slope.
     The syllable checks at ``n0 + 1`` hold at every later step but the
@@ -480,6 +484,7 @@ def _orbit_head(
     form = _twist_form(table, rank)
     if form is None:
         for _ in range(steps):
+            check_letter_budget(sum(len(core) for core, _ in terms), table)
             terms = _orbit_step(table, terms, rank)
             yield _orbit_reads(terms, level)
         return None
@@ -526,21 +531,40 @@ def _orbit_norms(table: SignedTable, terms: Terms, rank: int, steps: int) -> Ite
     """The norms of the terms at steps ``0..steps``, with the kernel's or the syllables' checks but no reads.
 
     Without reads there is no single-letter check: it checks a read count
-    against its norm.
+    against its norm.  A twist orbit runs as :func:`_orbit_head` does at
+    level 1: past its ``n0`` each term's norm grows by ``sum |slope|`` over
+    the moving syllables of its :func:`_limit`, so the steps up to
+    ``n0 + 1`` are counted off the syllables, the increment at ``n0 + 1``
+    must be that growth, the :func:`_root_steps` are checked once, and every
+    later step is ``||A|| + k ||B||``.  A kernel step is refused before it
+    may pass :data:`LETTER_BUDGET`.
     """
-    yield sum(weight * len(core) for core, weight in terms)
+    norm = sum(weight * len(core) for core, weight in terms)
+    yield norm
     form = _twist_form(table, rank)
     if form is None:
         for _ in range(steps):
+            check_letter_budget(sum(len(core) for core, _ in terms), table)
             terms = _orbit_step(table, terms, rank)
             yield sum(weight * len(core) for core, weight in terms)
         return
     skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
-    for n in range(1, steps + 1):
-        yield sum(
+    tails = [_affine_tail(skeleton, 1) for _, skeleton, _ in skeletons]
+    n0 = max(n for n, _ in tails)
+    growth = sum(weight * sum(slopes.values()) for (_, _, weight), (_, slopes) in zip(skeletons, tails))
+    for n in range(1, min(steps, n0 + 1) + 1):
+        last, norm = norm, sum(
             weight * sum(abs(e) for _, e in _image_syllables(core, skeleton, n))
             for core, skeleton, weight in skeletons
         )
+        if n == n0 + 1 and norm - last != growth:
+            raise RuntimeError(f"step {n}'s norm is not step {n0}'s plus the growth read off the syllables")
+        yield norm
+    for core, skeleton, _ in skeletons:
+        for n in _root_steps(skeleton, n0, steps):
+            _image_syllables(core, skeleton, n)
+    for k in range(1, steps - n0):
+        yield norm + k * growth
 
 
 def _distance_lines(a: Reads, b: Reads, goal: Reads) -> list[tuple[int, int]]:
@@ -575,18 +599,19 @@ def _crossing(lines: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 def _orbit_distances(
     table: SignedTable, terms: Terms, rank: int, steps: int, level: int, goal: Reads | None
-) -> Iterator[tuple[int, Fraction | None]]:
-    """``(norm, _orbit_distance(reads, goal))`` at the steps ``0..steps`` of :func:`_orbit`.
+) -> Iterator[tuple[int, int | None]]:
+    """``(norm, gap)`` at the steps ``0..steps`` of :func:`_orbit`, the distance being ``gap / (norm ||g||)``.
 
+    ``gap`` is :func:`_gap` of the step's reads and the goal ``g``, so the
+    step's :func:`_orbit_distance` is ``Fraction(gap, norm * ||g||)``.
     Without a goal no reads are counted: the driver yields ``(norm, None)``
     off :func:`_orbit_norms`.  With one,
     the steps of :func:`_orbit_head` are measured one by one.  Past
-    ``n0 + 1``, step ``n0 + k`` reads ``A + k B``, so its distance is
-    ``max(lines at k) / ((||A|| + k ||B||) ||g||)`` over the
-    :func:`_distance_lines`, and from the crossing point ``K``
-    (:func:`_crossing`) on the max is the dominant line alone.  At the first
-    step that reads only the dominant line its distance must equal
-    :func:`_orbit_distance` of ``A + k B``.  No step past ``n0 + 1`` counts
+    ``n0 + 1``, step ``n0 + k`` reads ``A + k B``, so its gap is
+    ``max(lines at k)`` over the :func:`_distance_lines`, and from the
+    crossing point ``K`` (:func:`_crossing`) on the max is the dominant line
+    alone.  At the first step that reads only the dominant line its gap must
+    equal :func:`_gap` of ``A + k B``.  No step past ``n0 + 1`` counts
     syllables: :func:`_orbit_head` has certified them.
     """
     if goal is None:
@@ -600,7 +625,7 @@ def _orbit_distances(
         except StopIteration as done:
             tail = done.value
             break
-        yield reads[1], _orbit_distance(reads, goal)
+        yield reads[1], _gap(reads, goal)
     if tail is None:
         return
     n0, a, b = tail
@@ -613,10 +638,9 @@ def _orbit_distances(
             gap = max(i + k * s for s, i in lines)
         else:
             gap = intercept + k * slope
-        distance = Fraction(gap, norm * goal[1])
-        if k == checked and distance != _orbit_distance((_shifted(a[0], b[0], k), norm), goal):
+        if k == checked and gap != _gap((_shifted(a[0], b[0], k), norm), goal):
             raise RuntimeError(f"the dominant read's law misses the distance at step {n0 + k}")
-        yield norm, distance
+        yield norm, gap
 
 
 def _shifted(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int], k: int) -> dict:
@@ -654,11 +678,15 @@ def _coordinates(nu: RationalCurrent, level: int) -> Callable[[tuple[Letter, ...
     return lambda letters: Fraction(count(letters), denominator)
 
 
+def _gap(a: Reads, b: Reads) -> int:
+    """The numerator of :func:`_orbit_distance` over ``||a|| ||b||``: ``max_v |a_v||b|| - b_v||a|||``."""
+    (ca, na), (cb, nb) = a, b
+    return max(abs(ca.get(v, 0) * nb - cb.get(v, 0) * na) for v in ca.keys() | cb.keys())
+
+
 def _orbit_distance(a: Reads, b: Reads) -> Fraction:
     """:func:`projective_distance` of two read counts: ``max_v |a_v||b|| - b_v||a||| / (||a|| ||b||)``."""
-    (ca, na), (cb, nb) = a, b
-    gap = max(abs(ca.get(v, 0) * nb - cb.get(v, 0) * na) for v in ca.keys() | cb.keys())
-    return Fraction(gap, na * nb)
+    return Fraction(_gap(a, b), a[1] * b[1])
 
 
 def _unchecked(cls, **fields):
@@ -765,6 +793,23 @@ def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> Critical
 
 # The most test classes a level may have (rank 5 reaches 6859 at level 5, 51079 at level 6).
 CLASS_BUDGET = 10_000
+# The most letters a kernel orbit step, or a composition or image of ``apply -n``, may reach;
+# twist-form tables grow linearly and need none.  (``prime-basis-change`` would pass it at its 25th step from ``[bc]``.)
+LETTER_BUDGET = 1_000_000
+
+
+def check_letter_budget(letters: int, table: SignedTable) -> None:
+    """Refuse a step of ``letters`` letters whose image may pass :data:`LETTER_BUDGET`.
+
+    The image is at most ``letters`` times the longest image in ``table``;
+    the bound is checked before the step, in ints.
+    """
+    bound = letters * max(map(len, table))
+    if bound > LETTER_BUDGET:
+        raise ValueError(
+            f"the next step may reach {bound} letters ({letters} letters times the longest image), "
+            f"over the budget of {LETTER_BUDGET}"
+        )
 
 
 def class_count(rank: int, max_len: int) -> int:

@@ -16,6 +16,8 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode
+from math import gcd
 from random import Random
 from typing import Callable, Sequence
 
@@ -133,7 +135,7 @@ class ConvergenceReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(self.to_json_dict()) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -144,6 +146,39 @@ class ConvergenceReport:
             writer.writerows(table.rows)
             writer.writerow([])
         return buf.getvalue()
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for str-keyed values.
+
+    With any ``indent`` the standard library runs its pure-Python encoder;
+    here every string goes through the C ``encode_basestring_ascii``, and a
+    list of strings (a table row) is joined in one pass.  ``indent`` is the
+    newline and the indent of the enclosing container.
+    """
+    inner = indent + "  "
+    if isinstance(value, str):
+        return _encode(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_encode(key) + ": " + _dumps(item, inner) for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(_encode, value))
+        except TypeError:  # not all strings
+            body = ("," + inner).join(_dumps(item, inner) for item in value)
+        return "[" + inner + body + indent + "]"
+    return json.dumps(value)
+
+
+def _ratio(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ``q > 0``, from one gcd and without building the Fraction."""
+    g = gcd(p, q)
+    return str(p // q) if g == q else f"{p // g}/{q // g}"
 
 
 def _assert(results: list[AssertionResult], name: str, passed: bool, witness: str) -> None:
@@ -191,7 +226,10 @@ def iterate_current(
     ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``; an orbit that
     does not grow checks nothing, so its report does not pass.  The orbit
     runs through ``currents._orbit_distances``; lengths are norms over the
-    common denominator, and an orbit without a limit counts no reads.
+    common denominator, and an orbit without a limit counts no reads.  The
+    driver yields each step's norm and, with a limit, its distance's
+    numerator ``gap`` over ``norm * ||limit||``; both cells are written from
+    these ints by :func:`_ratio`.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -207,12 +245,12 @@ def iterate_current(
     norms: list[int] = []
     rows: list[tuple[str, ...]] = []
     orbit = _orbit_distances(phi.table, start, phi.basis.rank, steps, level, goal)
-    for n, (norm, distance) in enumerate(orbit):
+    for n, (norm, gap) in enumerate(orbit):
         norms.append(norm)
-        row = [str(n), str(Fraction(norm, denominator))]
-        if goal is not None:
-            row.append(str(distance))
-        rows.append(tuple(row))
+        if goal is None:
+            rows.append((str(n), _ratio(norm, denominator)))
+        else:
+            rows.append((str(n), _ratio(norm, denominator), _ratio(gap, norm * goal[1])))
     columns = ("step", "length") + (("distance",) if goal is not None else ())
     assertions: list[AssertionResult] = []
     increment = norms[1] - norms[0] if steps >= 1 else 0
@@ -221,8 +259,8 @@ def iterate_current(
             assertions,
             "linear growth lower bound",
             all(norms[n] >= norms[0] + n * increment for n in range(len(norms))),
-            f"||nu0||={Fraction(norms[0], denominator)}, "
-            f"first increment={Fraction(increment, denominator)}, lengths up to step {steps}",
+            f"||nu0||={_ratio(norms[0], denominator)}, "
+            f"first increment={_ratio(increment, denominator)}, lengths up to step {steps}",
         )
     return ConvergenceReport(
         experiment="iterate",

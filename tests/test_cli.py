@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import currents_lab
+from currents_lab import currents
 from currents_lab.cli import EXPERIMENTS, KNOBS, _build_parser, main
 
 MINIMUM_RANKS = {
@@ -177,6 +179,42 @@ class TestExitCodes:
         code, out, err = run(capsys, ["experiment", "theorem-main", "--level", "6"])
         assert (code, out) == (3, "")
         assert err == "error: level 6 at rank 5 has 51079 test classes, over the budget of 10000\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iterate", "--aut", "prime-basis-change", "-c", "1*[bc]", "--iters", "12"],
+            ["iterate", "--aut", "prime-basis-change", "-c", "1*[bc]", "--limit", "1*[b]", "--iters", "12"],
+            ["apply", "--aut", "prime-basis-change", "-w", "bc", "-n", "12"],
+            ["apply", "--aut", "prime-basis-change", "-w", "bc", "-n", "-12", "--cyclic"],
+        ],
+        ids=["iterate", "iterate-limit", "apply", "apply-inverse-cyclic"],
+    )
+    def test_steps_over_the_letter_budget_are_refused(self, capsys, monkeypatch, argv):
+        assert run(capsys, argv)[0] != 3
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 100)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        match = re.fullmatch(
+            r"error: the next step may reach (\d+) letters \((\d+) letters times the longest image\), "
+            r"over the budget of 100\n",
+            err,
+        )
+        bound, letters = map(int, match.groups())
+        # refused before the step that may pass the budget: no word so far has passed it
+        assert bound % letters == 0 and letters <= 100 < bound
+
+    def test_a_table_of_finite_order_is_squared_not_stepped(self, capsys, monkeypatch):
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 10)
+        argv = ["apply", "--rank", "2", "--aut", "a->b; b->a | a->b; b->a", "-w", "abb"]
+        assert run(capsys, argv + ["-n", "1000000001"]) == (0, "baa\n", "")
+        assert run(capsys, argv + ["-n", "-1000000000"]) == (0, "abb\n", "")
+
+    def test_twist_form_tables_grow_linearly_without_a_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 10)
+        assert run(capsys, ["apply", "--aut", "phi", "-w", "Ac", "-n", "400"]) == (0, "B" * 400 + "Ac\n", "")
+        argv = ["iterate", "--aut", "phi", "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--limit", "1*[b] + 1*[d]"]
+        assert run(capsys, argv + ["--level", "3", "--iters", "300"])[0] == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -351,12 +389,19 @@ class TestReports:
                 ],
                 "b2aa7a9ec22fe52b77a6c960615c69ba312a50210920c2631d7a8a78880fc8da",
             ),
+            (
+                [
+                    "iterate", "--rank", "5", "--aut", "phi",
+                    "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--level", "3", "--iters", "300",
+                ],
+                "4403f2f7df8938b20cc633e9651c304d9287b9e3c7542938ef09b9bbe7482cb7",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
             "product-minimal", "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
             "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
-            "iterate-root-step",
+            "iterate-root-step", "iterate-300-steps-no-limit",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -367,8 +412,10 @@ class TestReports:
         # the last two, recorded before distances past the crossing point were read off
         # one line and before an iterate without a limit stopped counting reads, pin an
         # orbit whose dominant read takes over at K = 2 and a kernel orbit without a limit;
-        # the last, recorded before the tail's syllables were checked only at root steps,
-        # pins an orbit with a root step past n0 + 1
+        # the next, recorded before the tail's syllables were checked only at root steps,
+        # pins an orbit with a root step past n0 + 1; the last, recorded before norms past
+        # n0 + 1 were read off a line and before the report was written without json.dumps,
+        # pins a long orbit without a limit
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -678,6 +678,14 @@ def _kernel_distances(table, terms, rank, steps, level, goal):
     return [(reads[1], _orbit_distance(reads, goal)) for reads in kernel]
 
 
+def _driver_distances(table, terms, rank, steps, level, goal):
+    """The driver's ``(norm, gap)`` at every step as the oracle's ``(norm, gap / (norm ||g||))``."""
+    return [
+        (norm, Fraction(gap, norm * goal[1]))
+        for norm, gap in _orbit_distances(table, terms, rank, steps, level, goal)
+    ]
+
+
 PHI_GOAL = "1*[b] + 1*[d]"
 
 
@@ -707,7 +715,7 @@ class TestOrbitDistances:
             list(_orbit_distances(table, terms, basis.rank, n0 + 2, level, goal))
         [(_, _, crossing)] = seen
         steps = n0 + crossing + 10
-        assert list(_orbit_distances(table, terms, basis.rank, steps, level, goal)) == _kernel_distances(
+        assert _driver_distances(table, terms, basis.rank, steps, level, goal) == _kernel_distances(
             table, terms, basis.rank, steps, level, goal
         )
 
@@ -724,7 +732,7 @@ class TestOrbitDistances:
         table, terms, n0, goal = _phi_orbit(literal)
         seen = _crossings(monkeypatch)
         steps = n0 + crossing + 10
-        assert list(_orbit_distances(table, terms, 5, steps, 3, goal)) == _kernel_distances(
+        assert _driver_distances(table, terms, 5, steps, 3, goal) == _kernel_distances(
             table, terms, 5, steps, 3, goal
         )
         assert [law[2] for law in seen] == [crossing]
@@ -743,7 +751,7 @@ class TestOrbitDistances:
         seen = _crossings(monkeypatch)
         terms = [((1, 2), 1), ((-3, 1), 2)]
         goal = _orbit_reads([((2,), 1), ((4,), 1)], 2)
-        assert list(_orbit_distances(table, terms, 5, 6, 2, goal)) == _kernel_distances(
+        assert _driver_distances(table, terms, 5, 6, 2, goal) == _kernel_distances(
             table, terms, 5, 6, 2, goal
         )
         assert seen == []
@@ -758,7 +766,7 @@ class TestOrbitDistances:
             currents_module, "_crossing", lambda lines: law([x for x in lines if x != max(lines)])
         )
         # through n0 + 1 every distance is measured, so no law is read
-        assert list(_orbit_distances(table, terms, 5, n0 + 1, 3, goal)) == _kernel_distances(
+        assert _driver_distances(table, terms, 5, n0 + 1, 3, goal) == _kernel_distances(
             table, terms, 5, n0 + 1, 3, goal
         )
         with pytest.raises(RuntimeError, match="the dominant read's law misses the distance at step"):
@@ -806,6 +814,63 @@ class TestOrbitDistances:
         assert list(_orbit_distances(table, [((1,), 1)], 2, 0, 1, None)) == [(1, None)]
         with pytest.raises(ValueError, match="rank 2"):
             list(_orbit_distances(table, [((1,), 1)], 2, 1, 1, None))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_without_a_goal_norms_equal_kernel_stepping(self, data):
+        basis = data.draw(st.sampled_from(TWIST_BASES))
+        table = data.draw(st.one_of(st.sampled_from(NAMED_TWIST_TABLES[basis]), twist_tables(basis)))
+        terms = data.draw(st.lists(st.tuples(roots(basis), st.integers(1, 5)), min_size=1, max_size=3))
+        steps = _n0(table, terms, basis.rank, 1) + 10
+        expected = [(norm, None) for _, norm in _kernel_orbit(table, terms, basis.rank, steps, 1)]
+        assert list(_orbit_distances(table, terms, basis.rank, steps, 1, None)) == expected
+
+    def test_without_a_goal_a_wrong_growth_raises_at_n0_plus_one(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        table = simple_twist(B2, 1, 2).table
+        terms = [(word(B2, "aBBB").letters, 1)]
+        n0 = _n0(table, terms, 2, 1)
+        assert n0 == 4
+        tail = currents_module._affine_tail
+        # one letter more per step than the syllables grow
+        monkeypatch.setattr(
+            currents_module, "_affine_tail", lambda sk, level: (tail(sk, level)[0], Counter({(2,): 2}))
+        )
+        expected = [(norm, None) for _, norm in _kernel_orbit(table, terms, 2, n0, 1)]
+        assert list(_orbit_distances(table, terms, 2, n0, 1, None)) == expected
+        with pytest.raises(RuntimeError, match=f"step {n0 + 1}'s norm is not step {n0}'s plus"):
+            list(_orbit_distances(table, terms, 2, n0 + 1, 1, None))
+
+    def test_without_a_goal_syllables_are_counted_only_up_to_n0_plus_one_and_at_roots(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        calls = Counter()
+        syllables = currents_module._syllables
+        monkeypatch.setattr(
+            currents_module, "_syllables", lambda sk, n: calls.update([n]) or syllables(sk, n)
+        )
+        table, terms = _root_orbit()
+        assert len(list(_orbit_distances(table, terms, 2, 3000, 1, None))) == 3001
+        assert calls == {1: 1, 2: 1, 3: 1}
+        # a catalogue orbit of two terms has no root past n0 + 1, which is taken at level 1
+        table, terms, _, _ = _phi_orbit("1*[ECDBCb] + 4/3*[adddBC]")
+        n0 = _n0(table, terms, 5, 1)
+        calls.clear()
+        *_, (norm, _) = _orbit_distances(table, terms, 5, 3000, 3, None)
+        assert calls == {n: 2 for n in range(1, n0 + 2)}
+        assert norm == (3 + 4) * (6 + 3000)
+
+    def test_without_a_goal_root_steps_keep_the_syllable_checks(self, monkeypatch):
+        table, terms = _root_orbit()
+        _fault_at(monkeypatch, 4)
+        assert len(list(_orbit_distances(table, terms, 2, 40, 1, None))) == 41
+        monkeypatch.undo()
+        _fault_at(monkeypatch, 3)
+        assert len(list(_orbit_distances(table, terms, 2, 2, 1, None))) == 3
+        with pytest.raises(IdentityElementError):
+            list(_orbit_distances(table, terms, 2, 3, 1, None))
+
 
 class TestClassBudget:
     @pytest.mark.parametrize("rank, level", [(r, n) for r in (2, 3, 4, 5) for n in (1, 2, 3, 4)])

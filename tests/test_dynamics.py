@@ -1,7 +1,9 @@
 """Orbit iteration, escape choices, and the packaged experiments."""
 
+import argparse
 import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 from functools import reduce
 
@@ -21,8 +23,11 @@ from currents_lab.automorphisms import (
     simple_twist,
 )
 from currents_lab import dynamics
+from currents_lab.cli import EXPERIMENTS
 from currents_lab.currents import parse_current, power_free_classes, rational_current, zero_current
 from currents_lab.dynamics import (
+    _dumps,
+    _ratio,
     _tree_orbit,
     escape_from_critical,
     iterate_current,
@@ -447,3 +452,53 @@ class TestReports:
         assert lines[0] == "table,pairing"
         assert lines[1] == "n,value,expected"
         assert lines[2] == "1,1/2,1/2"
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and the JavaScript line separators
+JSON_STRINGS = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\u2029\U0001f600'), st.characters()),
+    max_size=6,
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), JSON_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(JSON_STRINGS, max_size=4),
+        st.dictionaries(JSON_STRINGS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """The report writer and cells against ``json.dumps`` and ``str(Fraction)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_dumps_is_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_dumps_on_worked_examples(self):
+        for value in ({}, [], (), {"b": [], "a": {}}, [[], ["x", 1], {"z": None, "y": True}], "\u2028"):
+            assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_ratio_is_str_fraction(self):
+        for p in range(-50, 51):
+            for q in range(1, 51):
+                assert _ratio(p, q) == str(Fraction(p, q))
+        big = 12345678901234567890123456789012345678901
+        for p, q in [(big, 3), (-big, 3 * big), (big * 7, 7), (big, big - 1), (0, big), (-big, 2**133)]:
+            assert _ratio(p, q) == str(Fraction(p, q))
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_every_experiment_report_is_json_dumps(self, experiment):
+        report = EXPERIMENTS[experiment](argparse.Namespace(iters=3, trials=5))
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("limit", [None, "1*[b] + 1*[d]"])
+    def test_iterate_report_is_json_dumps(self, limit):
+        nu = parse_current(B5, "1*[ECDBCb] + 4/3*[adddBC]")
+        goal = parse_current(B5, limit) if limit else None
+        report = iterate_current(double_twist(B5), nu, steps=30, level=3, limit=goal)
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
