@@ -48,9 +48,10 @@ the affine norm ``(||A|| + k ||B||) ||g||`` (:func:`_distance_lines`); from
 the crossing point ``K`` (:func:`_crossing`) on, the line of largest slope
 is the max, so a step reads one line, and the first step that does is
 cross-checked against :func:`_gap` of ``A + k B``.  The driver yields each
-distance as its int numerator over ``norm ||g||``.  Without a goal it counts
-no reads, only norms (:func:`_orbit_norms`), and those too are affine past
-``n0 + 1``.
+distance as its int numerator over ``norm ||g||``.  Without a goal it runs
+the same head at level 1 and yields only norms, which past ``n0 + 1`` are
+``||A|| + k ||B||``.  :func:`_orbit_head` returns its steps and the tail
+``(n0, A, B)`` as data, so every orbit consumer shares one head.
 
 The public :func:`act` and :func:`projective_vector` are the kernel's image
 step and read counter followed by canonicalization and division.
@@ -67,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .automorphisms import FreeAutomorphism, SignedTable, _cyclic_image
 from .errors import (
@@ -467,47 +468,44 @@ AffineTail = tuple[int, Reads, Reads]
 
 def _orbit_head(
     table: SignedTable, terms: Terms, rank: int, steps: int, level: int
-) -> Generator[Reads, None, AffineTail | None]:
-    """The :func:`_orbit` reads up to step ``n0 + 1``; returns the affine tail if ``steps`` goes past it.
+) -> tuple[list[Reads], AffineTail | None]:
+    """``(head, tail)``: the :func:`_orbit` reads of steps ``0..min(steps, n0 + 1)`` and the :data:`AffineTail`.
 
-    A table without a twist form yields every step off the kernel, each
-    refused before it may pass :data:`LETTER_BUDGET`, and returns None.
-    Otherwise steps ``1..n0+1`` are counted off the syllables, and step
+    A table without a twist form reads every step off the kernel into the
+    head, each refused before it may pass :data:`LETTER_BUDGET`, and has no
+    tail.  Otherwise steps ``1..n0+1`` are counted off the syllables, and step
     ``n0 + 1`` must equal ``A + B``, where ``A`` is step ``n0`` and ``B`` the
     growth read off the skeletons, whose single letters must sum to the norm's slope.
     The syllable checks at ``n0 + 1`` hold at every later step but the
-    :func:`_root_steps`, which are checked here once.
+    :func:`_root_steps`, which are checked here once.  The tail is None
+    unless ``steps`` goes past ``n0 + 1``.
     """
-    yield _orbit_reads(terms, level)
-    if steps < 1:
-        return None
+    head = [_orbit_reads(terms, level)]
     form = _twist_form(table, rank)
     if form is None:
         for _ in range(steps):
             check_letter_budget(sum(len(core) for core, _ in terms), table)
             terms = _orbit_step(table, terms, rank)
-            yield _orbit_reads(terms, level)
-        return None
+            head.append(_orbit_reads(terms, level))
+        return head, None
     skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
     tails = [_affine_tail(skeleton, level) for _, skeleton, _ in skeletons]
     n0 = max(n for n, _ in tails)
-    for n in range(1, min(steps, n0 + 1) + 1):
-        reads = _twist_reads(skeletons, n, level)
-        if n == n0:
-            a = reads
-        elif n == n0 + 1:
-            growth: Counter = Counter()
-            for (_, _, weight), (_, term_growth) in zip(skeletons, tails):
-                for read, count in term_growth.items():
-                    growth[read] += weight * count
-            b = _pair_reads(_with_prefixes(growth, level), reads[1] - a[1])
-            if _shifted(a[0], b[0], 1) != reads[0]:
-                raise RuntimeError(f"step {n} is not step {n0} plus the growth read off the syllables")
-        yield reads
+    head += [_twist_reads(skeletons, n, level) for n in range(1, min(steps, n0 + 1) + 1)]
+    if steps <= n0:
+        return head, None
+    growth: Counter = Counter()
+    for (_, _, weight), (_, term_growth) in zip(skeletons, tails):
+        for read, count in term_growth.items():
+            growth[read] += weight * count
+    a, reads = head[n0], head[n0 + 1]
+    b = _pair_reads(_with_prefixes(growth, level), reads[1] - a[1])
+    if _shifted(a[0], b[0], 1) != reads[0]:
+        raise RuntimeError(f"step {n0 + 1} is not step {n0} plus the growth read off the syllables")
     for core, skeleton, _ in skeletons:
         for n in _root_steps(skeleton, n0, steps):
             _image_syllables(core, skeleton, n)
-    return (n0, a, b) if steps > n0 + 1 else None
+    return head, (n0, a, b) if steps > n0 + 1 else None
 
 
 def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
@@ -516,55 +514,17 @@ def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) 
     A twist-form table (:func:`_twist_form`) reads each step off the terms'
     syllable skeletons; any other table steps the kernel (:func:`_orbit_step`).
     Past the orbit's ``n0``, the latest of its terms' (:func:`_affine_tail`),
-    each count is affine in n: :func:`_orbit_head` counts the steps up to
-    ``n0 + 1`` off the syllables and cross-checks ``A + B`` at ``n0 + 1``, and
-    every later step is ``A + k B``, its syllables certified once by the head.
+    each count is affine in n: :func:`_orbit_head` returns the steps up to
+    ``n0 + 1``, counted off the syllables, with ``A + B`` cross-checked at
+    ``n0 + 1``, and every later step is ``A + k B``, its syllables certified
+    once by the head.
     """
-    tail = yield from _orbit_head(table, terms, rank, steps, level)
+    head, tail = _orbit_head(table, terms, rank, steps, level)
+    yield from head
     if tail is not None:
         n0, (a, a_norm), (b, b_norm) = tail
         for k in range(2, steps - n0 + 1):
             yield _shifted(a, b, k), a_norm + k * b_norm
-
-
-def _orbit_norms(table: SignedTable, terms: Terms, rank: int, steps: int) -> Iterator[int]:
-    """The norms of the terms at steps ``0..steps``, with the kernel's or the syllables' checks but no reads.
-
-    Without reads there is no single-letter check: it checks a read count
-    against its norm.  A twist orbit runs as :func:`_orbit_head` does at
-    level 1: past its ``n0`` each term's norm grows by ``sum |slope|`` over
-    the moving syllables of its :func:`_limit`, so the steps up to
-    ``n0 + 1`` are counted off the syllables, the increment at ``n0 + 1``
-    must be that growth, the :func:`_root_steps` are checked once, and every
-    later step is ``||A|| + k ||B||``.  A kernel step is refused before it
-    may pass :data:`LETTER_BUDGET`.
-    """
-    norm = sum(weight * len(core) for core, weight in terms)
-    yield norm
-    form = _twist_form(table, rank)
-    if form is None:
-        for _ in range(steps):
-            check_letter_budget(sum(len(core) for core, _ in terms), table)
-            terms = _orbit_step(table, terms, rank)
-            yield sum(weight * len(core) for core, weight in terms)
-        return
-    skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
-    tails = [_affine_tail(skeleton, 1) for _, skeleton, _ in skeletons]
-    n0 = max(n for n, _ in tails)
-    growth = sum(weight * sum(slopes.values()) for (_, _, weight), (_, slopes) in zip(skeletons, tails))
-    for n in range(1, min(steps, n0 + 1) + 1):
-        last, norm = norm, sum(
-            weight * sum(abs(e) for _, e in _image_syllables(core, skeleton, n))
-            for core, skeleton, weight in skeletons
-        )
-        if n == n0 + 1 and norm - last != growth:
-            raise RuntimeError(f"step {n}'s norm is not step {n0}'s plus the growth read off the syllables")
-        yield norm
-    for core, skeleton, _ in skeletons:
-        for n in _root_steps(skeleton, n0, steps):
-            _image_syllables(core, skeleton, n)
-    for k in range(1, steps - n0):
-        yield norm + k * growth
 
 
 def _distance_lines(a: Reads, b: Reads, goal: Reads) -> list[tuple[int, int]]:
@@ -603,32 +563,27 @@ def _orbit_distances(
     """``(norm, gap)`` at the steps ``0..steps`` of :func:`_orbit`, the distance being ``gap / (norm ||g||)``.
 
     ``gap`` is :func:`_gap` of the step's reads and the goal ``g``, so the
-    step's :func:`_orbit_distance` is ``Fraction(gap, norm * ||g||)``.
-    Without a goal no reads are counted: the driver yields ``(norm, None)``
-    off :func:`_orbit_norms`.  With one,
-    the steps of :func:`_orbit_head` are measured one by one.  Past
-    ``n0 + 1``, step ``n0 + k`` reads ``A + k B``, so its gap is
-    ``max(lines at k)`` over the :func:`_distance_lines`, and from the
+    step's :func:`_orbit_distance` is ``Fraction(gap, norm * ||g||)``.  The
+    steps of :func:`_orbit_head` are measured one by one.  Past ``n0 + 1``,
+    step ``n0 + k`` reads ``A + k B``, so its norm is ``||A|| + k ||B||`` and
+    its gap is ``max(lines at k)`` over the :func:`_distance_lines`; from the
     crossing point ``K`` (:func:`_crossing`) on the max is the dominant line
     alone.  At the first step that reads only the dominant line its gap must
     equal :func:`_gap` of ``A + k B``.  No step past ``n0 + 1`` counts
-    syllables: :func:`_orbit_head` has certified them.
+    syllables: :func:`_orbit_head` has certified them.  Without a goal the
+    head runs at level 1, with all its checks, and the driver yields
+    ``(norm, None)``.
     """
-    if goal is None:
-        for norm in _orbit_norms(table, terms, rank, steps):
-            yield norm, None
-        return
-    head = _orbit_head(table, terms, rank, steps, level)
-    while True:
-        try:
-            reads = next(head)
-        except StopIteration as done:
-            tail = done.value
-            break
-        yield reads[1], _gap(reads, goal)
+    head, tail = _orbit_head(table, terms, rank, steps, level if goal is not None else 1)
+    for reads in head:
+        yield reads[1], _gap(reads, goal) if goal is not None else None
     if tail is None:
         return
     n0, a, b = tail
+    if goal is None:
+        for k in range(2, steps - n0 + 1):
+            yield a[1] + k * b[1], None
+        return
     lines = _distance_lines(a, b, goal)
     slope, intercept, crossing = _crossing(lines)
     checked = max(crossing, 2)  # the tail starts at k = 2

@@ -201,6 +201,12 @@ def _violations(distances: Sequence[Fraction], bound: Callable[[int], Fraction])
     return [f"first violation at n={n}" for n in range(1, len(distances)) if distances[n] > bound(n)]
 
 
+def _two_steps_for(law: str, iters: int) -> None:
+    """Reject ``iters < 2`` for a law on the steps from 1 on, which would pass with no pair compared."""
+    if iters < 2:
+        raise ValueError(f"iters must be at least 2 to check '{law}', got {iters}")
+
+
 def _at_least_one(**counts: int) -> None:
     """Reject step, trial, cap and level counts below 1: no claim may pass untested."""
     for name, value in counts.items():
@@ -226,10 +232,11 @@ def iterate_current(
     ``||phi^n nu0|| >= ||nu0|| + n*(||phi nu0|| - ||nu0||)``; an orbit that
     does not grow checks nothing, so its report does not pass.  The orbit
     runs through ``currents._orbit_distances``; lengths are norms over the
-    common denominator, and an orbit without a limit counts no reads.  The
-    driver yields each step's norm and, with a limit, its distance's
-    numerator ``gap`` over ``norm * ||limit||``; both cells are written from
-    these ints by :func:`_ratio`.
+    common denominator, and an orbit without a limit runs the driver's one
+    head at level 1, with all its checks.  The driver yields each step's
+    norm and, with a limit, its distance's numerator ``gap`` over
+    ``norm * ||limit||``; both cells are written from these ints by
+    :func:`_ratio`.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -764,6 +771,8 @@ def run_product_minimal(
 def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> ConvergenceReport:
     """Distances of the perturbed-power currents to the base current."""
     _at_least_one(iters=iters, level=level)
+    monotone = "distances are nonincreasing from step 1 on"
+    _two_steps_for(monotone, iters)
     basis = u.basis
     if basis.rank < 3:
         raise RankError(f"primitive-limit requires rank >= 3, got {basis.rank}")
@@ -793,9 +802,7 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
         _violations(distances, bound),
         f"holds up to n={iters}",
     )
-    _assert_all(
-        assertions, "distances are nonincreasing from step 1 on", _increases(distances), "monotone tail"
-    )
+    _assert_all(assertions, monotone, _increases(distances), "monotone tail")
     return ConvergenceReport(
         experiment="primitive-limit",
         params={
@@ -819,6 +826,8 @@ def run_off_critical_perturbation(
 ) -> ConvergenceReport:
     """Odd twisted-letter count keeps the perturbed orbit off the critical set."""
     _at_least_one(iters=iters, level=level)
+    monotone = "distances to the unperturbed current are nonincreasing from step 1"
+    _two_steps_for(monotone, iters)
     if g.basis != f.basis:
         raise BasisMismatchError("g and f use different bases")
     basis = g.basis
@@ -859,12 +868,7 @@ def run_off_critical_perturbation(
     _assert_all(
         assertions, "the twisted-letter count stays odd along the orbit", even, f"checked n <= {iters}"
     )
-    _assert_all(
-        assertions,
-        "distances to the unperturbed current are nonincreasing from step 1",
-        _increases(distances),
-        "monotone tail",
-    )
+    _assert_all(assertions, monotone, _increases(distances), "monotone tail")
     _assert_all(
         assertions,
         "distance at step n is at most 2*||f||/(n*||g||) for n >= 1",

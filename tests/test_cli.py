@@ -130,6 +130,8 @@ class TestExitCodes:
             ["experiment", "minimality-walk", "--trials", "0"],
             ["experiment", "primitive-limit", "--level", "0"],
             ["experiment", "product-minimal", "--cap", "0"],
+            ["experiment", "primitive-limit", "--iters", "1"],
+            ["experiment", "off-critical", "--iters", "1"],
             ["iterate", "--aut", "phi", "-c", "1*[a]", "--iters", "-2"],
             ["iterate", "--aut", "phi", "-c", "1*[a]", "--level", "0"],
             ["iterate", "--aut", "phi", "-c", "1*[a]", "--level", "-5"],

@@ -785,17 +785,9 @@ class TestOrbitDistances:
         [(t, 3) for t in NAMED_TWIST_TABLES[B3][:3]]
         + [(prime_basis_change(B5).table, 5), (double_prime_basis_change(B5).inverse_table, 5)],
     )
-    def test_without_a_goal_no_reads_are_counted(self, monkeypatch, table, rank):
-        import currents_lab.currents as currents_module
-
+    def test_without_a_goal_the_level_1_head_gives_the_kernel_norms(self, table, rank):
         terms = [((1, 2), 1), ((-3, 1, 1, 2), 2)]
         expected = [(norm, None) for _, norm in _kernel_orbit(table, terms, rank, 8, 1)]
-
-        def counted(*args):
-            raise AssertionError("counted reads")
-
-        for name in ("_orbit_reads", "_twist_reads", "_syllable_reads", "_reads"):
-            monkeypatch.setattr(currents_module, name, counted)
         assert list(_orbit_distances(table, terms, rank, 8, 3, None)) == expected
 
     def test_without_a_goal_the_step_checks_stay(self):
@@ -833,14 +825,20 @@ class TestOrbitDistances:
         n0 = _n0(table, terms, 2, 1)
         assert n0 == 4
         tail = currents_module._affine_tail
-        # one letter more per step than the syllables grow
-        monkeypatch.setattr(
-            currents_module, "_affine_tail", lambda sk, level: (tail(sk, level)[0], Counter({(2,): 2}))
-        )
+        assert tail(_skeleton(_twist_form(table, 2), terms[0][0]), 1)[1] == {(2,): 1}
         expected = [(norm, None) for _, norm in _kernel_orbit(table, terms, 2, n0, 1)]
-        assert list(_orbit_distances(table, terms, 2, n0, 1, None)) == expected
-        with pytest.raises(RuntimeError, match=f"step {n0 + 1}'s norm is not step {n0}'s plus"):
-            list(_orbit_distances(table, terms, 2, n0 + 1, 1, None))
+        for growth, message in [
+            # moved from b to a: its size is the norm's slope, its read is wrong
+            ({(0,): 1}, f"step {n0 + 1} is not step {n0} plus the growth read off the syllables"),
+            # one letter more per step than the syllables grow
+            ({(2,): 2}, "single-letter counts sum to 2, not"),
+        ]:
+            monkeypatch.setattr(
+                currents_module, "_affine_tail", lambda sk, level: (tail(sk, level)[0], Counter(growth))
+            )
+            assert list(_orbit_distances(table, terms, 2, n0, 1, None)) == expected
+            with pytest.raises(RuntimeError, match=message):
+                list(_orbit_distances(table, terms, 2, n0 + 1, 1, None))
 
     def test_without_a_goal_syllables_are_counted_only_up_to_n0_plus_one_and_at_roots(self, monkeypatch):
         import currents_lab.currents as currents_module
