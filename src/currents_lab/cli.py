@@ -18,16 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .automorphisms import (
-    FreeAutomorphism,
-    apply,
-    compose,
-    identity_automorphism,
-    inverse,
-    parse_automorphism,
-    power,
-)
+from .automorphisms import FreeAutomorphism, apply, parse_automorphism, power
 from .currents import (
+    _bounded_power,
     _twist_form,
     check_letter_budget,
     coordinate,
@@ -83,28 +76,9 @@ def _power_image(phi: FreeAutomorphism, n: int, u: Word | CyclicWord) -> Word:
     """
     if _twist_form(phi.table, phi.basis.rank) is not None:
         return apply(power(phi, n), u)
-    if n < 0:
-        phi, n = inverse(phi), -n
-    acc = identity_automorphism(phi.basis)
-    while n:
-        if n & 1:
-            acc = _bounded_compose(phi, acc)
-        n >>= 1
-        if n:
-            phi = _bounded_compose(phi, phi)
+    acc = _bounded_power(phi, n)
     check_letter_budget(len(u), acc.table)
     return apply(acc, u)
-
-
-def _bounded_compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
-    """``compose(f, g)``, refused first if its images may pass the letter budget.
-
-    Its images are ``f`` of ``g``'s images, and its inverse images ``g^-1``
-    of ``f``'s inverse images.
-    """
-    check_letter_budget(sum(map(len, g.images)), f.table)
-    check_letter_budget(sum(map(len, f.inverse_images)), g.inverse_table)
-    return compose(f, g)
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
@@ -317,7 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-c", "--current", required=True)
     p.add_argument("--limit", help="optional target current for distance columns")
     p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument(
+        "--level",
+        type=int,
+        default=1,
+        help="longest read of the distances to --limit; without --limit it only appears in the params",
+    )
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write the CSV tables here")
     p.set_defaults(handler=cmd_iterate)

@@ -67,10 +67,18 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .automorphisms import FreeAutomorphism, SignedTable, _cyclic_image
+from .automorphisms import (
+    FreeAutomorphism,
+    SignedTable,
+    _cyclic_image,
+    compose,
+    identity_automorphism,
+    inverse,
+)
 from .errors import (
     BasisMismatchError,
     IdentityElementError,
@@ -748,8 +756,9 @@ def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> Critical
 
 # The most test classes a level may have (rank 5 reaches 6859 at level 5, 51079 at level 6).
 CLASS_BUDGET = 10_000
-# The most letters a kernel orbit step, or a composition or image of ``apply -n``, may reach;
-# twist-form tables grow linearly and need none.  (``prime-basis-change`` would pass it at its 25th step from ``[bc]``.)
+# The most letters a kernel or tree orbit step, a composition of :func:`_bounded_power` or the image
+# of ``apply -n`` may reach; current orbits and ``apply -n`` of twist-form tables grow linearly and
+# need none.  (``prime-basis-change`` would pass it at its 25th step from ``[bc]``.)
 LETTER_BUDGET = 1_000_000
 
 
@@ -765,6 +774,31 @@ def check_letter_budget(letters: int, table: SignedTable) -> None:
             f"the next step may reach {bound} letters ({letters} letters times the longest image), "
             f"over the budget of {LETTER_BUDGET}"
         )
+
+
+def _bounded_compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
+    """``compose(f, g)``, refused first if its images may pass the letter budget.
+
+    Its images are ``f`` of ``g``'s images, and its inverse images ``g^-1``
+    of ``f``'s inverse images.
+    """
+    check_letter_budget(sum(map(len, g.images)), f.table)
+    check_letter_budget(sum(map(len, f.inverse_images)), g.inverse_table)
+    return compose(f, g)
+
+
+def _bounded_power(phi: FreeAutomorphism, n: int) -> FreeAutomorphism:
+    """``power(phi, n)`` by repeated squaring, each composition refused first by :func:`_bounded_compose`."""
+    if n < 0:
+        phi, n = inverse(phi), -n
+    acc = identity_automorphism(phi.basis)
+    while n:
+        if n & 1:
+            acc = _bounded_compose(phi, acc)
+        n >>= 1
+        if n:
+            phi = _bounded_compose(phi, phi)
+    return acc
 
 
 def class_count(rank: int, max_len: int) -> int:
@@ -791,8 +825,9 @@ def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]
     rotation of its inverse's keys (a class is never its own inverse).
     Sorted by length then canonical rotation key; used as the test set for
     projective comparisons of length functions.  A level with more than
-    :data:`CLASS_BUDGET` classes (:func:`class_count`) is refused before
-    anything is enumerated.
+    :data:`CLASS_BUDGET` classes (:func:`class_count`) is refused on every
+    call, before anything is enumerated; the enumeration itself runs once
+    per ``(basis, max_len)`` and its immutable tuple is shared.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -802,6 +837,12 @@ def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]
             f"level {max_len} at rank {basis.rank} has {count} test classes, "
             f"over the budget of {CLASS_BUDGET}"
         )
+    return _lyndon_classes(basis, max_len)
+
+
+@cache
+def _lyndon_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]:
+    """:func:`power_free_classes` without the budget, enumerated once per ``(basis, max_len)``."""
     top = 2 * basis.rank - 1
     kept = []
     keys = [-1]

@@ -2,8 +2,9 @@
 
 Twist orbits of currents and trees grow exactly linearly after a finite
 transient, so limits on the tree side are extracted as exact eventual growth
-rates, and limits on the current side are certified by exact distance laws at
-finite step counts.  Every rate constant asserted here was first computed by
+rates (read off a certified affine tail for twist steppers, see
+:func:`tree_orbit_limit`), and limits on the current side are certified by
+exact distance laws at finite step counts.  Every rate constant asserted here was first computed by
 an independent brute-force oracle; reports flag such constants as derived.
 All arithmetic is exact (`Fraction`), and reports are deterministic functions
 of their parameters.
@@ -40,13 +41,23 @@ from .corpus import random_current, random_reduced_word
 from .currents import (
     RationalCurrent,
     Reads,
+    Skeleton,
+    TwistForm,
+    _affine_tail,
+    _bounded_power,
     _coordinates,
     _current_reads,
     _orbit,
     _orbit_distance,
     _orbit_distances,
     _orbit_terms,
+    _limit,
+    _skeleton,
+    _syllable_letters,
+    _syllables,
+    _twist_form,
     act,
+    check_letter_budget,
     coordinate,
     current_str,
     in_critical_set,
@@ -68,6 +79,8 @@ from .trees import (
     ProjectiveTreeVector,
     TreeLengthFunction,
     Weigher,
+    _int_lengths,
+    _letter_weight,
     _weigher,
     cayley_tree,
     double_twist_tree,
@@ -77,7 +90,7 @@ from .trees import (
     tree_projective_eq,
     twist_tree,
 )
-from .words import Basis, Letter, Word, concat, word, word_power
+from .words import Basis, Letter, Word, _cyclic_core, _reduced, concat, word, word_power
 
 
 DERIVED_RATE_NOTE = (
@@ -310,12 +323,118 @@ def _tree_orbit(
 
     ``letters`` spells any nontrivial ``g``; each orbit point is kept as the
     checked cyclic core :func:`_cyclic_image` leaves, in whatever rotation.
+    Each step is refused first if it may pass ``currents.LETTER_BUDGET``.
     """
     seq = [weigh(_cyclic_image(pull, letters, rank))]
     for _ in range(steps):
+        check_letter_budget(len(letters), step)
         letters = _cyclic_image(step, letters, rank)
         seq.append(weigh(_cyclic_image(pull, letters, rank)))
     return seq
+
+
+# Added to a letter's absolute value to mark it: past every letter and fresh symbol a weigher
+# meets, so no marked letter cancels or pinches with an unmarked one, and no weigher charges one.
+_MARK = 1 << 20
+
+
+def _marked(letters: Sequence[Letter]) -> tuple[int, ...]:
+    """``letters`` over the marked alphabet, where the letters still cancel among themselves."""
+    return tuple(x + _MARK if x > 0 else x - _MARK for x in letters)
+
+
+# Per limit syllable ``y^e`` past ``n0``: ``(p, r, q, weight(r))``, where the pull-back of ``y`` or
+# ``y^-1`` (the sign of ``e``) is ``p r q`` with ``q = p^-1`` and the period ``r`` its cyclic core,
+# so that ``y^e`` pulls back to ``p r^|e| q``; the weight is 0 for a syllable that does not move.
+PulledSyllable = tuple[tuple[Letter, ...], tuple[Letter, ...], tuple[Letter, ...], int]
+
+
+def _pulled_periods(
+    limit: Skeleton, pull: SignedTable, weigh: Weigher, lengths: dict[int, int]
+) -> list[PulledSyllable] | None:
+    """The :data:`PulledSyllable` of each limit syllable; None if a moving one's period has no certificate.
+
+    ``weight(r)`` is ``r``'s letter weight under the weigher's charges
+    (:func:`trees._int_lengths`): the weighted count of its stable letters on
+    a twist core, its letter weight on a Cayley core.  A period needs
+    ``weight(r) > 0``, and as a cycle it must weigh ``weight(r)``, so that no
+    pinch applies around it, and none inside any ``r^e``.
+    """
+    pulled = []
+    for y, c, slope in limit:
+        image = pull[y if (slope or c) > 0 else -y]
+        r = _cyclic_core(image)
+        weight = _letter_weight(lengths, r) if slope else 0
+        if slope and (weight == 0 or weigh(r) != weight):
+            return None
+        i = (len(image) - len(r)) // 2
+        pulled.append((image[:i], r, image[i + len(r) :], weight))
+    return pulled
+
+
+def _period_growth(limit: Skeleton, pulled: list[PulledSyllable]) -> int:
+    """``delta``: a step splices ``|slope|`` periods of weight ``weight(r)`` into each moving block."""
+    return sum(abs(slope) * weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled))
+
+
+def _marked_pull_back(limit: Skeleton, pulled: list[PulledSyllable], n: int) -> Sequence[int]:
+    """The cyclic core of step ``n``'s pull-back with the middle two periods of each moving block marked."""
+    letters: list[int] = []
+    for (_, c, slope), (p, r, q, _) in zip(limit, pulled):
+        e = abs(c + slope * n)
+        if slope:
+            left = (e - 2) // 2
+            letters += p + r * left + _marked(r * 2) + r * (e - 2 - left) + q
+        else:
+            letters += p + r * e + q
+    return _cyclic_core(_reduced(letters))
+
+
+def _pulled_weight(
+    weigh: Weigher, pull: SignedTable, rank: int, skeleton: Skeleton, limit: Skeleton, n: int
+) -> int:
+    """The weigher value of step ``n >= n0``, whose syllables must be the limit's at ``n``."""
+    syllables = _syllables(skeleton, n)
+    if syllables != [(y, c + slope * n) for y, c, slope in limit]:
+        raise RuntimeError(f"step {n} is not the limit skeleton's step {n}")
+    return weigh(_cyclic_image(pull, _syllable_letters(syllables), rank))
+
+
+def _affine_law(
+    form: TwistForm,
+    weigh: Weigher,
+    lengths: dict[int, int],
+    pull: SignedTable,
+    rank: int,
+    letters: Sequence[Letter],
+    last: int,
+) -> tuple[int, int, int] | None:
+    """``(N, f(N), delta)`` with ``f(n) = f(N) + (n - N) delta`` for every ``n >= N``, or None.
+
+    ``N`` is the least certified step up to ``last`` (the argument is in
+    :func:`tree_orbit_limit`), searched from the first step from ``n0`` on
+    at which every moving block holds two periods.  ``f(N + 1)`` is weighed
+    too, and a value other than ``f(N) + delta`` raises ``RuntimeError``.
+    """
+    skeleton = _skeleton(form, letters)
+    limit = _limit(skeleton)
+    pulled = _pulled_periods(limit, pull, weigh, lengths)
+    if pulled is None:
+        return None
+    marked = 2 * sum(weight for _, _, _, weight in pulled)
+    first = max(_affine_tail(skeleton, 1)[0], _affine_tail(limit, 2)[0])
+    for n in range(first, last + 1):
+        value = _pulled_weight(weigh, pull, rank, skeleton, limit, n)
+        if value == weigh(_marked_pull_back(limit, pulled, n)) + marked:
+            break
+    else:
+        return None
+    delta = _period_growth(limit, pulled)
+    if _pulled_weight(weigh, pull, rank, skeleton, limit, n + 1) != value + delta:
+        raise RuntimeError(
+            f"step {n + 1} of {tuple(letters)} is not step {n} plus the certified growth {delta}"
+        )
+    return n, value, delta
 
 
 def tree_orbit_limit(
@@ -326,38 +445,82 @@ def tree_orbit_limit(
 ) -> ProjectiveTreeVector:
     """Exact projective limit of the tree orbit ``phi^n(tree)``.
 
-    For each test class g the orbit length sequence ``n -> length(tree,
+    For each test class g the orbit length sequence ``f(n) = length(tree,
     phi^{-n} g)`` must end in at least three equal first differences at the
     cap; the common difference is the class's growth rate.  When every rate
     is zero the orbit converges without rescaling and the stabilized constant
-    lengths are used instead.
+    lengths are used instead.  The rule reads only the last four values,
+    steps ``cap - 3`` to ``cap`` (all of them when ``cap < 3``).
 
-    The rule reads only the last four values, steps ``cap - 3`` to ``cap``
-    (all of them when ``cap < 3``), so each class jumps straight to step
-    ``jump = max(cap - 3, 0)`` through one power ``phi^-jump``, built once
-    per orbit, and steps the rest of the way on raw letter tuples
-    (:func:`_tree_orbit`).  Translation length is a conjugacy invariant, so
-    each class is kept as a cyclic core, ``g <- core of phi^-1(g)``, and
-    measured by the tree's int weigher (:func:`trees._weigher`) on the core
-    of its pull-back through the marking.  Every image is checked with
-    raises that ``python -O`` keeps.  Rates and values stay ints over the
-    weigher's common factor, which cancels in the projective vector.  A
-    :class:`NotStabilizedError` carries the scaled lengths of the whole
-    orbit, steps 0 to ``cap``, of the first class that fails.
+    When ``phi^-1`` has a twist form (:func:`currents._twist_form`), each
+    class's four values are read off a certified affine tail
+    (:func:`_affine_law`), without stepping there.  Past the onset ``n0`` of
+    its skeleton (:func:`currents._affine_tail`), step n is the
+    :func:`currents._limit`'s syllables ``y^e``, ``e = c + slope n``.  Through
+    the marking ``beta``, ``y^e`` pulls back to ``p r^e p^-1``, where the
+    period ``r`` is the cyclic core of ``beta^-1(y)``.  The certificate is
+    the least ``N >= n0`` at which every moving block keeps two consecutive
+    full periods that no free cancellation, cyclic reduction or pinch
+    touches.  To check it, the middle two periods of each block are written
+    over a marked alphabet (:func:`_marked`), which nothing cancels, pinches
+    or charges.  Each reduction of the marked word is one of the step-N word
+    that leaves those periods whole.  Unmarked, its value is the marked
+    word's plus ``2 weight(r)`` per block.  Reducing it further cancels or
+    pinches only across the ends of the periods, and every move that reaches
+    a charged letter lowers the value, so a period needs ``weight(r) > 0``.
+    So if the step-N word weighs exactly that much, it reduces with the two
+    periods whole from their first charged letter to their last, and every
+    junction in that stretch (within a period, period to period) is one the
+    reduced word has.  Step ``n >= N`` is the step-N word with
+    ``|slope| (n - N)`` more periods spliced between those two.  It reduces
+    by the same moves, and its reduced form has no junction the step-N form
+    lacks, so nothing else cancels, reduces or pinches differently.  Hence
+    ``f(n) = f(N) + (n - N) delta`` with ``delta = sum |slope| weight(r)``
+    over the moving blocks, where ``weight(r)`` is the weighted count of
+    ``r``'s stable letters on a twist core and ``r``'s letter weight on a
+    Cayley core.  ``f(N + 1)`` is computed directly and must equal
+    ``f(N) + delta``, or ``RuntimeError`` is raised.  A period of weight 0,
+    or one that pinches around its own cycle (:func:`_pulled_periods`), has
+    no certificate.
+
+    A stepper without a twist form, or a class with no certificate by
+    ``cap - 3``, jumps straight to step ``jump = max(cap - 3, 0)`` through
+    one power ``phi^-jump``, built once per orbit and only if some class
+    needs it, each composition refused first if it may pass
+    ``currents.LETTER_BUDGET`` (:func:`currents._bounded_power`).  It steps
+    the rest of the way on raw letter tuples (:func:`_tree_orbit`).
+    Translation length is a conjugacy invariant, so each class is kept as a
+    cyclic core, ``g <- core of phi^-1(g)``, and measured by the tree's int
+    weigher (:func:`trees._weigher`) on the core of its pull-back through the
+    marking.  Every unmarked word weighed is checked with
+    :func:`_cyclic_image`'s raises, which ``python -O`` keeps.  Rates and
+    values stay ints over the weigher's common factor, which cancels in the
+    projective vector.  A :class:`NotStabilizedError` carries the scaled
+    lengths of the whole orbit, steps 0 to ``cap``, of the first class that
+    fails, stepped under the same letter budget.
     """
     _at_least_one(cap=cap, level=level)
     if phi.basis != tree.basis:
         raise BasisMismatchError("automorphism and tree use different bases")
     classes = power_free_classes(tree.basis, level)
     weigh, factor = _weigher(tree)
+    lengths, _ = _int_lengths(tree)
     rank = tree.basis.rank
     step, pull = phi.inverse_table, tree.marking.inverse_table
+    form = _twist_form(step, rank)
     jump = max(cap - 3, 0)
-    skip = power(phi, -jump).table
+    skip: SignedTable | None = None
     rates: list[int] = []
     lasts: list[int] = []
     for cls in classes:
-        tail = _tree_orbit(weigh, step, pull, rank, _cyclic_image(skip, cls.root.letters, rank), cap - jump)
+        law = None if form is None else _affine_law(form, weigh, lengths, pull, rank, cls.root.letters, jump)
+        if law is not None:
+            first, value, delta = law
+            tail = [value + (n - first) * delta for n in range(jump, cap + 1)]
+        else:
+            if skip is None:
+                skip = _bounded_power(phi, -jump).table
+            tail = _tree_orbit(weigh, step, pull, rank, _cyclic_image(skip, cls.root.letters, rank), cap - jump)
         rate, run = _tail_difference(tail)
         if run < 3 or rate < 0:
             seq = _tree_orbit(weigh, step, pull, rank, cls.root.letters, cap)

@@ -245,22 +245,32 @@ def _over_denominator(lengths: Mapping[int, Fraction]) -> tuple[dict[int, int], 
     return {g: w.numerator * (denominator // w.denominator) for g, w in lengths.items()}, denominator
 
 
-def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
-    """The core's translation length as an int function of a cyclic core, and its factor.
+def _int_lengths(tree: TreeLengthFunction) -> tuple[dict[int, int], int]:
+    """What the weigher charges a letter, per generator, as ints over their common denominator, and that denominator.
 
-    Edge lengths go over one common denominator, so the weigher counts in
-    ints; ``factor * weigh(letters)`` is the translation length on the
-    scaled tree of the cyclically reduced ``letters`` (any rotation), read in
-    the core's own basis, that is, already pulled back through the marking.
+    A Cayley core charges every generator its weight; a twist core charges
+    each stable letter its edge length and every other generator 0.
     """
     core = tree.core
     if isinstance(core, WeightedCayleyCore):
-        lengths = dict(enumerate(core.weights, start=1))
+        return _over_denominator(dict(enumerate(core.weights, start=1)))
+    return _over_denominator({t.stable: t.length for t in core.twists})
+
+
+def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
+    """The core's translation length as an int function of a cyclic core, and its factor.
+
+    Edge lengths go over one common denominator (:func:`_int_lengths`), so
+    the weigher counts in ints; ``factor * weigh(letters)`` is the
+    translation length on the scaled tree of the cyclically reduced
+    ``letters`` (any rotation), read in the core's own basis, that is,
+    already pulled back through the marking.
+    """
+    ints, denominator = _int_lengths(tree)
+    if isinstance(tree.core, WeightedCayleyCore):
         weigh: Callable[..., int] = _letter_weight
     else:
-        lengths = {t.stable: t.length for t in core.twists}
-        weigh = partial(_britton_weight, core)
-    ints, denominator = _over_denominator(lengths)
+        weigh = partial(_britton_weight, tree.core)
     return partial(weigh, ints), tree.scale / denominator
 
 

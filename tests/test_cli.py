@@ -218,6 +218,15 @@ class TestExitCodes:
         argv = ["iterate", "--aut", "phi", "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--limit", "1*[b] + 1*[d]"]
         assert run(capsys, argv + ["--level", "3", "--iters", "300"])[0] == 0
 
+    def test_tree_orbit_steps_under_the_letter_budget(self, capsys, monkeypatch):
+        # a cap below N + 3 steps every class's orbit, each step refused before it may pass the budget
+        argv = ["experiment", "product-minimal", "--cap", "2"]
+        assert run(capsys, argv)[0] == 4
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 3)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.endswith("over the budget of 3\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -257,6 +266,18 @@ class TestRepeatedCalls:
 
 
 class TestReports:
+    @pytest.mark.parametrize(
+        "argv", [["experiment", "product-minimal"], ["experiment", "theorem-main", "--iters", "8"]]
+    )
+    def test_a_cap_of_a_million_gives_the_cap_64_tables(self, capsys, argv):
+        reports = []
+        for cap in ("64", "1000000"):
+            code, out, _ = run(capsys, argv + ["--cap", cap])
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0]["tables"] == reports[1]["tables"]
+        assert [a["passed"] for a in reports[1]["assertions"]] == [True] * len(reports[0]["assertions"])
+
     def test_experiment_stdout_json(self, capsys):
         code, out, _ = run(capsys, ["experiment", "theorem-back"])
         assert code == 0

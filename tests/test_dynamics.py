@@ -22,10 +22,18 @@ from currents_lab.automorphisms import (
     prime_basis_change,
     simple_twist,
 )
-from currents_lab import dynamics
+from currents_lab import currents, dynamics
 from currents_lab.cli import EXPERIMENTS
-from currents_lab.currents import parse_current, power_free_classes, rational_current, zero_current
+from currents_lab.currents import (
+    _bounded_power,
+    _twist_form,
+    parse_current,
+    power_free_classes,
+    rational_current,
+    zero_current,
+)
 from currents_lab.dynamics import (
+    _affine_law,
     _dumps,
     _ratio,
     _tree_orbit,
@@ -50,6 +58,7 @@ from currents_lab.errors import (
 )
 from currents_lab.trees import (
     ProjectiveTreeVector,
+    _int_lengths,
     _weigher,
     cayley_tree,
     length,
@@ -62,6 +71,8 @@ from currents_lab.words import Basis, free_reduce, word
 B3 = Basis(3)
 B5 = Basis(5)
 D = simple_twist(B3, 1, 2)
+# D conjugated by b -> bc sends a to abc: a table without a twist form
+CONJUGATED_TWIST = compose(simple_twist(B3, 2, 3), compose(D, inverse(simple_twist(B3, 2, 3))))
 
 
 def mu(text):
@@ -248,19 +259,92 @@ class TestTreeOrbitKernel:
         assert outcome(tree_orbit_limit, *args) == outcome(stepped_to_the_cap, *args)
 
     @pytest.mark.parametrize(
-        "phi, cap", [(identity_automorphism(B3), 3), (D, 4), (D, 10), (D, 64), (inverse(D), 64)]
+        "phi, tree, cap, stepped",
+        [
+            # certified twist steppers
+            (D, cayley_tree(B3), 10, 0),
+            (D, cayley_tree(B3), 64, 0),
+            (inverse(D), cayley_tree(B3), 64, 0),
+            (inverse(D), cayley_tree(B3, marking=power(D, 12)), 64, 0),
+            (double_twist(B5), twist_tree(B5, [(1, 2, Fraction(1))], marking=prime_basis_change(B5)), 64, 0),
+            (
+                inverse(double_twist(B5)),
+                twist_tree(B5, [(1, 2, Fraction(1))], marking=double_prime_basis_change(B5)),
+                64,
+                0,
+            ),
+            (simple_twist(B5, 1, 2), twist_tree(B5, [(1, 2, Fraction(1))], marking=prime_basis_change(B5)), 64, 0),
+            # no twist form
+            (CONJUGATED_TWIST, cayley_tree(B3), 10, 9),
+            (CONJUGATED_TWIST, cayley_tree(B3), 64, 9),
+            # caps below N + 3: at cap 4 the 4 classes of D certified at N = 2 or 3, at cap 3 every class
+            (D, cayley_tree(B3), 4, 4),
+            (identity_automorphism(B3), cayley_tree(B3), 3, 9),
+        ],
     )
-    def test_stable_orbit_steps_only_the_tail(self, monkeypatch, phi, cap):
-        steps = []
+    def test_stable_orbit_steps_only_the_tail(self, monkeypatch, phi, tree, cap, stepped):
+        steps, powers = [], []
 
         def counted(weigh, step, pull, rank, letters, n):
             steps.append(n)
             return _tree_orbit(weigh, step, pull, rank, letters, n)
 
+        def counted_power(psi, n):
+            powers.append(n)
+            return _bounded_power(psi, n)
+
         monkeypatch.setattr(dynamics, "_tree_orbit", counted)
-        tree_orbit_limit(phi, cayley_tree(B3), level=2, cap=cap)
-        assert len(steps) == len(power_free_classes(B3, 2))
-        assert set(steps) == {3}
+        monkeypatch.setattr(dynamics, "_bounded_power", counted_power)
+        tree_orbit_limit(phi, tree, level=2, cap=cap)
+        assert steps == [3] * stepped
+        assert powers == ([-(cap - 3)] if stepped else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_certified_law_is_the_stepped_orbit(self, data):
+        basis = data.draw(st.sampled_from([B3, B5]))
+        if basis is B3 and data.draw(st.booleans()):
+            tree = cayley_tree(B3, marking=power(D, data.draw(st.integers(-12, 12))))
+            phi = data.draw(st.sampled_from([D, inverse(D)]))
+        else:
+            tree = data.draw(marked_trees(basis))
+            phi = data.draw(linear_steppers(basis))
+        classes = power_free_classes(basis, data.draw(st.integers(1, 3)))
+        if len(classes) > 20:
+            classes = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=20, unique=True))
+        form = _twist_form(phi.inverse_table, basis.rank)
+        weigh, _ = _weigher(tree)
+        lengths, _ = _int_lengths(tree)
+        pull = tree.marking.inverse_table
+        for cls in classes:
+            law = _affine_law(form, weigh, lengths, pull, basis.rank, cls.root.letters, 61)
+            if law is None:
+                continue
+            first, value, delta = law
+            seq = _tree_orbit(weigh, phi.inverse_table, pull, basis.rank, cls.root.letters, first + 40)
+            assert seq[first:] == [value + k * delta for k in range(41)]
+
+    def test_a_wrong_growth_raises_at_the_step_after_the_certificate(self, monkeypatch):
+        tree = cayley_tree(B3, marking=power(D, 12))
+        weigh, _ = _weigher(tree)
+        lengths, _ = _int_lengths(tree)
+        args = (_twist_form(D.table, 3), weigh, lengths, tree.marking.inverse_table, 3, (1,), 61)
+        first, value, delta = _affine_law(*args)
+        assert first > 12  # the marking's winding is unwound first
+        monkeypatch.setattr(dynamics, "_period_growth", lambda limit, pulled: delta + 1)
+        with pytest.raises(RuntimeError, match=f"^step {first + 1} of \\(1,\\) is not step {first} plus"):
+            _affine_law(*args)
+
+    def test_the_fallback_is_under_the_letter_budget(self, monkeypatch):
+        # without a twist form every class jumps through power(phi, -61), refused before it may pass the budget
+        tree_orbit_limit(CONJUGATED_TWIST, cayley_tree(B3), level=2, cap=64)
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 50)
+        with pytest.raises(ValueError, match="over the budget of 50$"):
+            tree_orbit_limit(CONJUGATED_TWIST, cayley_tree(B3), level=2, cap=64)
+        weigh, _ = _weigher(cayley_tree(B3))
+        fixed = identity_automorphism(B3).table
+        with pytest.raises(ValueError, match="over the budget of 50$"):
+            _tree_orbit(weigh, CONJUGATED_TWIST.inverse_table, fixed, 3, (1,), 30)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
