@@ -17,13 +17,14 @@ with every read in both orientations).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
-denominator, and the one orbit loop, :func:`_orbit`, yields its weighted
-read counts (:data:`Reads`) step by step.  An automorphism maps conjugacy
-classes bijectively and keeps power-free classes power-free, so
-``phi . eta_g = eta_phi(g)`` term by term and a step needs no merging, root
-finding or sorting.  Read counts do not depend on where a cycle starts, so the
-kernel keeps each core, and the skeleton each syllable cycle, in whatever
-rotation its reduction leaves and never computes a canonical rotation.
+denominator, read as weighted counts (:data:`Reads`).  :func:`_orbit_head`
+is the one orbit head and :func:`_orbit_distances` the one orbit driver.
+An automorphism maps conjugacy classes bijectively and keeps power-free
+classes power-free, so ``phi . eta_g = eta_phi(g)`` term by term and a step
+needs no merging, root finding or sorting.  Read counts do not depend on
+where a cycle starts, so the kernel keeps each core, and the skeleton each
+syllable cycle, in whatever rotation its reduction leaves and never computes
+a canonical rotation.
 
 Twist-form tables (:func:`_twist_form`: each generator fixed or sent to
 ``y^s x y^t`` with ``y`` fixed, as for every twist the experiments iterate)
@@ -42,16 +43,17 @@ Other tables step the kernel (:func:`_orbit_step`, then
 :func:`_orbit_reads`), which is also the syllable path's test oracle; a
 kernel step is refused before it may pass :data:`LETTER_BUDGET` letters.
 
-Distances to a goal ``g`` run on one driver, :func:`_orbit_distances`.
-Past ``n0 + 1`` each distance term is a line ``+-(alpha_v + k beta_v)`` over
-the affine norm ``(||A|| + k ||B||) ||g||`` (:func:`_distance_lines`); from
-the crossing point ``K`` (:func:`_crossing`) on, the line of largest slope
-is the max, so a step reads one line, and the first step that does is
-cross-checked against :func:`_gap` of ``A + k B``.  The driver yields each
-distance as its int numerator over ``norm ||g||``.  Without a goal it runs
-the same head at level 1 and yields only norms, which past ``n0 + 1`` are
-``||A|| + k ||B||``.  :func:`_orbit_head` returns its steps and the tail
-``(n0, A, B)`` as data, so every orbit consumer shares one head.
+Every orbit consumer iterates the driver, which measures each step against
+a goal ``g``.  Past ``n0 + 1`` each distance term is a line
+``+-(alpha_v + k beta_v)`` over the affine norm ``(||A|| + k ||B||) ||g||``
+(:func:`_distance_lines`); from the crossing point ``K`` (:func:`_crossing`)
+on, the line of largest slope is the max, so a step reads one line, and the
+first step that does is cross-checked against :func:`_gap` of ``A + k B``.
+The driver yields each distance as its int numerator over ``norm ||g||``.
+Without a goal it runs the same head at level 1 and yields only norms, which
+past ``n0 + 1`` are ``||A|| + k ||B||``.  :func:`_orbit_head` returns its
+steps and the tail ``(n0, A, B)`` as data, so no step past ``n0 + 1`` builds
+a read dict but the one cross-checked.
 
 The public :func:`act` and :func:`projective_vector` are the kernel's image
 step and read counter followed by canonicalization and division.
@@ -477,7 +479,7 @@ AffineTail = tuple[int, Reads, Reads]
 def _orbit_head(
     table: SignedTable, terms: Terms, rank: int, steps: int, level: int
 ) -> tuple[list[Reads], AffineTail | None]:
-    """``(head, tail)``: the :func:`_orbit` reads of steps ``0..min(steps, n0 + 1)`` and the :data:`AffineTail`.
+    """``(head, tail)``: the :func:`_orbit_reads` of steps ``0..min(steps, n0 + 1)`` and the :data:`AffineTail`.
 
     A table without a twist form reads every step off the kernel into the
     head, each refused before it may pass :data:`LETTER_BUDGET`, and has no
@@ -516,25 +518,6 @@ def _orbit_head(
     return head, (n0, a, b) if steps > n0 + 1 else None
 
 
-def _orbit(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
-    """The :func:`_orbit_reads` of the terms at steps ``0..steps``, none past the last.
-
-    A twist-form table (:func:`_twist_form`) reads each step off the terms'
-    syllable skeletons; any other table steps the kernel (:func:`_orbit_step`).
-    Past the orbit's ``n0``, the latest of its terms' (:func:`_affine_tail`),
-    each count is affine in n: :func:`_orbit_head` returns the steps up to
-    ``n0 + 1``, counted off the syllables, with ``A + B`` cross-checked at
-    ``n0 + 1``, and every later step is ``A + k B``, its syllables certified
-    once by the head.
-    """
-    head, tail = _orbit_head(table, terms, rank, steps, level)
-    yield from head
-    if tail is not None:
-        n0, (a, a_norm), (b, b_norm) = tail
-        for k in range(2, steps - n0 + 1):
-            yield _shifted(a, b, k), a_norm + k * b_norm
-
-
 def _distance_lines(a: Reads, b: Reads, goal: Reads) -> list[tuple[int, int]]:
     """The gap terms of ``_orbit_distance(A + k B, goal)`` as lines ``(slope, intercept)`` in k.
 
@@ -568,7 +551,7 @@ def _crossing(lines: list[tuple[int, int]]) -> tuple[int, int, int]:
 def _orbit_distances(
     table: SignedTable, terms: Terms, rank: int, steps: int, level: int, goal: Reads | None
 ) -> Iterator[tuple[int, int | None]]:
-    """``(norm, gap)`` at the steps ``0..steps`` of :func:`_orbit`, the distance being ``gap / (norm ||g||)``.
+    """``(norm, gap)`` at the steps ``0..steps`` of the orbit, the distance being ``gap / (norm ||g||)``.
 
     ``gap`` is :func:`_gap` of the step's reads and the goal ``g``, so the
     step's :func:`_orbit_distance` is ``Fraction(gap, norm * ||g||)``.  The

@@ -27,14 +27,15 @@ from currents_lab.currents import (
     _affine_tail,
     _coordinates,
     _image_syllables,
-    _orbit,
     _orbit_current,
     _orbit_distance,
     _orbit_distances,
+    _orbit_head,
     _orbit_reads,
     _orbit_step,
     _orbit_terms,
     _root_steps,
+    _shifted,
     _skeleton,
     _twist_form,
     _twist_reads,
@@ -331,6 +332,16 @@ class TestOrbitKernel:
                 nu = random_current(rng, basis)
                 coord = _coordinates(nu, level)
                 assert all(coord(v.letters) == coordinate(v, nu) for v in reads)
+
+
+def _orbit(table, terms, rank, steps, level):
+    """The reads of steps 0..steps: the head of :func:`_orbit_head`, then ``A + k B`` past ``n0 + 1``."""
+    head, tail = _orbit_head(table, terms, rank, steps, level)
+    yield from head
+    if tail is not None:
+        n0, (a, a_norm), (b, b_norm) = tail
+        for k in range(2, steps - n0 + 1):
+            yield _shifted(a, b, k), a_norm + k * b_norm
 
 
 def _kernel_orbit(table, terms, rank, steps, level):

@@ -5,7 +5,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,6 +407,18 @@ class TestExperiments:
         report = run_product_minimal(iters=6)
         assert report.passed
 
+    @pytest.mark.parametrize("run, orbits", [(run_theorem_main, 4), (run_product_minimal, 2)])
+    def test_tail_steps_build_no_read_dict(self, monkeypatch, run, orbits):
+        # each current orbit builds A + k B twice, at n0 + 1 and at its one
+        # cross-checked tail step, however many steps it runs
+        calls = []
+        shifted = currents._shifted
+        monkeypatch.setattr(currents, "_shifted", lambda a, b, k: calls.append(k) or shifted(a, b, k))
+        for iters in (50, 2000):
+            calls.clear()
+            assert run(iters=iters).passed
+            assert len(calls) == 2 * orbits
+
     def test_primitive_limit(self):
         report = run_primitive_limit(word(B3, "ab"), iters=10)
         assert report.passed
@@ -456,6 +468,24 @@ def failing_after(real, calls, spoil):
     return fake
 
 
+def failing_yields_after(real, calls):
+    """The driver ``real`` for the first ``calls`` yields over all its orbits, then spoiled gaps.
+
+    Past ``calls`` it yields ``gap + count * norm * ||g||``, so the distance
+    ``gap / (norm ||g||)`` is spoiled to ``d + count``, as :func:`grow` spoils it.
+    """
+    count = 0
+
+    def fake(*args):
+        nonlocal count
+        goal = args[-1]
+        for norm, gap in real(*args):
+            count += 1
+            yield norm, gap if count <= calls else gap + count * norm * goal[1]
+
+    return fake
+
+
 def grow(value, count):
     return value + count
 
@@ -471,36 +501,36 @@ class TestFailingReports:
         "patches, make, digest",
         [
             (
-                {"_orbit_distance": (12, grow)},
+                {"_orbit_distances": partial(failing_yields_after, calls=12)},
                 lambda: run_minimality_walk(trials=4, seed=3),
                 "c762eb451d40daf6b61d7108deaa7c7b46d7d7d6504b14d27a8aa1d50bbea983",
             ),
             (
-                {"_orbit_distance": (10, grow)},
+                {"_orbit_distances": partial(failing_yields_after, calls=10)},
                 lambda: run_theorem_main(iters=6),
                 "eb14fcfcd11c2d58ff122bcff33a5b6ebcc15be9d253170c7346016ffa87edc1",
             ),
             (
-                {"_orbit_distance": (5, grow)},
+                {"_orbit_distances": partial(failing_yields_after, calls=5)},
                 lambda: run_product_minimal(iters=6),
                 "283356268ae8edfda4d0f3809eaffed9a0bc853954aeeccc36bed769d44a344b",
             ),
             (
-                {"_orbit_distance": (3, grow)},
+                {"_orbit_distance": partial(failing_after, calls=3, spoil=grow)},
                 lambda: run_primitive_limit(word(B3, "ab"), iters=6),
                 "54b7873d46aef7921dc1ba0dbeea22b875301b2943507d85de76854931a2cfb9",
             ),
             (
                 {
-                    "_orbit_distance": (3, grow),
-                    "coordinate": (4, grow),
-                    "in_critical_set": (3, critical),
+                    "_orbit_distance": partial(failing_after, calls=3, spoil=grow),
+                    "coordinate": partial(failing_after, calls=4, spoil=grow),
+                    "in_critical_set": partial(failing_after, calls=3, spoil=critical),
                 },
                 lambda: run_off_critical_perturbation(word(B3, "abaB"), word(B3, "a"), iters=6),
                 "860a25dff5e7de05ca8d53583da80806c14585622248566cb3577396b2eb6c81",
             ),
             (
-                {"intersection_form": (3, grow)},
+                {"intersection_form": partial(failing_after, calls=3, spoil=grow)},
                 lambda: run_outlook_identity(iters=5),
                 "35af3947c79c10589f2f13344edb14db174f406a08a5433a1b61245a19e02e19",
             ),
@@ -512,8 +542,8 @@ class TestFailingReports:
     )
     def test_failing_report_bytes(self, monkeypatch, patches, make, digest):
         # digests recorded before the per-step laws shared one first-witness rule
-        for name, (calls, spoil) in patches.items():
-            monkeypatch.setattr(dynamics, name, failing_after(getattr(dynamics, name), calls, spoil))
+        for name, spoiled in patches.items():
+            monkeypatch.setattr(dynamics, name, spoiled(getattr(dynamics, name)))
         report = make()
         assert not report.passed
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
