@@ -26,6 +26,7 @@ from .automorphisms import (
     FreeAutomorphism,
     SignedTable,
     _cyclic_image,
+    _signed_table,
     apply,
     automorphism_str,
     compose,
@@ -938,7 +939,13 @@ def run_product_minimal(
 
 
 def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> ConvergenceReport:
-    """Distances of the perturbed-power currents to the base current."""
+    """Distances of ``[c u^n]`` to ``mu_u``: ``c -> c u`` fixes a and b, so ``[c u^n]`` is the orbit of ``[c]``.
+
+    With ``u = p u' p^-1`` and ``u'`` cyclically reduced, ``[c u^n]`` is ``[(p^-1 c p) u'^n]``, of
+    ``n ||u|| + m`` letters, ``m = 1 + |u| - ||u||``.  Against the cycle ``u'^n`` it has at most
+    ``m + k - 1`` more starts of a k-letter read ``v`` and ``k - 1`` fewer, and ``(v; u'^n) <= n ||u||``,
+    so ``d_n <= (level + m - 1)/(n ||u|| + m)``; the report asserts ``(level + m)/(n ||u|| + m)``.
+    """
     _at_least_one(iters=iters, level=level)
     monotone = "distances are nonincreasing from step 1 on"
     _two_steps_for(monotone, iters)
@@ -949,25 +956,23 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
         raise ValueError("u must be nontrivial")
     if any(abs(x) > 2 for x in u.letters):
         raise ValueError("u must use only the letters a and b")
-    lead = Word(basis, (3,))
-    mu_u = rational_current(u)
-    base_len = current_length(mu_u)
-    goal = _current_reads(mu_u, level)
+    goal = _current_reads(rational_current(u), level)
+    m = 1 + len(u.letters) - goal[1]
+    table = _signed_table([(3,) + u.letters if x == 3 else (x,) for x in range(1, basis.rank + 1)])
 
     def bound(n: int) -> Fraction:
-        return Fraction(level + 1, n * base_len + 1)
+        return Fraction(level + m, n * goal[1] + m)
 
     rows = []
     distances: list[Fraction] = []
-    for n in range(iters + 1):
-        nu = rational_current(concat(lead, word_power(u, n)))
-        d = _orbit_distance(_current_reads(nu, level), goal)
+    for n, (norm, gap) in enumerate(_orbit_distances(table, [((3,), 1)], basis.rank, iters, level, goal)):
+        d = Fraction(gap, norm * goal[1])
         distances.append(d)
         rows.append((str(n), str(d), str(bound(n)) if n >= 1 else ""))
     assertions: list[AssertionResult] = []
     _assert_all(
         assertions,
-        "distance at step n is at most (level+1)/(n*||u||+1) for n >= 1",
+        f"distance at step n is at most (level+{m})/(n*||u||+{m}) for n >= 1",
         _violations(distances, bound),
         f"holds up to n={iters}",
     )

@@ -189,8 +189,9 @@ class TestExitCodes:
             ["iterate", "--aut", "prime-basis-change", "-c", "1*[bc]", "--limit", "1*[b]", "--iters", "12"],
             ["apply", "--aut", "prime-basis-change", "-w", "bc", "-n", "12"],
             ["apply", "--aut", "prime-basis-change", "-w", "bc", "-n", "-12", "--cyclic"],
+            ["experiment", "primitive-limit", "-u", "ab", "--iters", "30"],
         ],
-        ids=["iterate", "iterate-limit", "apply", "apply-inverse-cyclic"],
+        ids=["iterate", "iterate-limit", "apply", "apply-inverse-cyclic", "primitive-limit"],
     )
     def test_steps_over_the_letter_budget_are_refused(self, capsys, monkeypatch, argv):
         assert run(capsys, argv)[0] != 3
@@ -217,6 +218,14 @@ class TestExitCodes:
         assert run(capsys, ["apply", "--aut", "phi", "-w", "Ac", "-n", "400"]) == (0, "B" * 400 + "Ac\n", "")
         argv = ["iterate", "--aut", "phi", "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--limit", "1*[b] + 1*[d]"]
         assert run(capsys, argv + ["--level", "3", "--iters", "300"])[0] == 0
+        assert run(capsys, ["experiment", "primitive-limit", "-u", "aa", "--iters", "300"])[0] == 0
+
+    def test_primitive_limit_bound_counts_the_conjugator(self, capsys):
+        # abA = a b a^-1: [c (abA)^n] is [(Aca) b^n], of n + 3 letters, so m = 3
+        code, out, _ = run(capsys, ["experiment", "primitive-limit", "-u", "abA", "--iters", "40", "--level", "3"])
+        assert code == 0
+        names = [a["name"] for a in json.loads(out)["assertions"]]
+        assert "distance at step n is at most (level+3)/(n*||u||+3) for n >= 1" in names
 
     def test_tree_orbit_steps_under_the_letter_budget(self, capsys, monkeypatch):
         # a cap below N + 3 steps every class's orbit, each step refused before it may pass the budget
@@ -419,12 +428,21 @@ class TestReports:
                 ],
                 "4403f2f7df8938b20cc633e9651c304d9287b9e3c7542938ef09b9bbe7482cb7",
             ),
+            (
+                ["experiment", "primitive-limit", "-u", "aa", "--iters", "40", "--level", "3"],
+                "3ffbfee5cda715a08a236f04bb8d7f986a88383531dd172032442faf7e9f72cb",
+            ),
+            (
+                ["experiment", "primitive-limit", "-u", "aBBa", "--iters", "30", "--level", "3"],
+                "3d3f4aaff9a9ff9beb62123eba1c44d5086a2a48f8b1e4d82d40e545c25b921f",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
             "product-minimal", "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
             "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
-            "iterate-root-step", "iterate-300-steps-no-limit",
+            "iterate-root-step", "iterate-300-steps-no-limit", "primitive-limit-twist-form",
+            "primitive-limit-kernel",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -438,7 +456,8 @@ class TestReports:
         # the next, recorded before the tail's syllables were checked only at root steps,
         # pins an orbit with a root step past n0 + 1; the last, recorded before norms past
         # n0 + 1 were read off a line and before the report was written without json.dumps,
-        # pins a long orbit without a limit
+        # pins a long orbit without a limit; the two after it, recorded before primitive-limit
+        # stepped c -> c u on the orbit driver, pin its affine tail and its kernel steps
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

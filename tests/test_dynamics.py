@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import partial, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from currents_lab.automorphisms import (
     _signed_table,
@@ -29,6 +29,8 @@ from currents_lab.currents import (
     _twist_form,
     parse_current,
     power_free_classes,
+    projective_distance,
+    projective_vector,
     rational_current,
     zero_current,
 )
@@ -66,7 +68,7 @@ from currents_lab.trees import (
     tree_projective_eq,
     twist_tree,
 )
-from currents_lab.words import Basis, free_reduce, word
+from currents_lab.words import Basis, concat, free_reduce, word, word_power
 
 B3 = Basis(3)
 B5 = Basis(5)
@@ -407,10 +409,18 @@ class TestExperiments:
         report = run_product_minimal(iters=6)
         assert report.passed
 
-    @pytest.mark.parametrize("run, orbits", [(run_theorem_main, 4), (run_product_minimal, 2)])
+    @pytest.mark.parametrize(
+        "run, orbits",
+        [
+            (run_theorem_main, 4),
+            (run_product_minimal, 2),
+            pytest.param(partial(run_primitive_limit, word(B3, "aa")), 1, id="primitive-limit-aa"),
+            pytest.param(partial(run_primitive_limit, word(B3, "B")), 1, id="primitive-limit-B"),
+        ],
+    )
     def test_tail_steps_build_no_read_dict(self, monkeypatch, run, orbits):
         # each current orbit builds A + k B twice, at n0 + 1 and at its one
-        # cross-checked tail step, however many steps it runs
+        # cross-checked tail step, however many steps it runs; c -> c y^k has a twist form
         calls = []
         shifted = currents._shifted
         monkeypatch.setattr(currents, "_shifted", lambda a, b, k: calls.append(k) or shifted(a, b, k))
@@ -427,6 +437,25 @@ class TestExperiments:
             n = int(row[0])
             assert Fraction(row[1]) == Fraction(3, 4 * n + 2)
             assert Fraction(row[1]) <= Fraction(3, 2 * n + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3),
+        st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4),
+        st.integers(1, 3),
+        st.integers(2, 12),
+        st.integers(1, 3),
+    )
+    def test_primitive_limit_distances_are_public_distances(self, p, root, k, iters, level):
+        # u = p root^k p^-1, reduced: proper powers, both signs, and u not cyclically reduced
+        u = free_reduce(B3, p + root * k + [-x for x in reversed(p)])
+        assume(not u.is_identity())
+        report = run_primitive_limit(u, iters=iters, level=level)
+        assert report.passed
+        limit = projective_vector(rational_current(u), level)
+        for n, row in enumerate(report.tables[0].rows):
+            nu = rational_current(concat(word(B3, "c"), word_power(u, n)))
+            assert row[1] == str(projective_distance(projective_vector(nu, level), limit))
 
     def test_primitive_limit_rejects_other_letters(self):
         with pytest.raises(ValueError):
@@ -516,7 +545,7 @@ class TestFailingReports:
                 "283356268ae8edfda4d0f3809eaffed9a0bc853954aeeccc36bed769d44a344b",
             ),
             (
-                {"_orbit_distance": partial(failing_after, calls=3, spoil=grow)},
+                {"_orbit_distances": partial(failing_yields_after, calls=3)},
                 lambda: run_primitive_limit(word(B3, "ab"), iters=6),
                 "54b7873d46aef7921dc1ba0dbeea22b875301b2943507d85de76854931a2cfb9",
             ),
