@@ -6,8 +6,9 @@ table cannot be built.  Both directions are also kept as signed tables built
 once per automorphism (see :func:`_signed_table`), which every image
 computation reads.  The check runs at the public constructor (and so in
 :func:`parse_automorphism`); :func:`compose`, :func:`inverse` and
-:func:`power` of checked automorphisms are automorphisms by construction and
-build their results through :func:`_trusted` without it.  Named
+:func:`power` of checked automorphisms, the identity and simple twists are
+automorphisms by construction and build their results through :func:`_trusted`
+without it; images of words (:func:`_image`) are built unchecked too.  Named
 constructors cover the maps used throughout the package: simple Dehn twists,
 the rank >= 5 double twist, and the two basis changes that re-express the
 standard generators through a twisted basis.
@@ -26,7 +27,7 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .words import Basis, CyclicWord, Letter, Word, _cyclic_core, cyclic_reduce, parse_letters, word
+from .words import Basis, CyclicWord, Letter, Word, _cyclic_core, _unchecked, cyclic_reduce, parse_letters, word
 
 
 SignedTable = tuple[tuple[Letter, ...], ...]
@@ -114,24 +115,20 @@ class FreeAutomorphism:
         return automorphism_str(self)
 
 
-def _trusted(
-    basis: Basis, images: tuple[Word, ...], inverse_images: tuple[Word, ...]
-) -> FreeAutomorphism:
+def _trusted(basis: Basis, images: tuple[Word, ...], inverse_images: tuple[Word, ...]) -> FreeAutomorphism:
     """An automorphism from image tables already known to be mutually inverse: no check."""
-    phi = object.__new__(FreeAutomorphism)
-    object.__setattr__(phi, "basis", basis)
-    object.__setattr__(phi, "images", images)
-    object.__setattr__(phi, "inverse_images", inverse_images)
-    object.__setattr__(phi, "table", _signed_table([im.letters for im in images]))
-    object.__setattr__(phi, "inverse_table", _signed_table([im.letters for im in inverse_images]))
-    return phi
+    return _unchecked(
+        FreeAutomorphism, basis=basis, images=images, inverse_images=inverse_images,
+        table=_signed_table([im.letters for im in images]),
+        inverse_table=_signed_table([im.letters for im in inverse_images]),
+    )
 
 
 def _image(phi: FreeAutomorphism, table: SignedTable, u: Word | CyclicWord) -> Word:
-    """Checked image of the letters of ``u`` (a reduced word either way) under ``table``."""
+    """Image of the letters of ``u`` under a table of ``phi``: reduced images, reduced where they meet."""
     if phi.basis != u.basis:
         raise BasisMismatchError("automorphism and word use different bases")
-    return Word(u.basis, _apply_table(table, u.letters))
+    return _unchecked(Word, basis=u.basis, letters=_apply_table(table, u.letters))
 
 
 def apply(phi: FreeAutomorphism, u: Word) -> Word:
@@ -144,29 +141,29 @@ def apply_inverse(phi: FreeAutomorphism, u: Word) -> Word:
 
 def apply_cyclic(phi: FreeAutomorphism, w: CyclicWord) -> CyclicWord:
     """Induced map on conjugacy classes: apply to any representative, reduce."""
-    image, _ = cyclic_reduce(_image(phi, phi.table, w))
-    return image
+    return cyclic_reduce(_image(phi, phi.table, w))[0]
 
 
 def identity_automorphism(basis: Basis) -> FreeAutomorphism:
-    gens = tuple(Word(basis, (i,)) for i in basis.generators())
-    return FreeAutomorphism(basis, gens, gens)
+    gens = tuple(_unchecked(Word, basis=basis, letters=(i,)) for i in basis.generators())
+    return _trusted(basis, gens, gens)
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
-    """The automorphism ``x -> phi(psi(x))``."""
+    """The automorphism ``x -> phi(psi(x))``, with inverse ``psi^-1(phi^-1(x))``."""
     if phi.basis != psi.basis:
         raise BasisMismatchError("cannot compose over different bases")
-    basis = phi.basis
-    images = tuple(Word(basis, _apply_table(phi.table, im.letters)) for im in psi.images)
-    inverse_images = tuple(
-        Word(basis, _apply_table(psi.inverse_table, im.letters)) for im in phi.inverse_images
-    )
-    return _trusted(basis, images, inverse_images)
+    images = tuple(_image(phi, phi.table, im) for im in psi.images)
+    inverse_images = tuple(_image(psi, psi.inverse_table, im) for im in phi.inverse_images)
+    return _trusted(phi.basis, images, inverse_images)
 
 
 def inverse(phi: FreeAutomorphism) -> FreeAutomorphism:
-    return _trusted(phi.basis, phi.inverse_images, phi.images)
+    """``phi^-1``: the two directions swapped, signed tables included."""
+    return _unchecked(
+        FreeAutomorphism, basis=phi.basis, images=phi.inverse_images, inverse_images=phi.images,
+        table=phi.inverse_table, inverse_table=phi.table,
+    )
 
 
 def power(phi: FreeAutomorphism, n: int) -> FreeAutomorphism:
@@ -193,16 +190,16 @@ def _table_automorphism(basis: Basis, fwd: dict[int, str], bwd: dict[int, str]) 
 
 
 def simple_twist(basis: Basis, twisted: int, twistor: int) -> FreeAutomorphism:
-    """The Dehn twist sending the ``twisted`` generator t to t*z, fixing the rest."""
+    """The Dehn twist sending the ``twisted`` generator t to t*z, fixing the rest (and t to t*z^-1 back)."""
     basis.check_letter(twisted)
     basis.check_letter(twistor)
     if twisted <= 0 or twistor <= 0 or twisted == twistor:
         raise ValueError("twist needs two distinct generators")
-    images = [Word(basis, (i,)) for i in basis.generators()]
+    images = [_unchecked(Word, basis=basis, letters=(i,)) for i in basis.generators()]
     inverse_images = list(images)
-    images[twisted - 1] = Word(basis, (twisted, twistor))
-    inverse_images[twisted - 1] = Word(basis, (twisted, -twistor))
-    return FreeAutomorphism(basis, tuple(images), tuple(inverse_images))
+    images[twisted - 1] = _unchecked(Word, basis=basis, letters=(twisted, twistor))
+    inverse_images[twisted - 1] = _unchecked(Word, basis=basis, letters=(twisted, -twistor))
+    return _trusted(basis, tuple(images), tuple(inverse_images))
 
 
 def double_twist(basis: Basis) -> FreeAutomorphism:

@@ -56,11 +56,9 @@ steps and the tail ``(n0, A, B)`` as data, so no step past ``n0 + 1`` builds
 a read dict but the one cross-checked.
 
 The public :func:`act` and :func:`projective_vector` are the kernel's image
-step and read counter followed by canonicalization and division.
-:func:`act` builds its result without re-running the public constructors'
-checks (:func:`_orbit_current`): :func:`_image_core` has already checked
-every image core with raises that ``python -O`` keeps, so only the canonical
-rotation and the term order are computed.
+step and read counter followed by canonicalization and division; :func:`act`
+builds its result unchecked (:func:`_orbit_current`), as :func:`_image_core`
+has checked every image core with raises that ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -101,6 +99,7 @@ from .words import (
     _period,
     _reads,
     _subword_counts,
+    _unchecked,
     _with_prefixes,
     cyclic_reduce,
     letter_key,
@@ -173,10 +172,10 @@ def zero_current(basis: Basis) -> RationalCurrent:
 
 
 def rational_current(g: Word) -> RationalCurrent:
-    """The counting current of the conjugacy class of ``g`` (nontrivial)."""
-    cycle, _ = cyclic_reduce(g)
-    root, exponent = primitive_root(cycle)
-    return RationalCurrent(g.basis, ((ConjugacyClass(root), Fraction(exponent)),))
+    """The counting current of the conjugacy class of ``g`` (nontrivial): its root, weighted by the exponent."""
+    root, exponent = primitive_root(cyclic_reduce(g)[0])
+    cls = _unchecked(ConjugacyClass, root=root)
+    return _unchecked(RationalCurrent, basis=g.basis, terms=((cls, Fraction(exponent)),))
 
 
 def coordinate(v: Word, nu: RationalCurrent) -> Fraction:
@@ -201,10 +200,11 @@ def add(nu1: RationalCurrent, nu2: RationalCurrent) -> RationalCurrent:
 
 
 def scale(r: Fraction, nu: RationalCurrent) -> RationalCurrent:
+    """``r nu`` for ``r > 0``: the same classes in the same order, with positive weights."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError(f"scale factor must be positive, got {r}")
-    return RationalCurrent(nu.basis, tuple((cls, r * w) for cls, w in nu.terms))
+    return _unchecked(RationalCurrent, basis=nu.basis, terms=tuple((cls, r * w) for cls, w in nu.terms))
 
 
 def act(phi: FreeAutomorphism, nu: RationalCurrent) -> RationalCurrent:
@@ -635,14 +635,6 @@ def _orbit_distance(a: Reads, b: Reads) -> Fraction:
     return Fraction(_gap(a, b), a[1] * b[1])
 
 
-def _unchecked(cls, **fields):
-    """A frozen dataclass instance built without its ``__post_init__`` checks."""
-    out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
-    return out
-
-
 def _orbit_current(basis: Basis, terms: Terms, denominator: int) -> RationalCurrent:
     """The public current of kernel terms, built without re-running the constructor checks.
 
@@ -682,9 +674,9 @@ class ProjectiveCurrentVector:
 def projective_vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVector:
     counts, total = _current_reads(nu, level)
     # Inverse pairs are keyed in letter-key space, where plain tuple order is
-    # the letter order.
+    # the letter order; a read of a cyclically reduced root is a reduced word.
     entries = tuple(
-        (Word(nu.basis, _key_letters(rep)), Fraction(counts[rep], total))
+        (_unchecked(Word, basis=nu.basis, letters=_key_letters(rep)), Fraction(counts[rep], total))
         for rep in sorted(counts, key=lambda t: (len(t), t))
     )
     return ProjectiveCurrentVector(nu.basis, level, entries)
@@ -745,18 +737,19 @@ CLASS_BUDGET = 10_000
 LETTER_BUDGET = 1_000_000
 
 
+def check_word_budget(bound: int, how: str) -> None:
+    """Refuse a step whose word may reach ``bound`` letters (``how`` spells it out) over :data:`LETTER_BUDGET`."""
+    if bound > LETTER_BUDGET:
+        raise ValueError(f"the next step may reach {bound} letters ({how}), over the budget of {LETTER_BUDGET}")
+
+
 def check_letter_budget(letters: int, table: SignedTable) -> None:
     """Refuse a step of ``letters`` letters whose image may pass :data:`LETTER_BUDGET`.
 
     The image is at most ``letters`` times the longest image in ``table``;
     the bound is checked before the step, in ints.
     """
-    bound = letters * max(map(len, table))
-    if bound > LETTER_BUDGET:
-        raise ValueError(
-            f"the next step may reach {bound} letters ({letters} letters times the longest image), "
-            f"over the budget of {LETTER_BUDGET}"
-        )
+    check_word_budget(letters * max(map(len, table)), f"{letters} letters times the longest image")
 
 
 def _bounded_compose(f: FreeAutomorphism, g: FreeAutomorphism) -> FreeAutomorphism:
@@ -825,7 +818,10 @@ def power_free_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]
 
 @cache
 def _lyndon_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]:
-    """:func:`power_free_classes` without the budget, enumerated once per ``(basis, max_len)``."""
+    """:func:`power_free_classes` without the budget, enumerated once per ``(basis, max_len)``.
+
+    A kept Lyndon word is a cyclically reduced, aperiodic least rotation, so its class is built unchecked.
+    """
     top = 2 * basis.rank - 1
     kept = []
     keys = [-1]
@@ -843,7 +839,8 @@ def _lyndon_classes(basis: Basis, max_len: int) -> tuple[ConjugacyClass, ...]:
         while keys and keys[-1] == top:
             keys.pop()
     kept.sort(key=lambda t: (len(t), t))
-    return tuple(ConjugacyClass(CyclicWord(basis, _key_letters(t))) for t in kept)
+    roots = (_unchecked(CyclicWord, basis=basis, letters=_key_letters(t)) for t in kept)
+    return tuple(_unchecked(ConjugacyClass, root=root) for root in roots)
 
 
 _TERM_RE = re.compile(r"\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?\[([^\]]*)\]\s*")

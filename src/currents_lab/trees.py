@@ -30,8 +30,8 @@ cyclic cores over one common denominator of its edge lengths, plus the
 counts times ints, twist edge lengths become int stable-letter weights for
 :func:`_britton_weight`.  :func:`length` and :func:`length_britton` read it
 on the core of the word pulled back through the marking's signed table (no
-checked ``Word`` is built), and the tree orbit kernel in
-:mod:`currents_lab.dynamics` reads it at every orbit step.
+checked ``Word`` is built), :func:`_root_lengths` on many roots at once, and
+the tree orbit kernel in :mod:`currents_lab.dynamics` at every orbit step.
 :func:`length_limit` keeps its own twistor count, independent of Britton
 pinching, so the cross-check stays two independent routes; it too counts in
 ints, with the twistor edge lengths over their common denominator
@@ -64,7 +64,7 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .words import Basis, Word, _cyclic_core, _reduced, parse_letters
+from .words import Basis, CyclicWord, Word, _cyclic_core, _reduced, parse_letters
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
     return partial(weigh, ints), tree.scale / denominator
 
 
-def _core_letters(tree: TreeLengthFunction, g: Word) -> Sequence[int]:
+def _core_letters(tree: TreeLengthFunction, g: Word | CyclicWord) -> Sequence[int]:
     """Cyclic core of the pulled-back word, in the rotation it comes in.
 
     Translation length is a conjugacy invariant, so no canonical rotation is
@@ -282,7 +282,7 @@ def _core_letters(tree: TreeLengthFunction, g: Word) -> Sequence[int]:
     """
     if g.basis != tree.basis:
         raise BasisMismatchError("tree and word use different bases")
-    if g.is_identity():
+    if not g.letters:
         raise IdentityElementError("translation length needs a nontrivial element")
     return _cyclic_core(_apply_table(tree.marking.inverse_table, g.letters))
 
@@ -356,14 +356,18 @@ def length(tree: TreeLengthFunction, g: Word) -> Fraction:
     return factor * weigh(_core_letters(tree, g))
 
 
+def _root_lengths(tree: TreeLengthFunction, classes: Sequence[ConjugacyClass]) -> tuple[list[int], Fraction]:
+    """The classes' roots' translation lengths as ints from one weigher, and the factor that scales them."""
+    weigh, factor = _weigher(tree)
+    return [weigh(_core_letters(tree, cls.root)) for cls in classes], factor
+
+
 def intersection_form(tree: TreeLengthFunction, nu: RationalCurrent) -> Fraction:
     """Length pairing: weighted sum of root translation lengths."""
     if tree.basis != nu.basis:
         raise BasisMismatchError("tree and current use different bases")
-    total = Fraction(0)
-    for cls, weight in nu.terms:
-        total += weight * length(tree, cls.root.as_word())
-    return total
+    lengths, factor = _root_lengths(tree, [cls for cls, _ in nu.terms])
+    return factor * sum((weight * n for (_, weight), n in zip(nu.terms, lengths)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -378,13 +382,11 @@ class ProjectiveTreeVector:
 
 def projective_tree_vector(tree: TreeLengthFunction, level: int) -> ProjectiveTreeVector:
     classes = power_free_classes(tree.basis, level)
-    values = [length(tree, cls.root.as_word()) for cls in classes]
-    total = sum(values, Fraction(0))
+    values, _ = _root_lengths(tree, classes)
+    total = sum(values)
     if total == 0:
         raise AllEllipticError("every test class is elliptic; no projective class")
-    return ProjectiveTreeVector(
-        tree.basis, level, classes, tuple(v / total for v in values)
-    )
+    return ProjectiveTreeVector(tree.basis, level, classes, tuple(Fraction(v, total) for v in values))
 
 
 def tree_projective_eq(p: ProjectiveTreeVector, q: ProjectiveTreeVector) -> bool:

@@ -11,8 +11,15 @@ one under the letter order a < a^-1 < b < b^-1 < ...  Two conjugate elements
 therefore produce equal :class:`CyclicWord` values.  One key map,
 :func:`letter_key` (``a, A, b, B, ...`` to ``0, 1, 2, 3, ...``, so inversion is
 ``k ^ 1``), computed for whole words by :func:`_keys`, feeds the canonical
-rotation, its re-check in :class:`CyclicWord`, :func:`rotation_key` and the
-inverse-pair keys of :func:`_pair_key` (read back by :func:`_key_letters`).
+rotation (one two-pointer scan, :func:`_least_rotation`), its check in
+:class:`CyclicWord`, :func:`rotation_key` and the inverse-pair keys of
+:func:`_pair_key` (read back by :func:`_key_letters`).
+
+Values are checked where they enter: the parsers (:func:`word`, ``parse_*``),
+:func:`free_reduce` and direct calls of the dataclass constructors raise.  A
+value derived from checked ones holds its invariants by construction (its
+producer's docstring says why) and is built by :func:`_unchecked`, the one
+trusted constructor, so a derived cyclic word runs one rotation scan.
 
 One counter, :func:`_reads`, counts all the clockwise reads of a fixed
 length around a cycle; :func:`_subword_counts` (behind :func:`count_subwords`
@@ -137,30 +144,40 @@ class Word:
         return not self.letters
 
 
+def _unchecked(cls, **fields):
+    """A frozen dataclass instance built without its ``__post_init__`` checks, for derived values only."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
 def free_reduce(basis: Basis, letters: Iterable[Letter]) -> Word:
     return Word(basis, _reduced(letters))
 
 
 def word(basis: Basis, text: str) -> Word:
-    """Parse and freely reduce a word literal."""
-    return free_reduce(basis, parse_letters(basis, text))
+    """Parse and freely reduce a word literal: :func:`parse_letters` has checked every letter."""
+    return _unchecked(Word, basis=basis, letters=_reduced(parse_letters(basis, text)))
 
 
 def concat(u: Word, v: Word) -> Word:
+    """``u v``: the free reduction of two words' letters over one basis is a word."""
     if u.basis != v.basis:
         raise BasisMismatchError(f"cannot concatenate over {u.basis} and {v.basis}")
-    return Word(u.basis, _reduced(u.letters + v.letters))
+    return _unchecked(Word, basis=u.basis, letters=_reduced(u.letters + v.letters))
 
 
 def invert(u: Word) -> Word:
-    return Word(u.basis, tuple(-x for x in reversed(u.letters)))
+    """``u^-1``: reduced because ``u`` is."""
+    return _unchecked(Word, basis=u.basis, letters=tuple(-x for x in reversed(u.letters)))
 
 
 def word_power(u: Word, n: int) -> Word:
     """u**n for any integer n (negative powers via inversion)."""
     if n < 0:
         return word_power(invert(u), -n)
-    return Word(u.basis, _reduced(u.letters * n))
+    return _unchecked(Word, basis=u.basis, letters=_reduced(u.letters * n))
 
 
 def _keys(letters: Sequence[Letter]) -> list[int]:
@@ -180,32 +197,23 @@ def _key_letters(keys: Iterable[int]) -> tuple[Letter, ...]:
 
 
 def _least_rotation(keys: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm).
+    """Least index of the lexicographically least rotation of ``keys``.
 
-    Every least rotation starts at a least key, so a least key that occurs
-    once is the answer without running Booth.
+    Starts ``i < j`` are compared ``k`` keys deep; the one reading the larger
+    key, and the ``k`` starts after it, cannot be least, so it jumps past them.
     """
-    least = min(keys)
-    if keys.count(least) == 1:
-        return keys.index(least)
     n = len(keys)
-    doubled = list(keys) + list(keys)
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = doubled[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            f[j - k] = -1
+    doubled = list(keys) * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j, i + k) + 1, 0
         else:
-            f[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+    return i
 
 
 def _canonical_rotation(letters: Sequence[Letter]) -> tuple[Letter, ...]:
@@ -250,21 +258,23 @@ class CyclicWord:
         return "".join(self.basis.letter_name(x) for x in self.letters)
 
     def as_word(self) -> Word:
-        return Word(self.basis, self.letters)
+        """The letters as a word: a cyclically reduced word is reduced."""
+        return _unchecked(Word, basis=self.basis, letters=self.letters)
 
 
 def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     """Split ``u = c * w * c^-1`` with ``w`` cyclically reduced.
 
     Returns ``(cyclic word of w, conjugator c)``.  Raises
-    :class:`IdentityElementError` when ``u`` is the identity.
+    :class:`IdentityElementError` when ``u`` is the identity.  Both are
+    derived: the core is nonempty and cyclically reduced, the conjugator a prefix.
     """
     letters = u.letters
     if not letters:
         raise IdentityElementError("the identity has no cyclic reduction")
     core = _cyclic_core(letters)
-    conjugator = Word(u.basis, letters[: (len(letters) - len(core)) // 2])
-    return CyclicWord(u.basis, _canonical_rotation(core)), conjugator
+    conjugator = _unchecked(Word, basis=u.basis, letters=letters[: (len(letters) - len(core)) // 2])
+    return _unchecked(CyclicWord, basis=u.basis, letters=_canonical_rotation(core)), conjugator
 
 
 def cyclic_word(basis: Basis, text: str) -> CyclicWord:
@@ -274,7 +284,8 @@ def cyclic_word(basis: Basis, text: str) -> CyclicWord:
 
 
 def inverse_cyclic(w: CyclicWord) -> CyclicWord:
-    return CyclicWord(w.basis, _canonical_rotation([-x for x in reversed(w.letters)]))
+    """The class of ``w^-1``: cyclically reduced because ``w`` is, put in canonical rotation."""
+    return _unchecked(CyclicWord, basis=w.basis, letters=_canonical_rotation([-x for x in reversed(w.letters)]))
 
 
 def rotation_key(w: CyclicWord) -> tuple[int, ...]:
@@ -371,10 +382,11 @@ def _period(letters: Sequence[Letter]) -> int:
 def primitive_root(w: CyclicWord) -> tuple[CyclicWord, int]:
     """Smallest cyclic word ``r`` and exponent ``m`` with ``w = r^m``.
 
-    A power-free ``w`` is returned as its own root.
+    A power-free ``w`` is its own root; otherwise the root is the first period of
+    ``w``, cyclically reduced and, as a least rotation's first period, a least rotation.
     """
     letters = w.letters
     p = _period(letters)
     if p == len(letters):
         return w, 1
-    return CyclicWord(w.basis, letters[:p]), len(letters) // p
+    return _unchecked(CyclicWord, basis=w.basis, letters=letters[:p]), len(letters) // p

@@ -1,15 +1,20 @@
 """Automorphism tables: twists, basis changes, parsing, group laws."""
 
+from dataclasses import replace
+from fractions import Fraction
 from itertools import chain
+from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from currents_lab.automorphisms import (
     FreeAutomorphism,
     _apply_table,
     _signed_table,
     apply,
+    apply_cyclic,
+    apply_inverse,
     automorphism_str,
     compose,
     double_prime_basis_change,
@@ -21,8 +26,21 @@ from currents_lab.automorphisms import (
     prime_basis_change,
     simple_twist,
 )
+from currents_lab.corpus import random_current, random_cyclic_word, random_reduced_word
+from currents_lab.currents import RationalCurrent, act, power_free_classes, projective_vector, rational_current, scale
 from currents_lab.errors import AutomorphismTableError, ParseError, RankError
-from currents_lab.words import Basis, _reduced, concat, free_reduce, word
+from currents_lab.words import (
+    Basis,
+    _reduced,
+    concat,
+    cyclic_reduce,
+    free_reduce,
+    inverse_cyclic,
+    invert,
+    primitive_root,
+    word,
+    word_power,
+)
 
 B3 = Basis(3)
 B5 = Basis(5)
@@ -149,6 +167,38 @@ class TestValidationBoundary:
         assert (checked.table, checked.inverse_table) == (phi.table, phi.inverse_table)
         back = inverse(phi)
         assert (back.table, back.inverse_table) == (phi.inverse_table, phi.table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_trusted_producers_pass_the_public_checks(self, data):
+        # every value built without its checks passes them: replace re-runs __post_init__
+        basis = data.draw(st.sampled_from([Basis(2), B3, B5]))
+        letters = st.lists(st.sampled_from(basis.signed_letters()), max_size=10)
+        u, v = free_reduce(basis, data.draw(letters)), free_reduce(basis, data.draw(letters))
+        n = data.draw(st.integers(min_value=-3, max_value=3))
+        t, z = data.draw(st.permutations(list(basis.generators())))[:2]
+        phi = compose(simple_twist(basis, t, z), data.draw(small_automorphisms(basis)))
+        rng = Random(data.draw(st.integers(min_value=0, max_value=2**16)))
+        values = [
+            concat(u, v), invert(u), word_power(u, n), apply(phi, u), apply_inverse(phi, u),
+            compose(phi, phi), inverse(phi), power(phi, n), identity_automorphism(basis), simple_twist(basis, t, z),
+            random_reduced_word(rng, basis, 8), random_cyclic_word(rng, basis, 8), random_current(rng, basis),
+            *power_free_classes(basis, 2),
+        ]
+        if not u.is_identity():
+            cycle, conjugator = cyclic_reduce(u)
+            nu = rational_current(word_power(u, data.draw(st.integers(min_value=1, max_value=3))))
+            values += [cycle, conjugator, inverse_cyclic(cycle), primitive_root(cycle)[0], cycle.as_word()]
+            values += [apply_cyclic(phi, cycle), nu, scale(Fraction(3, 2), nu), act(phi, nu)]
+            values += [w for w, _ in projective_vector(nu, 2).entries]
+        for value in values:
+            assert replace(value) == value
+            if isinstance(value, FreeAutomorphism):
+                assert (replace(value).table, replace(value).inverse_table) == (value.table, value.inverse_table)
+            if isinstance(value, RationalCurrent):
+                assert all(replace(cls) == cls and replace(cls.root) == cls.root for cls, _ in value.terms)
+            if hasattr(value, "root"):
+                assert replace(value.root) == value.root
 
     def test_mismatched_table_still_raises(self):
         phi = power(self.GROWING, 3)

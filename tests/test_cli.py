@@ -227,6 +227,15 @@ class TestExitCodes:
         names = [a["name"] for a in json.loads(out)["assertions"]]
         assert "distance at step n is at most (level+3)/(n*||u||+3) for n >= 1" in names
 
+    def test_off_critical_steps_over_the_letter_budget_are_refused(self, capsys, monkeypatch):
+        # abaB^n a has at most 4n + 1 letters: step 25 may reach 101, refused before it is built
+        argv = ["experiment", "off-critical", "--iters", "40"]
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 100)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "error: the next step may reach 101 letters (25*|g| + |f|), over the budget of 100\n"
+
     def test_tree_orbit_steps_under_the_letter_budget(self, capsys, monkeypatch):
         # a cap below N + 3 steps every class's orbit, each step refused before it may pass the budget
         argv = ["experiment", "product-minimal", "--cap", "2"]

@@ -68,7 +68,7 @@ from currents_lab.trees import (
     tree_projective_eq,
     twist_tree,
 )
-from currents_lab.words import Basis, concat, free_reduce, word, word_power
+from currents_lab.words import Basis, concat, cyclic_reduce, free_reduce, invert, word, word_power
 
 B3 = Basis(3)
 B5 = Basis(5)
@@ -464,6 +464,33 @@ class TestExperiments:
     def test_off_critical(self):
         report = run_off_critical_perturbation(word(B3, "abaB"), word(B3, "a"), iters=6)
         assert report.passed
+
+    @pytest.mark.parametrize("g, f, m", [("babAB", "a", 5), ("abaB", "A", 1)])
+    def test_off_critical_outside_the_classic_hypotheses(self, g, f, m):
+        # babAB is not cyclically reduced and abaB A cancels round the cycle: 2*||f||/(n*||g||)
+        # fails at n = 3 and n = 1, so the proven bound, named with m = |p^-1 f p|, is asserted
+        report = run_off_critical_perturbation(word(B3, g), word(B3, f), iters=30)
+        assert report.passed
+        assert report.assertions[-1].name == f"distance at step n is at most (level+{m}-1)/||nu_n|| for n >= 1"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(B3.signed_letters()), min_size=1, max_size=6),
+        st.lists(st.sampled_from(B3.signed_letters()), max_size=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_off_critical_bound_holds_for_every_g_and_f(self, g_letters, f_letters, level, n):
+        # d_n <= (m + level - 1)/||nu_n|| with m = |p^-1 f p|, p the conjugator of g, read off the
+        # public projective_distance
+        g, f = free_reduce(B3, g_letters), free_reduce(B3, f_letters)
+        gnf = concat(word_power(g, n), f)
+        assume(not g.is_identity() and not gnf.is_identity())
+        p = cyclic_reduce(g)[1]
+        m = len(concat(concat(invert(p), f), p))
+        nu = rational_current(gnf)
+        d = projective_distance(projective_vector(nu, level), projective_vector(rational_current(g), level))
+        assert d <= Fraction(m + level - 1) / currents.length(nu)
 
     def test_off_critical_rejects_even_count(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from currents_lab import words as words_module
+from currents_lab.currents import rational_current
 from currents_lab.errors import IdentityElementError, ParseError
 from currents_lab.words import (
     Basis,
@@ -23,6 +25,7 @@ from currents_lab.words import (
     cyclic_reduce,
     cyclic_word,
     free_reduce,
+    inverse_cyclic,
     invert,
     letter_key,
     occurrences,
@@ -310,7 +313,45 @@ class TestLeastRotation:
         keys = [letter_key(x) for x in letters]
         assert _least_rotation(keys) == brute_least_rotation(keys)
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_periodic_keys(self, base, m):
+        # a proper power has several least rotations; the least index is the one asked for
+        keys = base * m
+        assert _least_rotation(keys) == brute_least_rotation(keys) == brute_least_rotation(base)
+
     def test_examples(self):
         assert _least_rotation([2, 0, 2, 0, 1]) == 3
         assert _least_rotation([0, 1, 0, 0, 1]) == 2
         assert _least_rotation([0, 2, 0, 2]) == 0
+        assert _least_rotation([2, 0, 2, 0]) == 1
+        assert _least_rotation([1, 0, 0, 1, 0, 0]) == 1
+
+
+class TestOneScanPerDerivedWord:
+    """A derived cyclic word is put in canonical rotation once and never re-checked."""
+
+    def count(self, monkeypatch, name):
+        calls = []
+        original = getattr(words_module, name)
+        monkeypatch.setattr(words_module, name, lambda keys: calls.append(keys) or original(keys))
+        return calls
+
+    def test_one_rotation_scan(self, monkeypatch):
+        scans = self.count(monkeypatch, "_least_rotation")
+        cycle, _ = cyclic_reduce(word(B3, "abAcBaaBA"))
+        assert len(scans) == 1
+        inverse_cyclic(cycle)
+        assert len(scans) == 2
+        rational_current(word(B3, "cabab"))
+        assert len(scans) == 3
+        rational_current(word(B3, "Babab"))
+        assert len(scans) == 4
+
+    def test_one_period_scan(self, monkeypatch):
+        # the root of [abab] is found once: the class built from it is not re-checked
+        periods = self.count(monkeypatch, "_period")
+        assert str(rational_current(word(B3, "abab"))) == "2*[ab]"
+        assert len(periods) == 1
