@@ -435,21 +435,26 @@ def _limit(skeleton: Skeleton) -> Skeleton:
     return ends[i:]
 
 
+def _onset(syllables: Skeleton, level: int) -> int:
+    """The first ``n >= 1`` at which every moving syllable ``(y, c, slope)`` has ``sign(slope) * e >= level``."""
+    n0 = 1
+    for _, c, slope in syllables:
+        if slope:  # the least n with sign(slope) * (c + slope n) >= level
+            n0 = max(n0, -((c - level if slope > 0 else -c - level) // abs(slope)))
+    return n0
+
+
 def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
     """``n0`` and the per-step growth ``B`` of the :func:`_syllable_reads` of ``phi^n(core)`` past it.
 
-    From the first ``n >= 1`` at which every moving syllable, in the skeleton
-    and in the :func:`_limit`, has ``sign(slope) * e >= level``, no syllable
-    vanishes, the merges are the limit's, and every syllable is cut to the
-    same letters, so each step adds only ``|slope|`` reads of ``x^level`` per
-    moving limit syllable ``x^e``.  (The counts can turn affine a step
-    sooner: ``n0`` is an onset, not the least.)
+    From the :func:`_onset` of the skeleton and the :func:`_limit` together,
+    no syllable vanishes, the merges are the limit's, and every syllable is
+    cut to the same letters, so each step adds only ``|slope|`` reads of
+    ``x^level`` per moving limit syllable ``x^e``.  (The counts can turn
+    affine a step sooner: ``n0`` is an onset, not the least.)
     """
     limit = _limit(skeleton)
-    n0 = 1
-    for _, c, slope in skeleton + limit:
-        if slope:  # the least n with sign(slope) * (c + slope n) >= level
-            n0 = max(n0, -((c - level if slope > 0 else -c - level) // abs(slope)))
+    n0 = _onset(skeleton + limit, level)
     growth: Counter = Counter()
     for y, _, slope in limit:
         if slope:

@@ -17,6 +17,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _encode
 from math import gcd
 from random import Random
@@ -43,7 +44,6 @@ from .currents import (
     RationalCurrent,
     Skeleton,
     TwistForm,
-    _affine_tail,
     _bounded_power,
     _coordinates,
     _current_reads,
@@ -51,6 +51,7 @@ from .currents import (
     _orbit_distances,
     _orbit_terms,
     _limit,
+    _onset,
     _skeleton,
     _syllable_letters,
     _syllables,
@@ -90,7 +91,19 @@ from .trees import (
     tree_projective_eq,
     twist_tree,
 )
-from .words import Basis, Letter, Word, _cyclic_core, _reduced, concat, cyclic_reduce, invert, word, word_power
+from .words import (
+    Basis,
+    Letter,
+    Word,
+    _cyclic_core,
+    _reduced,
+    _unchecked,
+    concat,
+    cyclic_reduce,
+    invert,
+    word,
+    word_power,
+)
 
 
 DERIVED_RATE_NOTE = (
@@ -339,33 +352,37 @@ def _marked(letters: Sequence[Letter]) -> tuple[int, ...]:
     return tuple(x + _MARK if x > 0 else x - _MARK for x in letters)
 
 
-# Per limit syllable ``y^e`` past ``n0``: ``(p, r, q, weight(r))``, where the pull-back of ``y`` or
-# ``y^-1`` (the sign of ``e``) is ``p r q`` with ``q = p^-1`` and the period ``r`` its cyclic core,
-# so that ``y^e`` pulls back to ``p r^|e| q``; the weight is 0 for a syllable that does not move.
+# Per signed generator ``y``: ``(p, r, q, weight)``, where ``pull[y]`` is ``p r q`` with ``q = p^-1`` and
+# the period ``r`` its cyclic core, so that a syllable ``y^e``, ``e > 0``, pulls back to ``p r^e q``;
+# ``weight`` is ``weight(r)`` when the period has a certificate, and 0 when it has none.
 PulledSyllable = tuple[tuple[Letter, ...], tuple[Letter, ...], tuple[Letter, ...], int]
 
 
-def _pulled_periods(
-    limit: Skeleton, pull: SignedTable, weigh: Weigher, lengths: dict[int, int]
-) -> list[PulledSyllable] | None:
-    """The :data:`PulledSyllable` of each limit syllable; None if a moving one's period has no certificate.
+def _period(pull: SignedTable, weigh: Weigher, lengths: dict[int, int], y: int) -> PulledSyllable:
+    """The :data:`PulledSyllable` of the signed generator ``y``.
 
     ``weight(r)`` is ``r``'s letter weight under the weigher's charges
     (:func:`trees._int_lengths`): the weighted count of its stable letters on
-    a twist core, its letter weight on a Cayley core.  A period needs
-    ``weight(r) > 0``, and as a cycle it must weigh ``weight(r)``, so that no
-    pinch applies around it, and none inside any ``r^e``.
+    a twist core, its letter weight on a Cayley core.  A period has a
+    certificate when ``weight(r) > 0`` and, as a cycle, it weighs
+    ``weight(r)``, so that no pinch applies around it, and none inside any
+    ``r^e``.
     """
-    pulled = []
-    for y, c, slope in limit:
-        image = pull[y if (slope or c) > 0 else -y]
-        r = _cyclic_core(image)
-        weight = _letter_weight(lengths, r) if slope else 0
-        if slope and (weight == 0 or weigh(r) != weight):
-            return None
-        i = (len(image) - len(r)) // 2
-        pulled.append((image[:i], r, image[i + len(r) :], weight))
-    return pulled
+    image = pull[y]
+    r = _cyclic_core(image)
+    weight = _letter_weight(lengths, r)
+    i = (len(image) - len(r)) // 2
+    return image[:i], r, image[i + len(r) :], weight if weight and weigh(r) == weight else 0
+
+
+def _pulled_periods(pull: SignedTable, weigh: Weigher, lengths: dict[int, int]) -> Callable[[int], PulledSyllable]:
+    """One orbit's :func:`_period` of each signed generator, built on its first use and kept.
+
+    A period and its verdict depend on the marking and the tree only, so
+    each is built and weighed at most once per signed generator per orbit,
+    and every moving syllable of every class reads the kept verdict.
+    """
+    return cache(partial(_period, pull, weigh, lengths))
 
 
 def _period_growth(limit: Skeleton, pulled: list[PulledSyllable]) -> int:
@@ -386,20 +403,25 @@ def _marked_pull_back(limit: Skeleton, pulled: list[PulledSyllable], n: int) -> 
     return _cyclic_core(_reduced(letters))
 
 
+def _limit_syllables(skeleton: Skeleton, limit: Skeleton, n: int) -> list[tuple[int, int]]:
+    """The syllables of step ``n >= n0``, which must be the limit's at ``n``, or ``RuntimeError``."""
+    syllables = _syllables(skeleton, n)
+    if syllables != [(y, c + slope * n) for y, c, slope in limit]:
+        raise RuntimeError(f"step {n} is not the limit skeleton's step {n}")
+    return syllables
+
+
 def _pulled_weight(
     weigh: Weigher, pull: SignedTable, rank: int, skeleton: Skeleton, limit: Skeleton, n: int
 ) -> int:
     """The weigher value of step ``n >= n0``, whose syllables must be the limit's at ``n``."""
-    syllables = _syllables(skeleton, n)
-    if syllables != [(y, c + slope * n) for y, c, slope in limit]:
-        raise RuntimeError(f"step {n} is not the limit skeleton's step {n}")
-    return weigh(_cyclic_image(pull, _syllable_letters(syllables), rank))
+    return weigh(_cyclic_image(pull, _syllable_letters(_limit_syllables(skeleton, limit, n)), rank))
 
 
 def _affine_law(
     form: TwistForm,
     weigh: Weigher,
-    lengths: dict[int, int],
+    periods: Callable[[int], PulledSyllable],
     pull: SignedTable,
     rank: int,
     letters: Sequence[Letter],
@@ -409,16 +431,25 @@ def _affine_law(
 
     ``N`` is the least certified step up to ``last`` (the argument is in
     :func:`tree_orbit_limit`), searched from the first step from ``n0`` on
-    at which every moving block holds two periods.  ``f(N + 1)`` is weighed
-    too, and a value other than ``f(N) + delta`` raises ``RuntimeError``.
+    at which every moving block holds two periods (:func:`currents._onset`).
+    ``periods`` is the orbit's :func:`_pulled_periods`.  ``f(N + 1)`` is
+    weighed too, and a value other than ``f(N) + delta`` raises
+    ``RuntimeError``.  A class with no moving syllable is weighed once, at
+    ``N = n0``, and its step ``N + 1`` is checked against the limit's syllables.
     """
     skeleton = _skeleton(form, letters)
     limit = _limit(skeleton)
-    pulled = _pulled_periods(limit, pull, weigh, lengths)
-    if pulled is None:
+    first = max(_onset(skeleton + limit, 1), _onset(limit, 2))
+    if first > last:
         return None
-    marked = 2 * sum(weight for _, _, _, weight in pulled)
-    first = max(_affine_tail(skeleton, 1)[0], _affine_tail(limit, 2)[0])
+    if not any(slope for _, _, slope in limit):
+        value = _pulled_weight(weigh, pull, rank, skeleton, limit, first)
+        _limit_syllables(skeleton, limit, first + 1)
+        return first, value, 0
+    pulled = [periods(y if (slope or c) > 0 else -y) for y, c, slope in limit]
+    if any(slope and not weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled)):
+        return None
+    marked = 2 * sum(weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled) if slope)
     for n in range(first, last + 1):
         value = _pulled_weight(weigh, pull, rank, skeleton, limit, n)
         if value == weigh(_marked_pull_back(limit, pulled, n)) + marked:
@@ -451,7 +482,7 @@ def tree_orbit_limit(
     When ``phi^-1`` has a twist form (:func:`currents._twist_form`), each
     class's four values are read off a certified affine tail
     (:func:`_affine_law`), without stepping there.  Past the onset ``n0`` of
-    its skeleton (:func:`currents._affine_tail`), step n is the
+    its skeleton (:func:`currents._onset`), step n is the
     :func:`currents._limit`'s syllables ``y^e``, ``e = c + slope n``.  Through
     the marking ``beta``, ``y^e`` pulls back to ``p r^e p^-1``, where the
     period ``r`` is the cyclic core of ``beta^-1(y)``.  The certificate is
@@ -476,8 +507,18 @@ def tree_orbit_limit(
     ``r``'s stable letters on a twist core and ``r``'s letter weight on a
     Cayley core.  ``f(N + 1)`` is computed directly and must equal
     ``f(N) + delta``, or ``RuntimeError`` is raised.  A period of weight 0,
-    or one that pinches around its own cycle (:func:`_pulled_periods`), has
-    no certificate.
+    or one that pinches around its own cycle (:func:`_period`), has no
+    certificate.  A period depends only on the signed generator ``y`` and
+    the marking, so each orbit builds and weighs it at most once
+    (:func:`_pulled_periods`), and every class reads the kept verdict.
+
+    A class with no moving limit syllable has the same syllables at every
+    step from ``n0`` on.  Its marked word is its unmarked one, so the check
+    ``f(N) == f(N) + 0`` cannot fail, and the certificate holds at
+    ``N = n0``.  Step ``N + 1``'s syllables are still checked against the
+    limit's, with the same ``RuntimeError``; once they match, step ``N + 1``
+    spells the same letters as step ``N``, so ``f(N + 1) = f(N)`` and the
+    class is weighed once, with ``delta = 0``.
 
     A stepper without a twist form, or a class with no certificate by
     ``cap - 3``, jumps straight to step ``jump = max(cap - 3, 0)`` through
@@ -508,8 +549,9 @@ def tree_orbit_limit(
     skip: SignedTable | None = None
     rates: list[int] = []
     lasts: list[int] = []
+    periods = _pulled_periods(pull, weigh, lengths)
     for cls in classes:
-        law = None if form is None else _affine_law(form, weigh, lengths, pull, rank, cls.root.letters, jump)
+        law = None if form is None else _affine_law(form, weigh, periods, pull, rank, cls.root.letters, jump)
         if law is not None:
             first, value, delta = law
             tail = [value + (n - first) * delta for n in range(jump, cap + 1)]
@@ -620,7 +662,8 @@ def walk_to_target(
     if twist.basis != nu.basis:
         raise BasisMismatchError("escape twist and current use different bases")
     table = twist.table if choice.direction == 1 else twist.inverse_table
-    goal = _current_reads(rational_current(Word(nu.basis, (choice.target,))), level)
+    target = _unchecked(Word, basis=nu.basis, letters=(choice.target,))  # a generator escape_from_critical chose
+    goal = _current_reads(rational_current(target), level)
     last = Fraction(0)
     orbit = _orbit_distances(table, _orbit_terms(nu)[0], nu.basis.rank, steps, level, goal)
     for n, (norm, gap) in enumerate(orbit):
@@ -767,9 +810,9 @@ def run_theorem_main(
             distance_columns.append(f"{seed_name}-{direction}")
             orbit = _orbit_distances(stepper.table, _orbit_terms(seed)[0], rank, iters, 1, goal)
             for n, (norm, gap) in enumerate(orbit):
-                d = Fraction(gap, norm * goal[1])
-                distance_rows[n].append(str(d))
-                if d != Fraction(2, n + 2):
+                d = _ratio(gap, norm * goal[1])
+                distance_rows[n].append(d)
+                if gap * (n + 2) != 2 * norm * goal[1]:
                     law_failures.append(f"{seed_name} {direction} step {n}: {d} != 2/{n + 2}")
     _assert_all(
         assertions,
@@ -902,15 +945,17 @@ def run_product_minimal(
     start, denominator = _orbit_terms(mu_a)
     orbit1 = _orbit_distances(twist.table, start, rank, iters, 1, goal1)
     orbit_level = _orbit_distances(twist.table, start, rank, iters, level, goal_level)
+    # over ||nu_n|| = norm / denominator, a distance gap / (norm ||g||) meets k ||nu0|| / ||nu_n||
+    # where gap q == k p denominator ||g||, with ||nu0|| = p / q; Fractions only name a failure
+    p, q = base_len.numerator, base_len.denominator
     for n, ((norm, gap1), (_, gap_level)) in enumerate(zip(orbit1, orbit_level)):
-        ln = Fraction(norm, denominator)
-        d1 = Fraction(gap1, norm * goal1[1])
-        dl = Fraction(gap_level, norm * goal_level[1])
-        rows.append((str(n), str(ln), str(d1), str(dl)))
-        if d1 != base_len / ln:
-            law_failures.append(f"step {n}: {d1} != {base_len / ln}")
-        if dl > level * base_len / ln:
-            bound_failures.append(f"step {n}: {dl} > {level * base_len / ln}")
+        d1 = _ratio(gap1, norm * goal1[1])
+        dl = _ratio(gap_level, norm * goal_level[1])
+        rows.append((str(n), _ratio(norm, denominator), d1, dl))
+        if gap1 * q != p * denominator * goal1[1]:
+            law_failures.append(f"step {n}: {d1} != {base_len / Fraction(norm, denominator)}")
+        if gap_level * q > level * p * denominator * goal_level[1]:
+            bound_failures.append(f"step {n}: {dl} > {level * base_len / Fraction(norm, denominator)}")
     _assert_all(
         assertions,
         "current distance at level 1 equals ||nu0||/||nu_n|| (= 1/(n+1))",

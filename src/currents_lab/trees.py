@@ -174,26 +174,43 @@ def double_twist_tree(basis: Basis, rho: Fraction, theta: Fraction) -> TreeLengt
     return twist_tree(basis, [(1, 2, Fraction(rho)), (5, 4, Fraction(theta))])
 
 
-def _britton_weight(core: TwistSplittingCore, weights: Mapping[int, int], letters: Sequence[int]) -> int:
-    """Total of ``weights[t]`` over the stable letters ``t^±1`` surviving cyclic pinching.
-
-    ``letters`` is a cyclically reduced word in any rotation.  Works over the
-    extended alphabet where letter ``rank + 1 + i`` stands for
-    ``t_i z_i t_i^-1``.  A pinch replaces ``t_i z_i^m t_i^-1`` by the fresh
-    symbol to the ``m`` and ``t_i^-1 (fresh)^m t_i`` by ``z_i^m``; the vertex
-    group is free on the non-stable generators plus the fresh symbols, so a
-    segment between two stable letters lies in an edge group exactly when it
-    is such a power.  Stable letters go on a stack, each after the reduced
-    segment before it, and a pinch pops the stack like a free cancellation;
-    pinches across the ends of the cycle then trim both ends.  Every order of
-    pinching leaves the same number of stable letters (Collins' lemma).
-    """
+def _pinch_map(core: TwistSplittingCore) -> dict[int, tuple[int, int]]:
+    """Signed stable letter -> (letter whose powers it pinches, letter they become), for :func:`_britton_weight`."""
     rank = core.basis.rank
-    # signed stable letter -> (letter whose powers it pinches, letter they become)
     pinch: dict[int, tuple[int, int]] = {}
     for i, t in enumerate(core.twists):
         pinch[t.stable] = (t.twistor, rank + 1 + i)
         pinch[-t.stable] = (rank + 1 + i, t.twistor)
+    return pinch
+
+
+def _britton_weight(
+    pinch: Mapping[int, tuple[int, int]], weights: Mapping[int, int], letters: Sequence[int]
+) -> int:
+    """Total of ``weights[t]`` over the stable letters ``t^±1`` surviving cyclic pinching.
+
+    ``letters`` is a cyclically reduced word in any rotation, and ``weights``
+    charges stable generators only (:func:`_int_lengths`).  Works over the
+    extended alphabet of ``pinch`` (:func:`_pinch_map`), where letter
+    ``rank + 1 + i`` stands for ``t_i z_i t_i^-1``.  A pinch replaces
+    ``t_i z_i^m t_i^-1`` by the fresh symbol to the ``m`` and
+    ``t_i^-1 (fresh)^m t_i`` by ``z_i^m``; the vertex group is free on the
+    non-stable generators plus the fresh symbols, so a segment between two
+    stable letters lies in an edge group exactly when it is such a power.
+    Stable letters go on a stack, each after the reduced segment before it,
+    and a pinch pops the stack like a free cancellation; pinches across the
+    ends of the cycle then trim both ends.  Every order of pinching leaves
+    the same number of stable letters (Collins' lemma).
+
+    Every pinch, inside the cycle or across its ends, removes a stable
+    letter ``t_i`` together with a ``t_i^-1``, and only pinches remove stable
+    letters.  So when no stable generator occurs with both signs, no pinch
+    applies, the cycle is already pinch-free, every stable letter survives,
+    and the total is the letters' :func:`_letter_weight`, read without the
+    scan: the stack below never pops and the trim never starts.
+    """
+    if not any(t in letters and -t in letters for t in pinch if t > 0):
+        return _letter_weight(weights, letters)
     stables = [p for p, x in enumerate(letters) if x in pinch]
     ends = stables[1:] + [len(letters)]
     kept: list[int] = []
@@ -264,13 +281,14 @@ def _weigher(tree: TreeLengthFunction) -> tuple[Weigher, Fraction]:
     the weigher counts in ints; ``factor * weigh(letters)`` is the
     translation length on the scaled tree of the cyclically reduced
     ``letters`` (any rotation), read in the core's own basis, that is,
-    already pulled back through the marking.
+    already pulled back through the marking.  A twist core's pinch map
+    (:func:`_pinch_map`) is built once here, not once per word weighed.
     """
     ints, denominator = _int_lengths(tree)
     if isinstance(tree.core, WeightedCayleyCore):
         weigh: Callable[..., int] = _letter_weight
     else:
-        weigh = partial(_britton_weight, tree.core)
+        weigh = partial(_britton_weight, _pinch_map(tree.core))
     return partial(weigh, ints), tree.scale / denominator
 
 

@@ -37,6 +37,7 @@ from currents_lab.currents import (
 from currents_lab.dynamics import (
     _affine_law,
     _dumps,
+    _pulled_periods,
     _ratio,
     _tree_orbit,
     escape_from_critical,
@@ -243,6 +244,18 @@ def outcome(limit, *args):
         return type(exc), str(exc), getattr(exc, "sequence", None)
 
 
+# the five orbits of theorem-main (two marked twist trees, both directions) and product-minimal
+TREE_PRIME = twist_tree(B5, [(1, 2, Fraction(1))], marking=prime_basis_change(B5))
+TREE_DPRIME = twist_tree(B5, [(1, 2, Fraction(1))], marking=double_prime_basis_change(B5))
+BENCHMARK_ORBITS = [
+    (double_twist(B5), TREE_PRIME),
+    (inverse(double_twist(B5)), TREE_PRIME),
+    (double_twist(B5), TREE_DPRIME),
+    (inverse(double_twist(B5)), TREE_DPRIME),
+    (simple_twist(B5, 1, 2), TREE_PRIME),
+]
+
+
 class TestTreeOrbitKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -318,8 +331,9 @@ class TestTreeOrbitKernel:
         weigh, _ = _weigher(tree)
         lengths, _ = _int_lengths(tree)
         pull = tree.marking.inverse_table
+        periods = _pulled_periods(pull, weigh, lengths)
         for cls in classes:
-            law = _affine_law(form, weigh, lengths, pull, basis.rank, cls.root.letters, 61)
+            law = _affine_law(form, weigh, periods, pull, basis.rank, cls.root.letters, 61)
             if law is None:
                 continue
             first, value, delta = law
@@ -330,11 +344,88 @@ class TestTreeOrbitKernel:
         tree = cayley_tree(B3, marking=power(D, 12))
         weigh, _ = _weigher(tree)
         lengths, _ = _int_lengths(tree)
-        args = (_twist_form(D.table, 3), weigh, lengths, tree.marking.inverse_table, 3, (1,), 61)
+        periods = _pulled_periods(tree.marking.inverse_table, weigh, lengths)
+        args = (_twist_form(D.table, 3), weigh, periods, tree.marking.inverse_table, 3, (1,), 61)
         first, value, delta = _affine_law(*args)
         assert first > 12  # the marking's winding is unwound first
         monkeypatch.setattr(dynamics, "_period_growth", lambda limit, pulled: delta + 1)
         with pytest.raises(RuntimeError, match=f"^step {first + 1} of \\(1,\\) is not step {first} plus"):
+            _affine_law(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_onset_is_the_first_of_both_affine_tails(self, data):
+        basis = data.draw(st.sampled_from([B3, B5]))
+        phi = data.draw(linear_steppers(basis))
+        g = free_reduce(basis, data.draw(st.lists(st.sampled_from(basis.signed_letters()), max_size=10)))
+        assume(g.letters)
+        skeleton = currents._skeleton(_twist_form(phi.inverse_table, basis.rank), cyclic_reduce(g)[0].letters)
+        limit = currents._limit(skeleton)
+        both = max(currents._affine_tail(skeleton, 1)[0], currents._affine_tail(limit, 2)[0])
+        assert max(currents._onset(skeleton + limit, 1), currents._onset(limit, 2)) == both
+
+    def test_each_orbit_builds_a_period_at_most_once_per_signed_generator(self, monkeypatch):
+        built = []
+        pulled_periods, period = dynamics._pulled_periods, dynamics._period
+
+        def counted_periods(pull, weigh, lengths):
+            built.append([])
+            return pulled_periods(pull, weigh, lengths)
+
+        def counted_period(pull, weigh, lengths, y):
+            built[-1].append(y)
+            return period(pull, weigh, lengths, y)
+
+        monkeypatch.setattr(dynamics, "_pulled_periods", counted_periods)
+        monkeypatch.setattr(dynamics, "_period", counted_period)
+        for level in (2, 3):
+            for phi, tree in BENCHMARK_ORBITS:
+                built.clear()
+                tree_orbit_limit(phi, tree, level=level)
+                [ys] = built  # one cache per orbit
+                assert ys and len(ys) == len(set(ys)) <= 2 * B5.rank
+
+    @pytest.mark.parametrize(
+        "phi, tree, fixed", [orbit + (count,) for orbit, count in zip(BENCHMARK_ORBITS, (9, 9, 9, 9, 16))]
+    )
+    def test_a_class_with_no_moving_syllable_is_weighed_once(self, phi, tree, fixed):
+        weigh, _ = _weigher(tree)
+        lengths, _ = _int_lengths(tree)
+        pull = tree.marking.inverse_table
+        form = _twist_form(phi.inverse_table, B5.rank)
+        periods = _pulled_periods(pull, weigh, lengths)
+        still = 0
+        for cls in power_free_classes(B5, 2):
+            if any(slope for _, _, slope in currents._limit(currents._skeleton(form, cls.root.letters))):
+                continue
+            still += 1
+            weighed = []
+
+            def counted(letters):
+                weighed.append(letters)
+                return weigh(letters)
+
+            first, value, delta = _affine_law(form, counted, periods, pull, B5.rank, cls.root.letters, 61)
+            assert len(weighed) == 1 and delta == 0
+            seq = _tree_orbit(weigh, phi.inverse_table, pull, B5.rank, cls.root.letters, first + 3)
+            assert seq[first:] == [value] * 4
+        assert still == fixed
+
+    def test_a_class_with_no_moving_syllable_checks_the_next_step_syllables(self, monkeypatch):
+        tree = cayley_tree(B3, marking=power(D, 12))
+        weigh, _ = _weigher(tree)
+        lengths, _ = _int_lengths(tree)
+        periods = _pulled_periods(tree.marking.inverse_table, weigh, lengths)
+        args = (_twist_form(D.table, 3), weigh, periods, tree.marking.inverse_table, 3, (2, 3), 61)
+        first, _, delta = _affine_law(*args)
+        assert delta == 0
+        syllables = dynamics._syllables
+
+        def wrong_at_the_next_step(skeleton, n):
+            return syllables(skeleton, n) + [(1, 1)] if n == first + 1 else syllables(skeleton, n)
+
+        monkeypatch.setattr(dynamics, "_syllables", wrong_at_the_next_step)
+        with pytest.raises(RuntimeError, match=f"^step {first + 1} is not the limit skeleton's step {first + 1}$"):
             _affine_law(*args)
 
     def test_the_fallback_is_under_the_letter_budget(self, monkeypatch):

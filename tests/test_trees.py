@@ -1,10 +1,11 @@
 """Tree length functions: both evaluation routes, markings, the pairing."""
 
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from currents_lab.automorphisms import apply, inverse, parse_automorphism, power, simple_twist
 from currents_lab.corpus import random_reduced_word
@@ -15,7 +16,11 @@ from currents_lab.errors import (
     ParseError,
 )
 from currents_lab.trees import (
+    _int_lengths,
+    _letter_weight,
     _max_cyclic_run,
+    _pinched,
+    _weigher,
     cayley_tree,
     double_twist_tree,
     intersection_form,
@@ -27,7 +32,17 @@ from currents_lab.trees import (
     tree_projective_eq,
     twist_tree,
 )
-from currents_lab.words import Basis, concat, cyclic_reduce, free_reduce, invert, word, word_power
+from currents_lab.words import (
+    Basis,
+    _cyclic_core,
+    _reduced,
+    concat,
+    cyclic_reduce,
+    free_reduce,
+    invert,
+    word,
+    word_power,
+)
 
 B2 = Basis(2)
 B3 = Basis(3)
@@ -313,3 +328,82 @@ class TestParsing:
     def test_twistor_equal_stable_rejected(self):
         with pytest.raises(ValueError):
             twist_tree(B3, [(1, 2, Fraction(1)), (2, 3, Fraction(1))])
+
+
+def full_pinch_scan(core, weights, letters):
+    """The Britton weight by the full pinch scan, whatever the signs of the stable letters."""
+    rank = core.basis.rank
+    pinch = {}
+    for i, t in enumerate(core.twists):
+        pinch[t.stable] = (t.twistor, rank + 1 + i)
+        pinch[-t.stable] = (rank + 1 + i, t.twistor)
+    stables = [p for p, x in enumerate(letters) if x in pinch]
+    ends = stables[1:] + [len(letters)]
+    kept = []
+    segments = [letters[: stables[0] if stables else len(letters)]]
+    for p, end in zip(stables, ends):
+        x = letters[p]
+        replacement = _pinched(segments[-1], *pinch[kept[-1]]) if kept and kept[-1] == -x else None
+        if replacement is None:
+            kept.append(x)
+            segments.append(letters[p + 1 : end])
+        else:
+            kept.pop()
+            segments.pop()
+            segments[-1] = _reduced(chain(segments[-1], replacement, letters[p + 1 : end]))
+    lo, hi = 0, len(kept) - 1
+    wrap = (segments[-1], segments[0])
+    while lo < hi and kept[hi] == -kept[lo]:
+        replacement = _pinched(_reduced(chain(*wrap)), *pinch[kept[hi]])
+        if replacement is None:
+            break
+        wrap = (segments[hi], replacement, segments[lo + 1])
+        lo += 1
+        hi -= 1
+    return _letter_weight(weights, kept[lo : hi + 1])
+
+
+EDGE_LENGTHS = (Fraction(1, 2), Fraction(1), Fraction(3))
+BRITTON_TREES = [T_D3, T_D5, twist_tree(B5, [(3, 1, Fraction(2, 3))])] + [
+    double_twist_tree(B5, rho, theta) for rho in EDGE_LENGTHS for theta in EDGE_LENGTHS
+]
+
+
+@st.composite
+def britton_cases(draw):
+    """A twist tree and a cyclic core whose stable letters have one sign, mixed signs, or pinch across the wrap."""
+    tree = draw(st.sampled_from(BRITTON_TREES))
+    basis = tree.basis
+    letters = draw(raw_letters(basis, 14))
+    shape = draw(st.sampled_from(["one sign", "mixed", "wrap"]))
+    if shape == "one sign":
+        signs = {t.stable: draw(st.sampled_from((1, -1))) for t in tree.core.twists}
+        letters = [signs[abs(x)] * abs(x) if abs(x) in signs else x for x in letters]
+    elif shape == "wrap":
+        # t z^m t^-1 u, read from inside z^m, so that the pinch runs round the end of the cycle
+        edge = draw(st.sampled_from(tree.core.twists))
+        t, z = edge.stable * draw(st.sampled_from((1, -1))), edge.twistor * draw(st.sampled_from((1, -1)))
+        m = draw(st.integers(1, 4))
+        k = draw(st.integers(0, m))
+        letters = [z] * k + [-t] + letters + [t] + [z] * (m - k)
+    core = _cyclic_core(_reduced(letters))
+    return tree, core
+
+
+class TestBrittonWeight:
+    @settings(max_examples=400, deadline=None)
+    @given(britton_cases())
+    def test_equals_the_full_pinch_scan(self, case):
+        tree, letters = case
+        weigh, _ = _weigher(tree)
+        ints, _ = _int_lengths(tree)
+        assert weigh(letters) == full_pinch_scan(tree.core, ints, letters)
+
+    def test_one_signed_stable_letters_take_the_letter_weight(self):
+        delta = double_twist_tree(B5, Fraction(1, 2), Fraction(3))
+        weigh, _ = _weigher(delta)
+        ints, _ = _int_lengths(delta)
+        # aBBa and EddE carry each stable generator with one sign: nothing pinches
+        for text in ("aBBacEddE", "aBBcdE", "aaee"):
+            letters = word(B5, text).letters
+            assert weigh(letters) == _letter_weight(ints, letters) == full_pinch_scan(delta.core, ints, letters)
