@@ -39,9 +39,9 @@ is ``A_v + B_v k`` at step ``n0 + k``, with ``A`` the counts at ``n0`` and
 ``k = 1`` cross-checked against the syllable count.  The identity and
 proper-power checks at ``n0 + 1`` hold at every later step but the few
 :func:`_root_steps`, checked once, so a later step costs one copy of ``A``.
-Other tables step the kernel (:func:`_orbit_step`, then
-:func:`_orbit_reads`), which is also the syllable path's test oracle; a
-kernel step is refused before it may pass :data:`LETTER_BUDGET` letters.
+Other tables stream the kernel's steps (:func:`_kernel_reads`), which is
+also the syllable path's test oracle; each step is refused before it may
+pass :data:`LETTER_BUDGET` letters, and the driver holds one read at a time.
 
 Every orbit consumer iterates the driver, which measures each step against
 a goal ``g``.  Past ``n0 + 1`` each distance term is a line
@@ -160,9 +160,6 @@ def current_from_terms(
     merged: dict[ConjugacyClass, Fraction] = {}
     for cls, weight in items:
         merged[cls] = merged.get(cls, Fraction(0)) + Fraction(weight)
-    for cls, weight in merged.items():
-        if weight <= 0:
-            raise ValueError(f"weight of {cls} must be positive, got {weight}")
     ordered = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key()))
     return RationalCurrent(basis, ordered)
 
@@ -481,28 +478,37 @@ def _root_steps(skeleton: Skeleton, n0: int, steps: int) -> list[int]:
 AffineTail = tuple[int, Reads, Reads]
 
 
+def _kernel_reads(table: SignedTable, terms: Terms, rank: int, steps: int, level: int) -> Iterator[Reads]:
+    """The :func:`_orbit_reads` of steps ``0..steps`` of the kernel, one at a time.
+
+    Each step is refused before it may pass :data:`LETTER_BUDGET`, when the
+    consumer reaches it, so only one step's terms and reads are held.
+    """
+    yield _orbit_reads(terms, level)
+    for _ in range(steps):
+        check_letter_budget(sum(len(core) for core, _ in terms), table)
+        terms = _orbit_step(table, terms, rank)
+        yield _orbit_reads(terms, level)
+
+
 def _orbit_head(
     table: SignedTable, terms: Terms, rank: int, steps: int, level: int
-) -> tuple[list[Reads], AffineTail | None]:
+) -> tuple[Iterable[Reads], AffineTail | None]:
     """``(head, tail)``: the :func:`_orbit_reads` of steps ``0..min(steps, n0 + 1)`` and the :data:`AffineTail`.
 
-    A table without a twist form reads every step off the kernel into the
-    head, each refused before it may pass :data:`LETTER_BUDGET`, and has no
-    tail.  Otherwise steps ``1..n0+1`` are counted off the syllables, and step
+    A table without a twist form has no tail, and its head is the stream of
+    every step's reads off the kernel (:func:`_kernel_reads`).  Otherwise the
+    head is a list, steps ``1..n0+1`` are counted off the syllables, and step
     ``n0 + 1`` must equal ``A + B``, where ``A`` is step ``n0`` and ``B`` the
     growth read off the skeletons, whose single letters must sum to the norm's slope.
     The syllable checks at ``n0 + 1`` hold at every later step but the
     :func:`_root_steps`, which are checked here once.  The tail is None
     unless ``steps`` goes past ``n0 + 1``.
     """
-    head = [_orbit_reads(terms, level)]
     form = _twist_form(table, rank)
     if form is None:
-        for _ in range(steps):
-            check_letter_budget(sum(len(core) for core, _ in terms), table)
-            terms = _orbit_step(table, terms, rank)
-            head.append(_orbit_reads(terms, level))
-        return head, None
+        return _kernel_reads(table, terms, rank, steps, level), None
+    head = [_orbit_reads(terms, level)]
     skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
     tails = [_affine_tail(skeleton, level) for _, skeleton, _ in skeletons]
     n0 = max(n for n, _ in tails)
@@ -886,7 +892,7 @@ def parse_current(basis: Basis, text: str) -> RationalCurrent:
             raise ParseError(text, pos, f"class [{body}] reduces to the identity")
         cycle, _ = cyclic_reduce(w)
         root, exponent = primitive_root(cycle)
-        items.append((ConjugacyClass(root), weight * exponent))
+        items.append((_unchecked(ConjugacyClass, root=root), weight * exponent))
         pos += match.end()
         first = False
     if first:

@@ -44,7 +44,6 @@ from .currents import (
     RationalCurrent,
     Skeleton,
     TwistForm,
-    _bounded_power,
     _coordinates,
     _current_reads,
     _orbit_distance,
@@ -308,18 +307,6 @@ def iterate_current(
     )
 
 
-def _tail_difference(values: Sequence[int]) -> tuple[int, int]:
-    """Last first-difference and the length of its trailing run."""
-    diffs = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    last = diffs[-1]
-    run = 0
-    for d in reversed(diffs):
-        if d != last:
-            break
-        run += 1
-    return last, run
-
-
 def _tree_orbit(
     weigh: Weigher,
     step: SignedTable,
@@ -473,15 +460,15 @@ def tree_orbit_limit(
     """Exact projective limit of the tree orbit ``phi^n(tree)``.
 
     For each test class g the orbit length sequence ``f(n) = length(tree,
-    phi^{-n} g)`` must end in at least three equal first differences at the
-    cap; the common difference is the class's growth rate.  When every rate
-    is zero the orbit converges without rescaling and the stabilized constant
-    lengths are used instead.  The rule reads only the last four values,
-    steps ``cap - 3`` to ``cap`` (all of them when ``cap < 3``).
+    phi^{-n} g)`` has a growth rate, and ``f(cap)`` is its last value.  When
+    every rate is zero the orbit converges without rescaling and the
+    stabilized constant lengths are used instead.  A class takes one of two
+    paths.
 
-    When ``phi^-1`` has a twist form (:func:`currents._twist_form`), each
-    class's four values are read off a certified affine tail
-    (:func:`_affine_law`), without stepping there.  Past the onset ``n0`` of
+    When ``phi^-1`` has a twist form (:func:`currents._twist_form`) and
+    :func:`_affine_law` certifies the class at some ``N <= cap - 3``, its
+    rate is the law's ``delta`` and its last value ``f(N) + (cap - N)
+    delta``, read off the law without stepping.  Past the onset ``n0`` of
     its skeleton (:func:`currents._onset`), step n is the
     :func:`currents._limit`'s syllables ``y^e``, ``e = c + slope n``.  Through
     the marking ``beta``, ``y^e`` pulls back to ``p r^e p^-1``, where the
@@ -520,21 +507,23 @@ def tree_orbit_limit(
     spells the same letters as step ``N``, so ``f(N + 1) = f(N)`` and the
     class is weighed once, with ``delta = 0``.
 
-    A stepper without a twist form, or a class with no certificate by
-    ``cap - 3``, jumps straight to step ``jump = max(cap - 3, 0)`` through
-    one power ``phi^-jump``, built once per orbit and only if some class
-    needs it, each composition refused first if it may pass
-    ``currents.LETTER_BUDGET`` (:func:`currents._bounded_power`).  It steps
-    the rest of the way on raw letter tuples (:func:`_tree_orbit`).
-    Translation length is a conjugacy invariant, so each class is kept as a
-    cyclic core, ``g <- core of phi^-1(g)``, and measured by the tree's int
-    weigher (:func:`trees._weigher`) on the core of its pull-back through the
-    marking.  Every unmarked word weighed is checked with
-    :func:`_cyclic_image`'s raises, which ``python -O`` keeps.  Rates and
-    values stay ints over the weigher's common factor, which cancels in the
-    projective vector.  A :class:`NotStabilizedError` carries the scaled
-    lengths of the whole orbit, steps 0 to ``cap``, of the first class that
-    fails, stepped under the same letter budget.
+    Every other class (a stepper without a twist form, or a class with no
+    certificate by ``cap - 3``) is stepped once, steps 0 to ``cap``
+    (:func:`_tree_orbit`), each step refused first if it may pass
+    ``currents.LETTER_BUDGET``.  Its last four values (so ``cap >= 3``)
+    must be affine with a rate ``>= 0``, its growth rate; a
+    :class:`NotStabilizedError` carries the scaled lengths of that same
+    orbit, for the first class that fails.  Translation length is a conjugacy invariant, so each class is
+    kept as a cyclic core, ``g <- core of phi^-1(g)``, and measured by the
+    tree's int weigher (:func:`trees._weigher`) on the core of its
+    pull-back through the marking.  Every unmarked word weighed is checked
+    with :func:`_cyclic_image`'s raises, which ``python -O`` keeps.  Rates
+    and values stay ints over the weigher's common factor, which cancels in
+    the projective vector.  Each step spells ``phi^-n(g)`` out, so for a
+    linearly growing stepper without a twist form the work grows with
+    ``cap^2``, and each step is still refused at the letter budget.  Every
+    stepper the CLI iterates has a twist form, so there only a class with
+    ``cap < N + 3`` is stepped, at small caps.
     """
     _at_least_one(cap=cap, level=level)
     if phi.basis != tree.basis:
@@ -545,29 +534,25 @@ def tree_orbit_limit(
     rank = tree.basis.rank
     step, pull = phi.inverse_table, tree.marking.inverse_table
     form = _twist_form(step, rank)
-    jump = max(cap - 3, 0)
-    skip: SignedTable | None = None
     rates: list[int] = []
     lasts: list[int] = []
     periods = _pulled_periods(pull, weigh, lengths)
     for cls in classes:
-        law = None if form is None else _affine_law(form, weigh, periods, pull, rank, cls.root.letters, jump)
+        law = None if form is None else _affine_law(form, weigh, periods, pull, rank, cls.root.letters, cap - 3)
         if law is not None:
             first, value, delta = law
-            tail = [value + (n - first) * delta for n in range(jump, cap + 1)]
-        else:
-            if skip is None:
-                skip = _bounded_power(phi, -jump).table
-            tail = _tree_orbit(weigh, step, pull, rank, _cyclic_image(skip, cls.root.letters, rank), cap - jump)
-        rate, run = _tail_difference(tail)
-        if run < 3 or rate < 0:
-            seq = _tree_orbit(weigh, step, pull, rank, cls.root.letters, cap)
+            rates.append(delta)
+            lasts.append(value + (cap - first) * delta)
+            continue
+        seq = _tree_orbit(weigh, step, pull, rank, cls.root.letters, cap)
+        rate = seq[-1] - seq[-2]
+        if cap < 3 or rate < 0 or seq[-4:] != [seq[-4] + k * rate for k in range(4)]:
             raise NotStabilizedError(
                 f"class {cls}: no stable growth rate within {cap} iterations",
                 tuple(factor * v for v in seq),
             )
         rates.append(rate)
-        lasts.append(tail[-1])
+        lasts.append(seq[-1])
     values = lasts if all(r == 0 for r in rates) else rates
     total = sum(values)
     if total == 0:

@@ -236,6 +236,11 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "error: the next step may reach 101 letters (25*|g| + |f|), over the budget of 100\n"
 
+    def test_tree_orbit_without_a_stable_rate_exits_4(self, capsys):
+        code, out, err = run(capsys, ["experiment", "theorem-main", "--iters", "4", "--level", "3", "--cap", "4"])
+        assert (code, out) == (4, "")
+        assert err == "error: class [abb]: no stable growth rate within 4 iterations\n"
+
     def test_tree_orbit_steps_under_the_letter_budget(self, capsys, monkeypatch):
         # a cap below N + 3 steps every class's orbit, each step refused before it may pass the budget
         argv = ["experiment", "product-minimal", "--cap", "2"]
@@ -445,13 +450,21 @@ class TestReports:
                 ["experiment", "primitive-limit", "-u", "aBBa", "--iters", "30", "--level", "3"],
                 "3d3f4aaff9a9ff9beb62123eba1c44d5086a2a48f8b1e4d82d40e545c25b921f",
             ),
+            (
+                ["experiment", "theorem-main", "--iters", "4", "--level", "3", "--cap", "5"],
+                "6a68a2e0ae06d2e5dc9f506673650d8715284d0b170ad0f3f5009f464d0f1476",
+            ),
+            (
+                ["experiment", "product-minimal", "--iters", "4", "--level", "4", "--cap", "6"],
+                "68aa868c353eed21230b3c12b0c296a97ce3059ad044ce6c2d9a61ca7e1fdb48",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
             "product-minimal", "theorem-main", "theorem-main-level-3", "product-minimal-level-3",
             "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
             "iterate-root-step", "iterate-300-steps-no-limit", "primitive-limit-twist-form",
-            "primitive-limit-kernel",
+            "primitive-limit-kernel", "theorem-main-stepped-classes", "product-minimal-stepped-classes",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -466,7 +479,9 @@ class TestReports:
         # pins an orbit with a root step past n0 + 1; the last, recorded before norms past
         # n0 + 1 were read off a line and before the report was written without json.dumps,
         # pins a long orbit without a limit; the two after it, recorded before primitive-limit
-        # stepped c -> c u on the orbit driver, pin its affine tail and its kernel steps
+        # stepped c -> c u on the orbit driver, pin its affine tail and its kernel steps; the
+        # last two, recorded before uncertified tree-orbit classes were stepped from step 0,
+        # pin caps below N + 3, where some classes are stepped and the rest read off their laws
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -153,6 +153,11 @@ class TestConstruction:
         with pytest.raises(ParseError):
             parse_current(B2, "")
 
+    def test_weights_that_merge_to_zero_are_refused(self):
+        cls = ConjugacyClass(cyclic_word(B2, "a"))
+        with pytest.raises(ValueError, match=r"^weight of \[a\] must be positive, got 0$"):
+            current_from_terms(B2, [(cls, Fraction(1)), (cls, Fraction(-1))])
+
     @pytest.mark.parametrize("text", ["1*[a] + 0*[b]", "1*[a] + 1/0*[b]"])
     def test_bad_weight_position(self, text):
         # the error points at the second term's weight, not at the space before it
@@ -766,6 +771,19 @@ class TestOrbitDistances:
             table, terms, 5, 6, 2, goal
         )
         assert seen == []
+
+    def test_a_kernel_orbit_yields_each_step_before_taking_the_next(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        stepped = []
+        step = currents_module._orbit_step
+        monkeypatch.setattr(currents_module, "_orbit_step", lambda *args: stepped.append(1) or step(*args))
+        goal = _orbit_reads([((2,), 1), ((4,), 1)], 2)
+        orbit = _orbit_distances(prime_basis_change(B5).table, [((1, 2), 1)], 5, 6, 2, goal)
+        next(orbit)
+        assert stepped == []
+        next(orbit)
+        assert stepped == [1]
 
     def test_the_runner_up_line_fails_the_cross_check(self, monkeypatch):
         import currents_lab.currents as currents_module

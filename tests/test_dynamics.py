@@ -25,7 +25,6 @@ from currents_lab.automorphisms import (
 from currents_lab import currents, dynamics
 from currents_lab.cli import EXPERIMENTS
 from currents_lab.currents import (
-    _bounded_power,
     _twist_form,
     parse_current,
     power_free_classes,
@@ -297,22 +296,33 @@ class TestTreeOrbitKernel:
             (identity_automorphism(B3), cayley_tree(B3), 3, 9),
         ],
     )
-    def test_stable_orbit_steps_only_the_tail(self, monkeypatch, phi, tree, cap, stepped):
-        steps, powers = [], []
+    def test_a_class_is_read_off_its_law_or_stepped_once(self, monkeypatch, phi, tree, cap, stepped):
+        steps = []
 
         def counted(weigh, step, pull, rank, letters, n):
             steps.append(n)
             return _tree_orbit(weigh, step, pull, rank, letters, n)
 
-        def counted_power(psi, n):
-            powers.append(n)
-            return _bounded_power(psi, n)
-
         monkeypatch.setattr(dynamics, "_tree_orbit", counted)
-        monkeypatch.setattr(dynamics, "_bounded_power", counted_power)
         tree_orbit_limit(phi, tree, level=2, cap=cap)
-        assert steps == [3] * stepped
-        assert powers == ([-(cap - 3)] if stepped else [])
+        assert steps == [cap] * stepped
+
+    def test_the_failing_class_is_stepped_once(self, monkeypatch):
+        # test_pre_wound_marking's orbit: [a] fails at cap 8, and its error carries the one orbit stepped for it
+        wound = cayley_tree(B3, marking=power(D, 20))
+        orbits = []
+
+        def recorded(weigh, step, pull, rank, letters, n):
+            orbits.append((tuple(letters), n, _tree_orbit(weigh, step, pull, rank, letters, n)))
+            return orbits[-1][2]
+
+        monkeypatch.setattr(dynamics, "_tree_orbit", recorded)
+        with pytest.raises(NotStabilizedError, match=r"^class \[a\]") as info:
+            tree_orbit_limit(inverse(D), wound, level=2, cap=8)
+        assert [n for _, n, _ in orbits] == [8] * len(orbits)
+        letters, _, seq = orbits[-1]
+        _, factor = _weigher(wound)
+        assert letters == (1,) and info.value.sequence == tuple(factor * v for v in seq)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -429,7 +439,7 @@ class TestTreeOrbitKernel:
             _affine_law(*args)
 
     def test_the_fallback_is_under_the_letter_budget(self, monkeypatch):
-        # without a twist form every class jumps through power(phi, -61), refused before it may pass the budget
+        # without a twist form every class is stepped to the cap, each step refused before it may pass the budget
         tree_orbit_limit(CONJUGATED_TWIST, cayley_tree(B3), level=2, cap=64)
         monkeypatch.setattr(currents, "LETTER_BUDGET", 50)
         with pytest.raises(ValueError, match="over the budget of 50$"):
