@@ -28,20 +28,23 @@ a canonical rotation.
 
 Twist-form tables (:func:`_twist_form`: each generator fixed or sent to
 ``y^s x y^t`` with ``y`` fixed, as for every twist the experiments iterate)
-are read off a syllable skeleton.  Since ``phi^n(x) = y^(sn) x y^(tn)``, each
-step builds ``phi^n(w)`` from the step-0 core as syllables ``y^e``: merging
-syllables of one generator is the free reduction, merging the two ends the
-cyclic one, and the reads are counted per syllable, so a step costs
-``O(|w| level^2)`` however long ``phi^n(w)`` is.  The orbits are eventually
-affine (Cohen-Lustig): :func:`_affine_tail` reads each term's onset ``n0``
-and growth ``B`` off its skeleton, and past the orbit's ``n0`` every count
-is ``A_v + B_v k`` at step ``n0 + k``, with ``A`` the counts at ``n0`` and
-``k = 1`` cross-checked against the syllable count.  The identity and
-proper-power checks at ``n0 + 1`` hold at every later step but the few
-:func:`_root_steps`, checked once, so a later step costs one copy of ``A``.
-Other tables stream the kernel's steps (:func:`_kernel_reads`), which is
-also the syllable path's test oracle; each step is refused before it may
-pass :data:`LETTER_BUDGET` letters, and the driver holds one read at a time.
+have eventually affine orbits (Cohen-Lustig).  The kernel counts the head;
+the skeleton gives ``n0``, ``B`` and the root steps.  Since
+``phi^n(x) = y^(sn) x y^(tn)``, a core's skeleton gives the syllables
+``y^e`` of every ``phi^n(w)``: merging syllables of one generator is the
+free reduction, merging the two ends the cyclic one.  :func:`_affine_tail`
+reads each term's onset ``n0`` and growth ``B`` off it, and past the
+orbit's ``n0`` every count is ``A_v + B_v k`` at step ``n0 + k``, with
+``A`` the kernel's counts at ``n0`` and ``k = 1`` cross-checked against the
+kernel's step ``n0 + 1``.  The identity and proper-power checks at
+``n0 + 1`` hold at every later step but the few :func:`_root_steps`,
+checked once on the syllables, so a later step costs one copy of ``A``.
+On the catalogue orbits the head is a few short kernel steps, but a
+twistor run that must first unwind makes ``n0`` grow with its length:
+``[aB^k]`` under ``a -> ab`` has ``n0 = k + level``, so its head costs
+``O(k^2)`` letters.  Other tables stream the kernel's steps
+(:func:`_kernel_reads`); each step is refused before it may pass
+:data:`LETTER_BUDGET` letters, and the driver holds one read at a time.
 
 Every orbit consumer iterates the driver, which measures each step against
 a goal ``g``.  Past ``n0 + 1`` each distance term is a line
@@ -98,7 +101,6 @@ from .words import (
     _pair_key,
     _period,
     _reads,
-    _subword_counts,
     _unchecked,
     _with_prefixes,
     cyclic_reduce,
@@ -251,16 +253,21 @@ def _orbit_step(table: SignedTable, terms: Terms, rank: int) -> Terms:
 
 
 def _orbit_reads(terms: Terms, level: int) -> Reads:
-    """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm."""
+    """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm.
+
+    The terms' weighted :func:`_reads` of ``level`` letters are summed first
+    and their prefixes folded in once: the fold is linear, so it gives the
+    per-term counts' sum.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
     raw: Counter = Counter()
     norm = 0
     for core, weight in terms:
         norm += weight * len(core)
-        for read, count in _subword_counts(_keys(core), level).items():
+        for read, count in _reads(_keys(core), level).items():
             raw[read] += weight * count
-    return _pair_reads(raw, norm)
+    return _pair_reads(_with_prefixes(raw, level), norm)
 
 
 def _pair_reads(raw: dict[tuple[int, ...], int], norm: int) -> Reads:
@@ -368,29 +375,6 @@ def _syllable_letters(syllables: Sequence[Syllable]) -> tuple[Letter, ...]:
     return tuple(x for y, e in syllables for x in [y if e > 0 else -y] * abs(e))
 
 
-def _syllable_reads(syllables: Sequence[Syllable], level: int) -> Counter:
-    """The :func:`_reads` of ``level`` letter keys around a cyclic syllable sequence.
-
-    A read that stays inside the syllable ``x^m`` it starts in is
-    ``x^level``, and ``m - level + 1`` vertices start one.  Every other read
-    starts in the last ``level - 1`` letters of its syllable and runs on into
-    the letters after it, which stay the same when every syllable is cut to
-    ``level`` letters.  So the cut cycle's reads are all the reads, less the
-    ``m - level`` reads of ``x^level`` that each longer syllable loses.
-    """
-    cut = []
-    long = []
-    for y, e in syllables:
-        key = letter_key(y if e > 0 else -y)
-        cut += [key] * min(abs(e), level)
-        if abs(e) > level:
-            long.append(((key,) * level, abs(e) - level))
-    counts = _reads(cut, level)
-    for read, extra in long:
-        counts[read] += extra
-    return counts
-
-
 def _image_syllables(core: Sequence[Letter], skeleton: Skeleton, n: int) -> list[Syllable]:
     """:func:`_syllables` at ``n``, checked as a kernel step is, with raises that ``python -O`` keeps."""
     syllables = _syllables(skeleton, n)
@@ -402,20 +386,6 @@ def _image_syllables(core: Sequence[Letter], skeleton: Skeleton, n: int) -> list
             "automorphisms preserve power-freeness"
         )
     return syllables
-
-
-def _twist_reads(
-    skeletons: list[tuple[Sequence[Letter], Skeleton, int]], n: int, level: int
-) -> Reads:
-    """:func:`_orbit_reads` of ``phi^n`` of the terms, read off their skeletons."""
-    raw: Counter = Counter()
-    norm = 0
-    for core, skeleton, weight in skeletons:
-        syllables = _image_syllables(core, skeleton, n)
-        norm += weight * sum(abs(e) for _, e in syllables)
-        for read, count in _syllable_reads(syllables, level).items():
-            raw[read] += weight * count
-    return _pair_reads(_with_prefixes(raw, level), norm)
 
 
 def _limit(skeleton: Skeleton) -> Skeleton:
@@ -442,13 +412,20 @@ def _onset(syllables: Skeleton, level: int) -> int:
 
 
 def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
-    """``n0`` and the per-step growth ``B`` of the :func:`_syllable_reads` of ``phi^n(core)`` past it.
+    """``n0`` and the per-step growth ``B`` of the ``level``-letter :func:`_reads` of ``phi^n(core)`` past it.
 
-    From the :func:`_onset` of the skeleton and the :func:`_limit` together,
-    no syllable vanishes, the merges are the limit's, and every syllable is
-    cut to the same letters, so each step adds only ``|slope|`` reads of
-    ``x^level`` per moving limit syllable ``x^e``.  (The counts can turn
-    affine a step sooner: ``n0`` is an onset, not the least.)
+    Cut every syllable ``x^m`` of a cyclic syllable sequence to
+    ``min(m, level)`` letters.  A read that stays inside the syllable it
+    starts in is ``x^level``, and ``m - level + 1`` vertices start one.
+    Every other read starts in the last ``level - 1`` letters of its syllable
+    and runs on into the letters after it, which the cut leaves as they are.
+    So the reads are the cut cycle's, plus ``m - level`` reads of
+    ``x^level`` per longer syllable.  From the :func:`_onset` of the skeleton
+    and the :func:`_limit` together, no syllable vanishes, the merges are the
+    limit's, and every moving syllable is at least ``level`` letters long, so
+    the cut cycle is the same at every step and each step adds only
+    ``|slope|`` reads of ``x^level`` per moving limit syllable ``x^e``.  (The
+    counts can turn affine a step sooner: ``n0`` is an onset, not the least.)
     """
     limit = _limit(skeleton)
     n0 = _onset(skeleton + limit, level)
@@ -498,32 +475,41 @@ def _orbit_head(
 
     A table without a twist form has no tail, and its head is the stream of
     every step's reads off the kernel (:func:`_kernel_reads`).  Otherwise the
-    head is a list, steps ``1..n0+1`` are counted off the syllables, and step
-    ``n0 + 1`` must equal ``A + B``, where ``A`` is step ``n0`` and ``B`` the
-    growth read off the skeletons, whose single letters must sum to the norm's slope.
-    The syllable checks at ``n0 + 1`` hold at every later step but the
-    :func:`_root_steps`, which are checked here once.  The tail is None
-    unless ``steps`` goes past ``n0 + 1``.
+    head is a list of the kernel's steps ``0..min(steps, n0 + 1)``, stepped
+    without a letter budget since twist forms grow linearly, and the skeletons
+    give the rest: ``n0`` and the growth ``B`` (:func:`_affine_tail`), whose
+    single letters must sum to the norm's slope, and step ``n0 + 1`` must
+    equal ``A + B``, where ``A`` is step ``n0``.  The kernel's checks at
+    ``n0 + 1`` hold at every later step but the :func:`_root_steps`, which
+    are checked here once on the syllables.  The tail is None unless
+    ``steps`` goes past ``n0 + 1``.
+
+    ``n0`` is at most a few steps on the catalogue orbits, but grows with the
+    runs of a twistor that must first unwind: ``[aB^k]`` under ``a -> ab``
+    has ``n0 = k + level``, and its head costs ``O(k^2)`` letters.
     """
     form = _twist_form(table, rank)
     if form is None:
         return _kernel_reads(table, terms, rank, steps, level), None
-    head = [_orbit_reads(terms, level)]
-    skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
-    tails = [_affine_tail(skeleton, level) for _, skeleton, _ in skeletons]
+    skeletons = [_skeleton(form, core) for core, _ in terms]
+    tails = [_affine_tail(skeleton, level) for skeleton in skeletons]
     n0 = max(n for n, _ in tails)
-    head += [_twist_reads(skeletons, n, level) for n in range(1, min(steps, n0 + 1) + 1)]
+    head = [_orbit_reads(terms, level)]
+    image = terms
+    for _ in range(min(steps, n0 + 1)):
+        image = _orbit_step(table, image, rank)
+        head.append(_orbit_reads(image, level))
     if steps <= n0:
         return head, None
     growth: Counter = Counter()
-    for (_, _, weight), (_, term_growth) in zip(skeletons, tails):
+    for (_, weight), (_, term_growth) in zip(terms, tails):
         for read, count in term_growth.items():
             growth[read] += weight * count
     a, reads = head[n0], head[n0 + 1]
     b = _pair_reads(_with_prefixes(growth, level), reads[1] - a[1])
     if _shifted(a[0], b[0], 1) != reads[0]:
         raise RuntimeError(f"step {n0 + 1} is not step {n0} plus the growth read off the syllables")
-    for core, skeleton, _ in skeletons:
+    for (core, _), skeleton in zip(terms, skeletons):
         for n in _root_steps(skeleton, n0, steps):
             _image_syllables(core, skeleton, n)
     return head, (n0, a, b) if steps > n0 + 1 else None

@@ -1072,8 +1072,8 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     for n in range(iters + 1):
         check_word_budget(n * len(g) + len(f), f"{n}*|g| + |f|")
         nu = rational_current(concat(word_power(g, n), f))
-        count = coordinate(letter_a, nu)
         crit = in_critical_set(nu, 1, 2)
+        count = 2 * crit.half_twisted  # (a; nu), read off the critical check's one count
         reads = _current_reads(nu, level)
         norms.append(reads[1])
         d = _orbit_distance(reads, goal)

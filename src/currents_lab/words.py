@@ -22,11 +22,10 @@ producer's docstring says why) and is built by :func:`_unchecked`, the one
 trusted constructor, so a derived cyclic word runs one rotation scan.
 
 One counter, :func:`_reads`, counts all the clockwise reads of a fixed
-length around a cycle; :func:`_subword_counts` (behind :func:`count_subwords`
-and the current kernels) folds in every shorter prefix with
-:func:`_with_prefixes`, which also finishes the read counts that
-``currents`` takes off twist syllables.  :func:`occurrences`
-looks up one word and its inverse without it: it searches the cycle's key
+length around a cycle, and :func:`_with_prefixes` folds every shorter
+prefix into its counts: the two together give :func:`count_subwords` and
+every read count of the ``currents`` kernel.  :func:`occurrences`
+looks up one word and its inverse without them: it searches the cycle's key
 bytes, so a long pattern costs no tuple per vertex.
 """
 
@@ -336,18 +335,13 @@ def _reads(cycle: Sequence, length: int) -> Counter:
     return Counter(zip(*(repeated[j : j + n] for j in range(length))))
 
 
-def _subword_counts(cycle: Sequence, max_len: int) -> dict[tuple, int]:
-    """Counts of every clockwise read of length 1..max_len from each vertex of ``cycle``.
-
-    The :func:`_reads` of length ``max_len`` with their prefixes folded in:
-    every vertex starts exactly one such read, so the shorter reads are their
-    prefixes, counted per distinct read.
-    """
-    return _with_prefixes(_reads(cycle, max_len), max_len)
-
-
 def _with_prefixes(counts: Counter, max_len: int) -> Counter:
-    """Reads of ``max_len`` letters, one from each vertex, with every shorter prefix counted too."""
+    """Reads of ``max_len`` letters, one from each vertex, with every shorter prefix counted too.
+
+    Every vertex starts exactly one read of ``max_len`` letters, so its
+    shorter reads are that read's prefixes, counted per distinct read.  The
+    fold is linear, so it may run once on a weighted sum of counts.
+    """
     if max_len > 1:
         for read, count in list(counts.items()):
             for m in range(1, max_len):
@@ -364,7 +358,7 @@ def count_subwords(w: CyclicWord, max_len: int) -> dict[tuple[Letter, ...], int]
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return _subword_counts(w.letters, max_len)
+    return _with_prefixes(_reads(w.letters, max_len), max_len)
 
 
 def _period(letters: Sequence[Letter]) -> int:

@@ -458,6 +458,14 @@ class TestReports:
                 ["experiment", "product-minimal", "--iters", "4", "--level", "4", "--cap", "6"],
                 "68aa868c353eed21230b3c12b0c296a97ce3059ad044ce6c2d9a61ca7e1fdb48",
             ),
+            (
+                [
+                    "iterate", "--rank", "2", "--aut", "twist(a,b)",
+                    "-c", "1*[aBBBBBBBBBBBBBBBBBBBB] + 2*[ab]", "--limit", "1*[b]",
+                    "--level", "3", "--iters", "60",
+                ],
+                "dc547b5eefe632977091aa17501e79f54b1c25bb848c4c1fc1ffbadee3fbb4c8",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
@@ -465,6 +473,7 @@ class TestReports:
             "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
             "iterate-root-step", "iterate-300-steps-no-limit", "primitive-limit-twist-form",
             "primitive-limit-kernel", "theorem-main-stepped-classes", "product-minimal-stepped-classes",
+            "iterate-long-head",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -481,7 +490,9 @@ class TestReports:
         # pins a long orbit without a limit; the two after it, recorded before primitive-limit
         # stepped c -> c u on the orbit driver, pin its affine tail and its kernel steps; the
         # last two, recorded before uncertified tree-orbit classes were stepped from step 0,
-        # pin caps below N + 3, where some classes are stepped and the rest read off their laws
+        # pin caps below N + 3, where some classes are stepped and the rest read off their laws;
+        # the last, recorded while twist-orbit heads were still counted off syllables, pins a
+        # head of 24 kernel steps: [aB^20] must unwind its twistor run, so its onset is 23
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from currents_lab.automorphisms import (
     _signed_table,
+    apply,
     double_prime_basis_change,
     double_twist,
     identity_automorphism,
@@ -38,7 +39,6 @@ from currents_lab.currents import (
     _shifted,
     _skeleton,
     _twist_form,
-    _twist_reads,
     act,
     add,
     class_count,
@@ -67,6 +67,7 @@ from currents_lab.words import (
     Word,
     _canonical_rotation,
     _period,
+    cyclic_reduce,
     cyclic_word,
     free_reduce,
     inverse_cyclic,
@@ -309,11 +310,9 @@ class TestOrbitKernel:
             _orbit_step(squaring, [((1, 2), 1), ((1,), 1)], 3)
         with pytest.raises(ValueError, match="rank 2"):
             _orbit_step(simple_twist(B3, 1, 3).table, [((1,), 1)], 2)
-        counts = currents_module._subword_counts
+        counts = currents_module._reads
         # one stray read of c (letter key 4) around the circle ab
-        monkeypatch.setattr(
-            currents_module, "_subword_counts", lambda cycle, n: {**counts(cycle, n), (4,): 1}
-        )
+        monkeypatch.setattr(currents_module, "_reads", lambda cycle, n: {**counts(cycle, n), (4,): 1})
         with pytest.raises(RuntimeError, match="single-letter counts"):
             _orbit_reads([((1, 2), 1)], 1)
 
@@ -425,7 +424,7 @@ def _n0(table, terms, rank, level):
 
 
 class TestTwistOrbits:
-    """The syllable path of the orbit loop against the kernel, and its recognizer."""
+    """The twist-form path of the orbit loop (kernel head, affine tail) against the kernel, and its recognizer."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -498,10 +497,8 @@ class TestTwistOrbits:
         with pytest.raises(ValueError, match="not cyclically reduced"):
             list(_orbit(_signed_table([(1, 2, -2), (2,), (3,)]), [((1,), 1)], 3, 1, 1))
 
-    def test_syllable_checks_are_explicit_errors(self, monkeypatch):
-        # what the kernel checks per step, checked on the syllables under python -O too
-        import currents_lab.currents as currents_module
-
+    def test_syllable_checks_are_explicit_errors(self):
+        # the head's kernel steps raise on an identity or proper-power image under python -O too
         table = simple_twist(B3, 1, 2).table
         with pytest.raises(IdentityElementError):
             list(_orbit(table, [((1, -1), 1)], 3, 1, 1))
@@ -509,13 +506,6 @@ class TestTwistOrbits:
             list(_orbit(table, [((1, 2, 1, 2), 1)], 3, 1, 1))
         with pytest.raises(RuntimeError, match="proper power"):
             list(_orbit(table, [((3, 3), 1)], 3, 1, 1))
-        reads = currents_module._syllable_reads
-        # one stray read of c (letter key 4) around the circle
-        monkeypatch.setattr(
-            currents_module, "_syllable_reads", lambda cycle, n: reads(cycle, n) + Counter({(4,): 1})
-        )
-        with pytest.raises(RuntimeError, match="single-letter counts"):
-            list(_orbit(table, [((1, 2), 1)], 3, 1, 1))
 
 
 def _root_orbit():
@@ -534,6 +524,17 @@ def _fault_at(patch, step, fault=()):
     patch.setattr(
         currents_module, "_syllables", lambda sk, n: list(fault) if n == step else syllables(sk, n)
     )
+
+
+def _head_calls(patch):
+    """Record one entry per kernel step an orbit takes, and count the steps n whose syllables it builds."""
+    import currents_lab.currents as currents_module
+
+    kernel, syllables = [], Counter()
+    step, build = currents_module._orbit_step, currents_module._syllables
+    patch.setattr(currents_module, "_orbit_step", lambda *args: kernel.append(None) or step(*args))
+    patch.setattr(currents_module, "_syllables", lambda sk, n: syllables.update([n]) or build(sk, n))
+    return kernel, syllables
 
 
 def _syllable_word(rng, length, y=None):
@@ -629,25 +630,39 @@ class TestAffineTails:
         with pytest.raises(RuntimeError, match="proper power"):
             list(_orbit(table, terms, 2, 3, 1))
 
-    def test_syllables_are_counted_only_up_to_n0_plus_one_and_at_roots(self, monkeypatch):
-        import currents_lab.currents as currents_module
-
-        calls = Counter()
-        syllables = currents_module._syllables
-        monkeypatch.setattr(
-            currents_module, "_syllables", lambda sk, n: calls.update([n]) or syllables(sk, n)
-        )
+    def test_the_head_steps_the_kernel_to_n0_plus_one_and_builds_syllables_only_at_roots(self, monkeypatch):
+        kernel, syllables = _head_calls(monkeypatch)
         table, terms = _root_orbit()
+        # n0 = 1: two kernel steps, and the syllables only at the root n = 3
         assert len(list(_orbit(table, terms, 2, 3000, 1))) == 3001
-        assert calls == {1: 1, 2: 1, 3: 1}
-        calls.clear()
+        assert (len(kernel), syllables) == (2, {3: 1})
+        kernel.clear()
+        syllables.clear()
         assert len(list(_orbit_distances(table, terms, 2, 3000, 1, _orbit_reads([((2,), 1)], 1)))) == 3001
-        assert calls == {1: 1, 2: 1, 3: 1}
+        assert (len(kernel), syllables) == (2, {3: 1})
+        # an orbit that stops before n0 + 1 takes its steps alone
+        kernel.clear()
+        syllables.clear()
+        assert len(list(_orbit(table, terms, 2, 1, 1))) == 2
+        assert (len(kernel), syllables) == (1, {})
         # a catalogue orbit of two terms has no root past n0 + 1
         table, terms, n0, goal = _phi_orbit("2*[acdBCB] + 3*[ecbbbD]")
-        calls.clear()
+        kernel.clear()
+        syllables.clear()
         assert len(list(_orbit_distances(table, terms, 5, 3000, 3, goal))) == 3001
-        assert calls == {n: 2 for n in range(1, n0 + 2)}
+        assert (len(kernel), syllables) == (n0 + 1, {})
+
+    def test_a_twistor_run_that_unwinds_makes_a_long_head(self, monkeypatch):
+        # [aB^20] under a -> ab is [a b^(n-20)]: its onset at level 3 is 23, and [ab]'s is 2
+        table = simple_twist(B2, 1, 2).table
+        terms, _ = _orbit_terms(parse_current(B2, "1*[aBBBBBBBBBBBBBBBBBBBB] + 2*[ab]"))
+        form = _twist_form(table, 2)
+        assert sorted(_affine_tail(_skeleton(form, core), 3)[0] for core, _ in terms) == [2, 23]
+        goal = _orbit_reads([((2,), 1)], 3)
+        kernel, syllables = _head_calls(monkeypatch)
+        assert len(list(_orbit_distances(table, terms, 2, 60, 3, goal))) == 61
+        assert (len(kernel), syllables) == (24, {})
+        assert list(_orbit(table, terms, 2, 60, 3)) == _kernel_orbit(table, terms, 2, 60, 3)
 
     def test_root_steps_are_every_step_past_n0_plus_one_that_can_fail(self):
         rng = Random(0)
@@ -669,11 +684,11 @@ class TestAffineTails:
     def test_double_twist_at_step_3000(self):
         nu = parse_current(B5, "1*[ECDBCb] + 4/3*[adddBC]")
         terms, _ = _orbit_terms(nu)
-        form = _twist_form(double_twist(B5).table, 5)
-        skeletons = [(core, _skeleton(form, core), weight) for core, weight in terms]
         *_, last = _orbit(double_twist(B5).table, terms, 5, 3000, 3)
-        # counted off the syllables at n = 3000, without the affine tail
-        assert last == _twist_reads(skeletons, 3000, 3)
+        # the cyclic cores of phi^3000's images, counted without the orbit's head or tail
+        phi = power(double_twist(B5), 3000)
+        images = [(cyclic_reduce(apply(phi, Word(B5, core)))[0].letters, weight) for core, weight in terms]
+        assert last == _orbit_reads(images, 3)
         assert last[1] == (3 + 4) * (6 + 3000)
 
 
@@ -869,23 +884,20 @@ class TestOrbitDistances:
             with pytest.raises(RuntimeError, match=message):
                 list(_orbit_distances(table, terms, 2, n0 + 1, 1, None))
 
-    def test_without_a_goal_syllables_are_counted_only_up_to_n0_plus_one_and_at_roots(self, monkeypatch):
-        import currents_lab.currents as currents_module
-
-        calls = Counter()
-        syllables = currents_module._syllables
-        monkeypatch.setattr(
-            currents_module, "_syllables", lambda sk, n: calls.update([n]) or syllables(sk, n)
-        )
+    def test_without_a_goal_the_head_steps_the_kernel_to_n0_plus_one_and_builds_syllables_only_at_roots(
+        self, monkeypatch
+    ):
+        kernel, syllables = _head_calls(monkeypatch)
         table, terms = _root_orbit()
         assert len(list(_orbit_distances(table, terms, 2, 3000, 1, None))) == 3001
-        assert calls == {1: 1, 2: 1, 3: 1}
+        assert (len(kernel), syllables) == (2, {3: 1})
         # a catalogue orbit of two terms has no root past n0 + 1, which is taken at level 1
         table, terms, _, _ = _phi_orbit("1*[ECDBCb] + 4/3*[adddBC]")
         n0 = _n0(table, terms, 5, 1)
-        calls.clear()
+        kernel.clear()
+        syllables.clear()
         *_, (norm, _) = _orbit_distances(table, terms, 5, 3000, 3, None)
-        assert calls == {n: 2 for n in range(1, n0 + 2)}
+        assert (len(kernel), syllables) == (n0 + 1, {})
         assert norm == (3 + 4) * (6 + 3000)
 
     def test_without_a_goal_root_steps_keep_the_syllable_checks(self, monkeypatch):

@@ -651,6 +651,11 @@ def critical(check, count):
     return dataclasses.replace(check, member=True)
 
 
+def twisted_grow(check, count):
+    """The check with ``(t;nu)/2`` grown by half the call count, so ``(a; nu) = 2 (t;nu)/2`` grows as in :func:`grow`."""
+    return dataclasses.replace(check, half_twisted=check.half_twisted + Fraction(count, 2))
+
+
 class TestFailingReports:
     """Report bytes when per-step laws fail: every failing assertion names its first failure."""
 
@@ -680,8 +685,10 @@ class TestFailingReports:
             (
                 {
                     "_orbit_distance": partial(failing_after, calls=3, spoil=grow),
-                    "coordinate": partial(failing_after, calls=4, spoil=grow),
-                    "in_critical_set": partial(failing_after, calls=3, spoil=critical),
+                    # (a; nu) is read off the critical check: spoiled from call 5, membership from call 4
+                    "in_critical_set": lambda real: failing_after(
+                        failing_after(real, calls=4, spoil=twisted_grow), calls=3, spoil=critical
+                    ),
                 },
                 lambda: run_off_critical_perturbation(word(B3, "abaB"), word(B3, "a"), iters=6),
                 "860a25dff5e7de05ca8d53583da80806c14585622248566cb3577396b2eb6c81",
