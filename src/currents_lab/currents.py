@@ -47,7 +47,8 @@ twistor run that must first unwind makes ``n0`` grow with its length:
 :data:`LETTER_BUDGET` letters, and the driver holds one read at a time.
 
 Every orbit consumer iterates the driver, which measures each step against
-a goal ``g``.  Past ``n0 + 1`` each distance term is a line
+a goal ``g``, and which refuses an orbit of more than :data:`ROW_BUDGET`
+rows (steps ``0..steps``) before its first step.  Past ``n0 + 1`` each distance term is a line
 ``+-(alpha_v + k beta_v)`` over the affine norm ``(||A|| + k ||B||) ||g||``
 (:func:`_distance_lines`); from the crossing point ``K`` (:func:`_crossing`)
 on, the line of largest slope is the max, so a step reads one line, and the
@@ -560,8 +561,11 @@ def _orbit_distances(
     equal :func:`_gap` of ``A + k B``.  No step past ``n0 + 1`` counts
     syllables: :func:`_orbit_head` has certified them.  Without a goal the
     head runs at level 1, with all its checks, and the driver yields
-    ``(norm, None)``.
+    ``(norm, None)``.  An orbit of more than :data:`ROW_BUDGET` rows is
+    refused before its first step.
     """
+    if steps + 1 > ROW_BUDGET:
+        raise ValueError(f"the orbit would have {steps + 1} rows (steps + 1), over the budget of {ROW_BUDGET}")
     head, tail = _orbit_head(table, terms, rank, steps, level if goal is not None else 1)
     for reads in head:
         yield reads[1], _gap(reads, goal) if goal is not None else None
@@ -732,6 +736,10 @@ CLASS_BUDGET = 10_000
 # of ``apply -n`` may reach; current orbits and ``apply -n`` of twist-form tables grow linearly and
 # need none.  (``prime-basis-change`` would pass it at its 25th step from ``[bc]``.)
 LETTER_BUDGET = 1_000_000
+# The most rows (steps ``0..steps``) an orbit may have: a twist orbit's tail costs no letters, but each
+# row costs a report about 0.8 KB (an ``iterate`` of 100,000 rows at rank 5, level 3 takes about 0.4 s
+# and 86 MB with Python 3.11.7).
+ROW_BUDGET = 100_000
 
 
 def check_word_budget(bound: int, how: str) -> None:

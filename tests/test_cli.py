@@ -220,6 +220,23 @@ class TestExitCodes:
         assert run(capsys, argv + ["--level", "3", "--iters", "300"])[0] == 0
         assert run(capsys, ["experiment", "primitive-limit", "-u", "aa", "--iters", "300"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iterate", "--aut", "phi", "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--limit", "1*[b] + 1*[d]", "--level", "3"],
+            ["iterate", "--aut", "phi", "-c", "1*[ECDBCb] + 4/3*[adddBC]"],
+            ["experiment", "primitive-limit", "-u", "aa"],
+        ],
+    )
+    def test_twist_orbits_over_the_row_budget_are_refused(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(currents, "ROW_BUDGET", 41)
+        assert run(capsys, argv + ["--iters", "40"])[0] == 0
+        step, steps = currents._orbit_step, []
+        monkeypatch.setattr(currents, "_orbit_step", lambda *args: steps.append(args) or step(*args))
+        code, out, err = run(capsys, argv + ["--iters", "41"])
+        assert (code, out, steps) == (3, "", [])  # refused before the first step
+        assert err == "error: the orbit would have 42 rows (steps + 1), over the budget of 41\n"
+
     def test_primitive_limit_bound_counts_the_conjugator(self, capsys):
         # abA = a b a^-1: [c (abA)^n] is [(Aca) b^n], of n + 3 letters, so m = 3
         code, out, _ = run(capsys, ["experiment", "primitive-limit", "-u", "abA", "--iters", "40", "--level", "3"])
