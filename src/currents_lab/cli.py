@@ -18,15 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .automorphisms import FreeAutomorphism, apply, parse_automorphism, power
-from .currents import (
-    _bounded_power,
-    _twist_form,
-    check_letter_budget,
-    coordinate,
-    length as current_length,
-    parse_current,
-)
+from .automorphisms import parse_automorphism
+from .currents import _power_image, coordinate, length as current_length, parse_current
 from .dynamics import (
     ConvergenceReport,
     iterate_current,
@@ -41,7 +34,7 @@ from .dynamics import (
 from .errors import CurrentsLabError, NotStabilizedError, ParseError
 from .selftest import run_selftest
 from .trees import intersection_form, length_britton, length_limit, parse_tree
-from .words import Basis, CyclicWord, Word, cyclic_reduce, word
+from .words import Basis, cyclic_reduce, word
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -65,20 +58,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     else:
         _print_word(u)
     return EXIT_OK
-
-
-def _power_image(phi: FreeAutomorphism, n: int, u: Word | CyclicWord) -> Word:
-    """``phi^n(u)`` by repeated squaring, under the letter budget where the growth may be exponential.
-
-    A twist-form table grows linearly and is raised to the power as it is.
-    For any other table each composition and the final image are refused
-    before they may pass :data:`currents.LETTER_BUDGET`.
-    """
-    if _twist_form(phi.table, phi.basis.rank) is not None:
-        return apply(power(phi, n), u)
-    acc = _bounded_power(phi, n)
-    check_letter_budget(len(u), acc.table)
-    return apply(acc, u)
 
 
 def cmd_apply(args: argparse.Namespace) -> int:

@@ -42,13 +42,15 @@ checked once on the syllables, so a later step costs one copy of ``A``.
 On the catalogue orbits the head is a few short kernel steps, but a
 twistor run that must first unwind makes ``n0`` grow with its length:
 ``[aB^k]`` under ``a -> ab`` has ``n0 = k + level``, so its head costs
-``O(k^2)`` letters.  Other tables stream the kernel's steps
-(:func:`_kernel_reads`); each step is refused before it may pass
-:data:`LETTER_BUDGET` letters, and the driver holds one read at a time.
+``O(k^2)`` letters.  Other tables stream every step off the kernel, and
+the driver holds one read at a time.  One rule holds for every table:
+:func:`_kernel_reads` refuses each kernel step before it may pass
+:data:`LETTER_BUDGET` letters, and a twist tail spells no word.
 
 Every orbit consumer iterates the driver, which measures each step against
 a goal ``g``, and which refuses an orbit of more than :data:`ROW_BUDGET`
-rows (steps ``0..steps``) before its first step.  Past ``n0 + 1`` each distance term is a line
+rows (steps ``0..steps``) before its first step (:func:`check_row_budget`).
+Past ``n0 + 1`` each distance term is a line
 ``+-(alpha_v + k beta_v)`` over the affine norm ``(||A|| + k ||B||) ||g||``
 (:func:`_distance_lines`); from the crossing point ``K`` (:func:`_crossing`)
 on, the line of largest slope is the max, so a step reads one line, and the
@@ -79,9 +81,11 @@ from .automorphisms import (
     FreeAutomorphism,
     SignedTable,
     _cyclic_image,
+    apply,
     compose,
     identity_automorphism,
     inverse,
+    power,
 )
 from .errors import (
     BasisMismatchError,
@@ -474,16 +478,16 @@ def _orbit_head(
 ) -> tuple[Iterable[Reads], AffineTail | None]:
     """``(head, tail)``: the :func:`_orbit_reads` of steps ``0..min(steps, n0 + 1)`` and the :data:`AffineTail`.
 
-    A table without a twist form has no tail, and its head is the stream of
-    every step's reads off the kernel (:func:`_kernel_reads`).  Otherwise the
-    head is a list of the kernel's steps ``0..min(steps, n0 + 1)``, stepped
-    without a letter budget since twist forms grow linearly, and the skeletons
-    give the rest: ``n0`` and the growth ``B`` (:func:`_affine_tail`), whose
-    single letters must sum to the norm's slope, and step ``n0 + 1`` must
-    equal ``A + B``, where ``A`` is step ``n0``.  The kernel's checks at
-    ``n0 + 1`` hold at every later step but the :func:`_root_steps`, which
-    are checked here once on the syllables.  The tail is None unless
-    ``steps`` goes past ``n0 + 1``.
+    Every step of the head comes off the kernel (:func:`_kernel_reads`), so
+    each is refused before it may pass :data:`LETTER_BUDGET`.  A table
+    without a twist form has no tail, and its head is the stream of every
+    step.  Otherwise the head is a list of the kernel's steps
+    ``0..min(steps, n0 + 1)``, and the skeletons give the rest: ``n0`` and
+    the growth ``B`` (:func:`_affine_tail`), whose single letters must sum
+    to the norm's slope, and step ``n0 + 1`` must equal ``A + B``, where
+    ``A`` is step ``n0``.  The kernel's checks at ``n0 + 1`` hold at every
+    later step but the :func:`_root_steps`, which are checked here once on
+    the syllables.  The tail is None unless ``steps`` goes past ``n0 + 1``.
 
     ``n0`` is at most a few steps on the catalogue orbits, but grows with the
     runs of a twistor that must first unwind: ``[aB^k]`` under ``a -> ab``
@@ -495,11 +499,7 @@ def _orbit_head(
     skeletons = [_skeleton(form, core) for core, _ in terms]
     tails = [_affine_tail(skeleton, level) for skeleton in skeletons]
     n0 = max(n for n, _ in tails)
-    head = [_orbit_reads(terms, level)]
-    image = terms
-    for _ in range(min(steps, n0 + 1)):
-        image = _orbit_step(table, image, rank)
-        head.append(_orbit_reads(image, level))
+    head = list(_kernel_reads(table, terms, rank, min(steps, n0 + 1), level))
     if steps <= n0:
         return head, None
     growth: Counter = Counter()
@@ -564,8 +564,7 @@ def _orbit_distances(
     ``(norm, None)``.  An orbit of more than :data:`ROW_BUDGET` rows is
     refused before its first step.
     """
-    if steps + 1 > ROW_BUDGET:
-        raise ValueError(f"the orbit would have {steps + 1} rows (steps + 1), over the budget of {ROW_BUDGET}")
+    check_row_budget("orbit", steps + 1, "steps + 1")
     head, tail = _orbit_head(table, terms, rank, steps, level if goal is not None else 1)
     for reads in head:
         yield reads[1], _gap(reads, goal) if goal is not None else None
@@ -732,14 +731,20 @@ def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> Critical
 
 # The most test classes a level may have (rank 5 reaches 6859 at level 5, 51079 at level 6).
 CLASS_BUDGET = 10_000
-# The most letters a kernel or tree orbit step, a composition of :func:`_bounded_power` or the image
-# of ``apply -n`` may reach; current orbits and ``apply -n`` of twist-form tables grow linearly and
-# need none.  (``prime-basis-change`` would pass it at its 25th step from ``[bc]``.)
+# The most letters any word built may reach: every kernel or tree orbit step, every composition of
+# :func:`_bounded_power` and every image of :func:`_power_image` is refused before it may pass it.
+# (``prime-basis-change`` would pass it at its 25th step from ``[bc]``.)
 LETTER_BUDGET = 1_000_000
-# The most rows (steps ``0..steps``) an orbit may have: a twist orbit's tail costs no letters, but each
-# row costs a report about 0.8 KB (an ``iterate`` of 100,000 rows at rank 5, level 3 takes about 0.4 s
-# and 86 MB with Python 3.11.7).
+# The most rows a report table may have (an orbit's steps ``0..steps``, an experiment's steps or
+# trials): a twist orbit's tail costs no letters, but each row costs a report about 0.8 KB (an
+# ``iterate`` of 100,000 rows at rank 5, level 3 takes about 0.4 s and 86 MB with Python 3.11.7).
 ROW_BUDGET = 100_000
+
+
+def check_row_budget(table: str, rows: int, how: str) -> None:
+    """Refuse a ``table`` of ``rows`` rows (``how`` spells it out) over :data:`ROW_BUDGET`, before its first row."""
+    if rows > ROW_BUDGET:
+        raise ValueError(f"the {table} would have {rows} rows ({how}), over the budget of {ROW_BUDGET}")
 
 
 def check_word_budget(bound: int, how: str) -> None:
@@ -780,6 +785,23 @@ def _bounded_power(phi: FreeAutomorphism, n: int) -> FreeAutomorphism:
         if n:
             phi = _bounded_compose(phi, phi)
     return acc
+
+
+def _power_image(phi: FreeAutomorphism, n: int, u: Word | CyclicWord) -> Word:
+    """``phi^n(u)`` by repeated squaring, refused first if it may pass :data:`LETTER_BUDGET`.
+
+    Under a twist form ``phi^n(x) = y^(sn) x y^(tn)``, so ``phi^n``'s longest
+    image is ``1 + |n| max(|s| + |t|)`` letters, and no square :func:`power`
+    builds has a longer one.  Any other table is raised by :func:`_bounded_power`.
+    """
+    form = _twist_form(phi.table, phi.basis.rank)
+    if form is None:
+        acc = _bounded_power(phi, n)
+        check_letter_budget(len(u), acc.table)
+        return apply(acc, u)
+    longest = 1 + abs(n) * max((abs(s) + abs(t) for _, s, t in filter(None, form)), default=0)
+    check_word_budget(len(u) * longest, f"{len(u)} letters times the longest image")
+    return apply(power(phi, n), u)
 
 
 def class_count(rank: int, max_len: int) -> int:

@@ -57,6 +57,7 @@ from .currents import (
     _twist_form,
     act,
     check_letter_budget,
+    check_row_budget,
     check_word_budget,
     coordinate,
     current_str,
@@ -669,9 +670,11 @@ def run_minimality_walk(
 
     The 40-step default bounds the walks at level 1 only
     (:func:`escape_from_critical`): at level 3, rank 3, 200 trials, trial 4
-    ends at distance 9/86 and the report fails.
+    ends at distance 9/86 and the report fails.  More than ``currents.ROW_BUDGET``
+    trials are refused before the first walk.
     """
     _at_least_one(trials=trials, steps=steps, level=level)
+    check_row_budget("walk table", trials, "trials")
     if rank < 3:
         raise RankError(f"minimality-walk requires rank >= 3, got {rank}")
     basis = Basis(rank)
@@ -1034,11 +1037,13 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     k-letter read gains at most ``m - c + k - 1`` starts against ``n`` copies of ``g'`` and loses at most
     ``c + k - 1``; as ``(v; g') <= ||g||``, ``d_n <= (m + level - 1)/||nu_n||`` for ``n >= 1``.  If ``g``, ``f``
     and ``g^n f`` are cyclically reduced and ``level <= ||f|| + 1``, that implies ``2 ||f||/(n ||g||)``, which
-    is asserted; otherwise the proven bound is.  Step ``n`` is refused if ``n |g| + |f|`` passes the budget.
+    is asserted; otherwise the proven bound is.  More than ``currents.ROW_BUDGET`` rows (``iters + 1``) are
+    refused before the first step, and step ``n`` if ``n |g| + |f|`` passes the letter budget.
     """
     _at_least_one(iters=iters, level=level)
     monotone = "distances to the unperturbed current are nonincreasing from step 1"
     _two_steps_for(monotone, iters)
+    check_row_budget("orbit", iters + 1, "iters + 1")
     if g.basis != f.basis:
         raise BasisMismatchError("g and f use different bases")
     basis = g.basis
@@ -1115,8 +1120,12 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
 
 
 def run_outlook_identity(iters: int = 20, rank: int = 3, seed: int = 1) -> ConvergenceReport:
-    """Exact pairing values 1/(n(n+1)) along the rescaled twist orbit."""
+    """Exact pairing values 1/(n(n+1)) along the rescaled twist orbit.
+
+    More than ``currents.ROW_BUDGET`` rows (``iters``) are refused before the first step.
+    """
     _at_least_one(iters=iters)
+    check_row_budget("pairing table", iters, "iters")
     if rank < 3:
         raise RankError(f"outlook-identity requires rank >= 3, got {rank}")
     basis = Basis(rank)

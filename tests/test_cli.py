@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import currents_lab
-from currents_lab import currents
+from currents_lab import currents, dynamics
 from currents_lab.cli import EXPERIMENTS, KNOBS, _build_parser, main
 
 MINIMUM_RANKS = {
@@ -213,12 +213,43 @@ class TestExitCodes:
         assert run(capsys, argv + ["-n", "1000000001"]) == (0, "baa\n", "")
         assert run(capsys, argv + ["-n", "-1000000000"]) == (0, "abb\n", "")
 
-    def test_twist_form_tables_grow_linearly_without_a_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(currents, "LETTER_BUDGET", 10)
-        assert run(capsys, ["apply", "--aut", "phi", "-w", "Ac", "-n", "400"]) == (0, "B" * 400 + "Ac\n", "")
+    def test_twist_form_tables_are_under_the_one_letter_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(currents, "LETTER_BUDGET", 100)
+        assert run(capsys, ["apply", "--aut", "phi", "-w", "Ac", "-n", "40"]) == (0, "B" * 40 + "Ac\n", "")
+        err = "error: the next step may reach 802 letters (2 letters times the longest image), over the budget of 100\n"
+        assert run(capsys, ["apply", "--aut", "phi", "-w", "Ac", "-n", "400"]) == (3, "", err)
+        # a twist tail spells no word: stepping these 300-step orbits on the kernel would pass 100 letters
         argv = ["iterate", "--aut", "phi", "-c", "1*[ECDBCb] + 4/3*[adddBC]", "--limit", "1*[b] + 1*[d]"]
         assert run(capsys, argv + ["--level", "3", "--iters", "300"])[0] == 0
         assert run(capsys, ["experiment", "primitive-limit", "-u", "aa", "--iters", "300"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, letters, bound",
+        [
+            (["--aut", "phi", "-w", "Ac", "-n", "40"], 2, 82),
+            (["--aut", "phi", "-w", "Ac", "-n", "-40"], 2, 82),
+            (["--aut", "phi", "-w", "Acbd", "-n", "40", "--cyclic"], 4, 164),
+            (["--rank", "2", "--aut", "a->BBab; b->b | a->bbaB; b->b", "-w", "aab", "-n", "5"], 3, 48),
+            (["--rank", "2", "--aut", "a->BBab; b->b | a->bbaB; b->b", "-w", "aab", "-n", "-5", "--cyclic"], 3, 48),
+        ],
+        ids=["power", "negative-power", "cyclic", "longer-twistor", "longer-twistor-inverse-cyclic"],
+    )
+    def test_a_twist_power_at_the_letter_budget_passes_and_one_letter_over_is_refused(
+        self, capsys, monkeypatch, argv, letters, bound
+    ):
+        # phi^n's longest image is 1 + |n| max(|s| + |t|) letters, and the image of u at most |u| times that
+        expected = run(capsys, ["apply", *argv])
+        assert expected[0] == 0
+        monkeypatch.setattr(currents, "LETTER_BUDGET", bound)
+        assert run(capsys, ["apply", *argv]) == expected
+        monkeypatch.setattr(currents, "LETTER_BUDGET", bound - 1)
+        power, calls = currents.power, []
+        monkeypatch.setattr(currents, "power", lambda *args: calls.append(args) or power(*args))
+        err = (
+            f"error: the next step may reach {bound} letters ({letters} letters times the longest image), "
+            f"over the budget of {bound - 1}\n"
+        )
+        assert (*run(capsys, ["apply", *argv]), calls) == (3, "", err, [])
 
     @pytest.mark.parametrize(
         "argv",
@@ -236,6 +267,26 @@ class TestExitCodes:
         code, out, err = run(capsys, argv + ["--iters", "41"])
         assert (code, out, steps) == (3, "", [])  # refused before the first step
         assert err == "error: the orbit would have 42 rows (steps + 1), over the budget of 41\n"
+
+    @pytest.mark.parametrize(
+        "argv, most, first_step, err",
+        [
+            (["off-critical", "--iters"], 40, "word_power", "the orbit would have 42 rows (iters + 1)"),
+            (["outlook-identity", "--iters"], 41, "power", "the pairing table would have 42 rows (iters)"),
+            (["minimality-walk", "--trials"], 41, "random_current", "the walk table would have 42 rows (trials)"),
+        ],
+        ids=["off-critical", "outlook-identity", "minimality-walk"],
+    )
+    def test_experiment_tables_over_the_row_budget_are_refused(
+        self, capsys, monkeypatch, argv, most, first_step, err
+    ):
+        monkeypatch.setattr(currents, "ROW_BUDGET", 41)  # a 40-step walk has 41 rows
+        assert run(capsys, ["experiment", *argv, str(most)])[0] == 0
+        step, steps = getattr(dynamics, first_step), []
+        monkeypatch.setattr(dynamics, first_step, lambda *args, **kw: steps.append(args) or step(*args, **kw))
+        code, out, stderr = run(capsys, ["experiment", *argv, str(most + 1)])
+        assert (code, out, steps) == (3, "", [])  # refused before the first step
+        assert stderr == f"error: {err}, over the budget of 41\n"
 
     def test_primitive_limit_bound_counts_the_conjugator(self, capsys):
         # abA = a b a^-1: [c (abA)^n] is [(Aca) b^n], of n + 3 letters, so m = 3

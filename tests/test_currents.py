@@ -664,6 +664,24 @@ class TestAffineTails:
         assert (len(kernel), syllables) == (24, {})
         assert list(_orbit(table, terms, 2, 60, 3)) == _kernel_orbit(table, terms, 2, 60, 3)
 
+    def test_a_twist_head_step_that_may_pass_the_letter_budget_is_refused_before_it_is_taken(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        # 6 + 6 letters times phi's longest image of 2 letters: 24 > 20
+        table, terms, _, goal = _phi_orbit("1*[ECDBCb] + 4/3*[adddBC]")
+        monkeypatch.setattr(currents_module, "LETTER_BUDGET", 20)
+        kernel, syllables = _head_calls(monkeypatch)
+        for steps in (1, 3000):
+            with pytest.raises(ValueError) as refused:
+                list(_orbit_distances(table, terms, 5, steps, 3, goal))
+            assert str(refused.value) == (
+                "the next step may reach 24 letters (12 letters times the longest image), over the budget of 20"
+            )
+        assert (kernel, syllables) == ([], {})
+        monkeypatch.setattr(currents_module, "LETTER_BUDGET", 24)
+        assert len(list(_orbit_distances(table, terms, 5, 1, 3, goal))) == 2
+        assert len(kernel) == 1
+
     def test_root_steps_are_every_step_past_n0_plus_one_that_can_fail(self):
         rng = Random(0)
         skeletons = [_near_periodic(rng) for _ in range(400)]
