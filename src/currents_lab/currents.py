@@ -12,8 +12,8 @@ defined for ``|v|`` larger than the circle.  :func:`coordinate` finds one
 ``v`` per root through :func:`occurrences`, a search of the root's keys, and
 :func:`_coordinates` reads every short ``v`` off one prefix-folded
 ``words._reads`` count of all roots (:func:`_read_counts` gives the same
-reads as ints over the weights' common denominator, from a dict built once
-with every read in both orientations).
+reads as a dict of ints over the weights' common denominator, keyed by
+letters in both orientations).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
@@ -602,26 +602,34 @@ def _current_reads(nu: RationalCurrent, level: int) -> Reads:
     return _orbit_reads(_orbit_terms(nu)[0], level)
 
 
-def _read_counts(nu: RationalCurrent, level: int) -> tuple[Callable[[tuple[Letter, ...]], int], int]:
-    """``letters -> (v; nu)`` times the weights' common denominator, as an int, and that denominator.
+def _read_counts(nu: RationalCurrent, level: int) -> tuple[dict[tuple[Letter, ...], int], int]:
+    """``{v: (v; nu)}`` times the weights' common denominator, as ints, and that denominator.
 
-    Defined for reduced ``v`` with ``1 <= |v| <= level``, given as a tuple of
-    letters; every ``v`` is read off one count, expanded once into a dict
-    that holds each read in both orientations, so a lookup is one ``dict.get``.
+    Keys are the reduced ``v`` with ``1 <= |v| <= level`` and ``(v; nu) > 0``,
+    as tuples of letters; an absent ``v`` has coordinate 0.  The roots'
+    weighted :func:`words._reads` of ``level`` letters are counted once, on
+    letters, and their prefixes folded in; since ``(v; nu)`` counts the reads
+    of ``v`` and of ``v^-1``, each read then adds its count to its inverse's.
     """
+    if level < 1:
+        raise ValueError("level must be >= 1")
     terms, denominator = _orbit_terms(nu)
-    counts, _ = _orbit_reads(terms, level)
-    lookup: dict[tuple[Letter, ...], int] = {}
-    for rep, count in counts.items():
-        letters = _key_letters(rep)
-        lookup[letters] = lookup[tuple([-x for x in reversed(letters)])] = count
-    return lambda letters: lookup.get(letters, 0), denominator
+    raw: Counter = Counter()
+    for core, weight in terms:
+        for read, count in _reads(core, level).items():
+            raw[read] += weight * count
+    reads = _with_prefixes(raw, level)
+    counts = dict(reads)
+    for read, count in reads.items():
+        mirror = tuple([-x for x in reversed(read)])
+        counts[mirror] = counts.get(mirror, 0) + count
+    return counts, denominator
 
 
 def _coordinates(nu: RationalCurrent, level: int) -> Callable[[tuple[Letter, ...]], Fraction]:
     """``letters -> (v; nu)`` for reduced ``v`` with ``1 <= |v| <= level``, read off one count."""
-    count, denominator = _read_counts(nu, level)
-    return lambda letters: Fraction(count(letters), denominator)
+    counts, denominator = _read_counts(nu, level)
+    return lambda letters: Fraction(counts.get(letters, 0), denominator)
 
 
 def _gap(a: Reads, b: Reads) -> int:

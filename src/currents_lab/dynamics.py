@@ -4,8 +4,11 @@ Twist orbits of currents and trees grow exactly linearly after a finite
 transient, so limits on the tree side are extracted as exact eventual growth
 rates (read off a certified affine tail for twist steppers, see
 :func:`tree_orbit_limit`), and limits on the current side are certified by
-exact distance laws at finite step counts.  Every rate constant asserted here was first computed by
-an independent brute-force oracle; reports flag such constants as derived.
+exact distance laws at finite step counts.  A rate constant a report asserts, such as
+``2/(n+2)`` or ``1/(n+1)``, is derived by hand and checked exactly at every step the report
+computes, not for all n; the tests check the orbit driver against the public ``act`` route,
+not the constants.  Reports flag these constants as derived (:data:`DERIVED_RATE_NOTE`, whose
+text the report digests pin).
 All arithmetic is exact (`Fraction`), and reports are deterministic functions
 of their parameters.
 """
@@ -44,11 +47,11 @@ from .currents import (
     RationalCurrent,
     Skeleton,
     TwistForm,
-    _coordinates,
     _current_reads,
     _orbit_distance,
     _orbit_distances,
     _orbit_terms,
+    _read_counts,
     _limit,
     _onset,
     _skeleton,
@@ -590,6 +593,10 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     That is a level-1 fact: in ``run_minimality_walk(trials=200)`` (seed 1,
     rank 3) the worst walk needs 19 steps at level 1 and 37 at level 2, and
     at levels 3 and 4 some walk is still farther than 1/10 after 40 steps.
+
+    Coordinates are compared as the ints of ``currents._read_counts``, all
+    over the weights' one common denominator; only the reason string divides
+    them, as ``p/q`` text (:func:`_ratio`).
     """
     basis = nu.basis
     if basis.rank < 3:
@@ -597,16 +604,16 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     if nu.is_zero():
         raise ZeroCurrentError("the zero current has no escape direction")
     gens = list(basis.generators())
-    coord = _coordinates(nu, 2)
-    t = max(gens, key=lambda i: (coord((i,)), -i))
+    counts, denominator = _read_counts(nu, 2)
+    t = max(gens, key=lambda i: (counts.get((i,), 0), -i))
     name = basis.letter_name
-    t_count = coord((t,))
-    best: tuple[Fraction, int, int, Fraction] | None = None
+    t_count = counts.get((t,), 0)
+    best: tuple[int, int, int, int] | None = None
     for z in gens:
         if z == t:
             continue
         for direction in (1, -1):
-            blocker = coord((t, -direction * z))
+            blocker = counts.get((t, -direction * z), 0)
             margin = t_count - 2 * blocker
             key = (margin, -z, direction)
             if best is None or key > (best[0], -best[1], best[2]):
@@ -616,10 +623,10 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     margin, z, direction, blocker = best
     z_canon = min(i for i in gens if i != t)
     critical = (
-        t_count <= 2 * coord((t, z_canon)) and t_count <= 2 * coord((t, -z_canon))
+        t_count <= 2 * counts.get((t, z_canon), 0) and t_count <= 2 * counts.get((t, -z_canon), 0)
     )
     if critical:
-        if blocker != 0 or coord((t, direction * z)) != 0:
+        if blocker != 0 or counts.get((t, direction * z), 0) != 0:
             raise RuntimeError("forced vanishing failed")
         reason = (
             f"critical for ({name(t)},{name(z_canon)}): "
@@ -627,8 +634,8 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
         )
     else:
         reason = (
-            f"({name(t)};nu)={t_count} > "
-            f"2*({name(t)}{name(-direction * z)};nu)={2 * blocker}"
+            f"({name(t)};nu)={_ratio(t_count, denominator)} > "
+            f"2*({name(t)}{name(-direction * z)};nu)={_ratio(2 * blocker, denominator)}"
         )
     return EscapeChoice(simple_twist(basis, t, z), direction, z, reason)
 
@@ -639,10 +646,13 @@ WALK_RADIUS = Fraction(1, 10)
 def walk_to_target(
     choice: EscapeChoice, nu: RationalCurrent, steps: int, level: int
 ) -> tuple[int | None, Fraction]:
-    """Iterate the chosen twist; first step with distance <= 1/10 to the target.
+    """Iterate the chosen twist; first step with distance <= 1/10 to the target, and that distance.
 
     Each distance is ``gap / (norm ||target||)``, read off the driver
-    ``currents._orbit_distances``.
+    ``currents._orbit_distances`` as ints and compared with
+    :data:`WALK_RADIUS` by cross-multiplying; only the distance returned (at
+    the first step within the radius, or else at the last step) is built as
+    a ``Fraction``.
     """
     twist = choice.twist
     if twist.basis != nu.basis:
@@ -650,13 +660,13 @@ def walk_to_target(
     table = twist.table if choice.direction == 1 else twist.inverse_table
     target = _unchecked(Word, basis=nu.basis, letters=(choice.target,))  # a generator escape_from_critical chose
     goal = _current_reads(rational_current(target), level)
-    last = Fraction(0)
+    gap, scale = 0, 1
     orbit = _orbit_distances(table, _orbit_terms(nu)[0], nu.basis.rank, steps, level, goal)
     for n, (norm, gap) in enumerate(orbit):
-        last = Fraction(gap, norm * goal[1])
-        if last <= WALK_RADIUS:
-            return n, last
-    return None, last
+        scale = norm * goal[1]
+        if gap * WALK_RADIUS.denominator <= WALK_RADIUS.numerator * scale:
+            return n, Fraction(gap, scale)
+    return None, Fraction(gap, scale)
 
 
 def run_minimality_walk(

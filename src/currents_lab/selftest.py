@@ -37,6 +37,9 @@ from .automorphisms import (
 from .corpus import random_current, random_cyclic_word, random_reduced_word
 from .currents import (
     _coordinates,
+    _current_reads,
+    _orbit_distances,
+    _orbit_terms,
     _read_counts,
     act,
     in_critical_set,
@@ -269,14 +272,19 @@ def _extension_identities(rng: Random, i: int) -> str | None:
     for cls, _ in nu.terms:
         seen.update(count_subwords(cls.root, 4))
     # integer counts over one common denominator compare exactly; only a witness needs fractions
-    count, denominator = _read_counts(nu, 5)
-    alphabet = basis.signed_letters()
+    counts, denominator = _read_counts(nu, 5)
+    # one pass: each read of 2..5 letters extends its prefix to the right and its suffix to the left
+    right_sums: dict[tuple[int, ...], int] = {}
+    left_sums: dict[tuple[int, ...], int] = {}
+    for letters, count in counts.items():
+        if len(letters) > 1:
+            right_sums[letters[:-1]] = right_sums.get(letters[:-1], 0) + count
+            left_sums[letters[1:]] = left_sums.get(letters[1:], 0) + count
     for letters in seen:
-        left = count(letters)
+        left = counts.get(letters, 0)
         if left < 0:
             return _name(basis, letters)
-        right_sum = sum(count(letters + (x,)) for x in alphabet if x != -letters[-1])
-        left_sum = sum(count((x,) + letters) for x in alphabet if x != -letters[0])
+        right_sum, left_sum = right_sums.get(letters, 0), left_sums.get(letters, 0)
         if left != right_sum or left != left_sum:
             left, right_sum, left_sum = (Fraction(c, denominator) for c in (left, right_sum, left_sum))
             return f"v={_name(basis, letters)} ({left} vs {right_sum}/{left_sum})"
@@ -417,6 +425,10 @@ def _check_dichotomy(seed: int, quick: bool) -> Outcome:
     rng = _rng(seed, "dynamics/dichotomy")
     trials = _size(500, quick)
     basis = Basis(3)
+    twist = simple_twist(basis, 1, 2)
+    by_direction = {1: twist, -1: inverse(twist)}
+    eta_b = rational_current(word(basis, "b"))
+    goal, target = _current_reads(eta_b, 1), projective_vector(eta_b, 1)
     done = 0
     draws = 0
     while done < trials:
@@ -434,17 +446,16 @@ def _check_dichotomy(seed: int, quick: bool) -> Outcome:
         toward = crit.with_twistor
         if not (a_coord > 2 * toward_inverse or a_coord > 2 * toward):
             return trials, str(nu)
-        direction = 1 if a_coord > 2 * toward_inverse else -1
-        twist = simple_twist(basis, 1, 2)
-        step = twist if direction == 1 else inverse(twist)
-        target = projective_vector(rational_current(word(basis, "b")), 1)
-        distances = []
-        current = nu
-        for _ in range(8):
-            distances.append(projective_distance(projective_vector(current, 1), target))
-            current = act(step, current)
-        if any(b >= a for a, b in zip(distances, distances[1:])):
-            return trials, f"{nu}: {distances}"
+        step = by_direction[1 if a_coord > 2 * toward_inverse else -1]
+        # steps 0..7 at level 1, the distance gap / (norm ||b||) as ints off the orbit driver
+        rows = list(_orbit_distances(step.table, _orbit_terms(nu)[0], basis.rank, 7, 1, goal))
+        if any(gap1 * norm0 >= gap0 * norm1 for (norm0, gap0), (norm1, gap1) in zip(rows, rows[1:])):
+            return trials, f"{nu}: {[Fraction(gap, norm * goal[1]) for norm, gap in rows]}"
+        # the public route cross-checks the driver at step 1
+        public = projective_distance(projective_vector(act(step, nu), 1), target)
+        driver = Fraction(rows[1][1], rows[1][0] * goal[1])
+        if public != driver:
+            return trials, f"{nu}: step 1 is at distance {public} by act, {driver} by the orbit driver"
     return trials, None
 
 
@@ -508,14 +519,14 @@ CHECKS: Registry = (
 
 
 # The checks that take longest, longest first.  In the quick profile (means over seeds
-# 0-15, Python 3.11.7 on 2 CPUs) the first four take about 40-55 ms each and the last
-# three 10-22 ms, against under 9 ms for every other check.  Workers claim these first,
+# 0-15, Python 3.11.7 on 2 CPUs) the first four take about 15-35 ms each and the last
+# three 8-13 ms, against under 6 ms for every other check.  Workers claim these first,
 # so that none is left to start last; checks not named here follow in registry order.
 LONGEST_FIRST = (
-    "dichotomy off critical set",
     "Britton vs limit routes",
     "escape walk within 40 steps",
     "extension identities",
+    "dichotomy off critical set",
     "twist coordinate identities",
     "twist increment monotone",
     "level identity",

@@ -534,6 +534,22 @@ class TestReports:
                 ],
                 "dc547b5eefe632977091aa17501e79f54b1c25bb848c4c1fc1ffbadee3fbb4c8",
             ),
+            (
+                ["selftest", "--quick", "--seed", "0"],
+                "2a7f2d7b4c0e939721f24edbec9f9cf863bb831b3c5f5321bd9943e69df2eeea",
+            ),
+            (
+                ["selftest", "--quick", "--seed", "7"],
+                "99391b72aa7ce0fcf5d414bda19b5c7ab43a309815a8aed7581b8fe23c2c2e58",
+            ),
+            (
+                ["selftest", "--quick", "--seed", "11"],
+                "26f2cb2d9dad60da81afe8fc25fb1ab131afe8cfff1158de286e307469f84994",
+            ),
+            (
+                ["selftest", "--seed", "7"],
+                "d3edcb46b3de195c4c49945200c9396da05d21028e82c22289337419f833f72a",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
@@ -541,7 +557,8 @@ class TestReports:
             "primitive-limit", "off-critical", "iterate-crossing-point", "iterate-kernel-no-limit",
             "iterate-root-step", "iterate-300-steps-no-limit", "primitive-limit-twist-form",
             "primitive-limit-kernel", "theorem-main-stepped-classes", "product-minimal-stepped-classes",
-            "iterate-long-head",
+            "iterate-long-head", "selftest-quick-seed-0", "selftest-quick-seed-7", "selftest-quick-seed-11",
+            "selftest-seed-7",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -560,7 +577,10 @@ class TestReports:
         # last two, recorded before uncertified tree-orbit classes were stepped from step 0,
         # pin caps below N + 3, where some classes are stepped and the rest read off their laws;
         # the last, recorded while twist-orbit heads were still counted off syllables, pins a
-        # head of 24 kernel steps: [aB^20] must unwind its twistor run, so its onset is 23
+        # head of 24 kernel steps: [aB^20] must unwind its twistor run, so its onset is 23;
+        # the four selftest runs, recorded while the dichotomy check still stepped the public
+        # act and the extension identities looked each count up through a lambda, pin every
+        # check's name, trial count and verdict
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -115,6 +115,33 @@ class TestEscape:
         assert hit is not None and hit <= 40
         assert last <= Fraction(1, 10)
 
+    @pytest.mark.parametrize(
+        "text, reached, short_of_it",
+        [
+            # eta_a under a -> ab is at distance 1/(n+1) from eta_b at level 1
+            ("1*[a]", (9, Fraction(1, 10)), (8, None, Fraction(1, 9))),
+            # weights over the denominator 6, and a target norm of 101 at step 9
+            ("3/2*[ab] + 1/3*[c]", (10, Fraction(1, 10)), (9, None, Fraction(11, 101))),
+        ],
+    )
+    def test_a_distance_of_exactly_the_radius_is_reached(self, text, reached, short_of_it):
+        nu = parse_current(B3, text)
+        choice = escape_from_critical(nu)
+        assert walk_to_target(choice, nu, steps=40, level=1) == reached
+        assert walk_to_target(choice, nu, steps=reached[0], level=1) == reached
+        steps, hit, last = short_of_it
+        assert walk_to_target(choice, nu, steps=steps, level=1) == (hit, last)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("3/2*[ab] + 1/3*[c]", "(a;nu)=3/2 > 2*(aB;nu)=0"),
+            ("3/2*[ab] + 1/3*[aB] + 2/5*[ac] + 1/7*[aC]", "(a;nu)=499/210 > 2*(aC;nu)=2/7"),
+        ],
+    )
+    def test_reason_names_coordinates_as_fractions(self, text, reason):
+        assert escape_from_critical(parse_current(B3, text)).reason == reason
+
 
 class TestIteration:
     def test_distance_law_on_generator(self):

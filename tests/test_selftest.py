@@ -8,12 +8,14 @@ compare that with the sequential run and to kill workers.
 
 import os
 import time
+from random import Random
 
 import pytest
 
-from currents_lab import selftest
+from currents_lab import currents, selftest
 from currents_lab.cli import main
 from currents_lab.selftest import CHECKS
+from currents_lab.words import Basis
 
 
 @pytest.mark.parametrize(
@@ -129,3 +131,42 @@ def test_claim_order_names_registry_checks_once():
     assert set(selftest.LONGEST_FIRST) <= set(names)
     assert len(set(selftest.LONGEST_FIRST)) == len(selftest.LONGEST_FIRST)
     assert sorted(selftest._claim_order(CHECKS)) == list(range(len(CHECKS)))
+
+
+# The checks rewritten on ints must still find a spoiled input.
+
+def test_dichotomy_finds_a_step_whose_distance_does_not_fall(monkeypatch):
+    def raised(table, terms, rank, steps, level, goal):
+        for n, (norm, gap) in enumerate(currents._orbit_distances(table, terms, rank, steps, level, goal)):
+            yield norm, gap + (norm * goal[1] if n == 4 else 0)  # step 4 one farther
+
+    monkeypatch.setattr(selftest, "_orbit_distances", raised)
+    trials, witness = selftest._check_dichotomy(2, True)
+    assert trials == 50
+    assert witness is not None and witness.count("Fraction(") == 8
+
+
+def test_dichotomy_cross_checks_the_driver_against_act(monkeypatch):
+    monkeypatch.setattr(selftest, "act", lambda phi, nu: currents.act(phi, currents.act(phi, nu)))
+    trials, witness = selftest._check_dichotomy(2, True)
+    assert trials == 50
+    assert witness is not None and "step 1 is at distance" in witness
+
+
+@pytest.mark.parametrize(
+    "read, expected",
+    [((1, 1, 2, 1, 1), "v=abaa (3/2 vs 3/2/5/3)"), ((1, 2, -3, 1, 1), "v=abCa (1/3 vs 1/2/1/3)")],
+)
+def test_extension_identities_name_a_bumped_count(monkeypatch, read, expected):
+    # the witness texts are the ones the lambda-based lookup printed for the same bump
+    nu = currents.parse_current(Basis(3), "3/2*[aab] + 1/3*[abC]")
+    monkeypatch.setattr(selftest, "random_current", lambda rng, basis: nu)
+    assert selftest._extension_identities(Random(0), 1) is None
+
+    def bumped(nu, level):
+        counts, denominator = currents._read_counts(nu, level)
+        counts[read] = counts.get(read, 0) + 1
+        return counts, denominator
+
+    monkeypatch.setattr(selftest, "_read_counts", bumped)
+    assert selftest._extension_identities(Random(0), 1) == expected
