@@ -260,19 +260,26 @@ def _orbit_step(table: SignedTable, terms: Terms, rank: int) -> Terms:
 def _orbit_reads(terms: Terms, level: int) -> Reads:
     """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm.
 
-    The terms' weighted :func:`_reads` of ``level`` letters are summed first
+    The reads are counted on letter keys by :func:`_weighted_reads`.
+    """
+    reads = _weighted_reads([(_keys(core), weight) for core, weight in terms], level)
+    return _pair_reads(reads, sum(weight * len(core) for core, weight in terms))
+
+
+def _weighted_reads(cycles: Iterable[tuple[Sequence, int]], level: int) -> Counter:
+    """Weighted counts of the reads of length 1..level around each ``(cycle, weight)``.
+
+    The cycles' weighted :func:`_reads` of ``level`` letters are summed first
     and their prefixes folded in once: the fold is linear, so it gives the
-    per-term counts' sum.
+    per-cycle counts' sum.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     raw: Counter = Counter()
-    norm = 0
-    for core, weight in terms:
-        norm += weight * len(core)
-        for read, count in _reads(_keys(core), level).items():
+    for cycle, weight in cycles:
+        for read, count in _reads(cycle, level).items():
             raw[read] += weight * count
-    return _pair_reads(_with_prefixes(raw, level), norm)
+    return _with_prefixes(raw, level)
 
 
 def _pair_reads(raw: dict[tuple[int, ...], int], norm: int) -> Reads:
@@ -281,10 +288,15 @@ def _pair_reads(raw: dict[tuple[int, ...], int], norm: int) -> Reads:
     for read, count in raw.items():
         rep = _pair_key(read)
         counts[rep] = counts.get(rep, 0) + count
-    ones = sum(count for rep, count in counts.items() if len(rep) == 1)
+    _check_norm(counts, norm)
+    return counts, norm
+
+
+def _check_norm(counts: dict[tuple[int, ...], int], norm: int) -> None:
+    """Raise unless the single-letter counts sum to the norm, as one read per vertex gives."""
+    ones = sum(count for read, count in counts.items() if len(read) == 1)
     if ones != norm:
         raise RuntimeError(f"single-letter counts sum to {ones}, not ||nu|| = {norm}")
-    return counts, norm
 
 
 # Per generator (index 0 unused): None if the table fixes it, else ``(y, s, t)``
@@ -606,19 +618,15 @@ def _read_counts(nu: RationalCurrent, level: int) -> tuple[dict[tuple[Letter, ..
     """``{v: (v; nu)}`` times the weights' common denominator, as ints, and that denominator.
 
     Keys are the reduced ``v`` with ``1 <= |v| <= level`` and ``(v; nu) > 0``,
-    as tuples of letters; an absent ``v`` has coordinate 0.  The roots'
-    weighted :func:`words._reads` of ``level`` letters are counted once, on
-    letters, and their prefixes folded in; since ``(v; nu)`` counts the reads
-    of ``v`` and of ``v^-1``, each read then adds its count to its inverse's.
+    as tuples of letters; an absent ``v`` has coordinate 0.  The roots' reads
+    are counted once by :func:`_weighted_reads`, on letters; since ``(v; nu)``
+    counts the reads of ``v`` and of ``v^-1``, each read then adds its count
+    to its inverse's.  The single-letter reads are checked against the norm,
+    as :func:`_orbit_reads` checks its own.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
     terms, denominator = _orbit_terms(nu)
-    raw: Counter = Counter()
-    for core, weight in terms:
-        for read, count in _reads(core, level).items():
-            raw[read] += weight * count
-    reads = _with_prefixes(raw, level)
+    reads = _weighted_reads(terms, level)
+    _check_norm(reads, sum(weight * len(core) for core, weight in terms))
     counts = dict(reads)
     for read, count in reads.items():
         mirror = tuple([-x for x in reversed(read)])

@@ -519,8 +519,8 @@ CHECKS: Registry = (
 
 
 # The checks that take longest, longest first.  In the quick profile (means over seeds
-# 0-15, Python 3.11.7 on 2 CPUs) the first four take about 15-35 ms each and the last
-# three 8-13 ms, against under 6 ms for every other check.  Workers claim these first,
+# 0-15, Python 3.11.7 on 2 CPUs) the first four take about 14-31 ms each and the last
+# three 7-12 ms, against under 6 ms for every other check.  Workers claim these first,
 # so that none is left to start last; checks not named here follow in registry order.
 LONGEST_FIRST = (
     "Britton vs limit routes",

@@ -315,6 +315,10 @@ class TestOrbitKernel:
         monkeypatch.setattr(currents_module, "_reads", lambda cycle, n: {**counts(cycle, n), (4,): 1})
         with pytest.raises(RuntimeError, match="single-letter counts"):
             _orbit_reads([((1, 2), 1)], 1)
+        # the same stray read counted on letters (c is 3)
+        monkeypatch.setattr(currents_module, "_reads", lambda cycle, n: {**counts(cycle, n), (3,): 1})
+        with pytest.raises(RuntimeError, match="single-letter counts sum to 3, not"):
+            currents_module._read_counts(parse_current(B3, "1*[ab]"), 1)
 
     def test_orbit_computes_no_image_past_the_last_step(self):
         # at rank 2 this table's first image raises
