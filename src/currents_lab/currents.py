@@ -9,22 +9,20 @@ definition.
 Coordinates ``(v; nu)`` count starting vertices reading ``v`` or ``v^-1``
 around each root circle, weighted; wrapping reads make the count well
 defined for ``|v|`` larger than the circle.  :func:`coordinate` finds one
-``v`` per root through :func:`occurrences`, a search of the root's keys, and
-:func:`_coordinates` reads every short ``v`` off one prefix-folded
-``words._reads`` count of all roots (:func:`_read_counts` gives the same
-reads as a dict of ints over the weights' common denominator, keyed by
-letters in both orientations).
+``v`` per root through :func:`occurrences`, a search of the root's keys.
+Every other coordinate is read off one count, :data:`Reads`, over the
+weights' common denominator (:func:`_orbit_reads`).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
-denominator, read as weighted counts (:data:`Reads`).  :func:`_orbit_head`
-is the one orbit head and :func:`_orbit_distances` the one orbit driver.
-An automorphism maps conjugacy classes bijectively and keeps power-free
-classes power-free, so ``phi . eta_g = eta_phi(g)`` term by term and a step
-needs no merging, root finding or sorting.  Read counts do not depend on
-where a cycle starts, so the kernel keeps each core, and the skeleton each
-syllable cycle, in whatever rotation its reduction leaves and never computes
-a canonical rotation.
+denominator, read as :data:`Reads`.  :func:`_orbit_head` is the one orbit
+head and :func:`_orbit_distances` the one orbit driver.  An automorphism
+maps conjugacy classes bijectively and keeps power-free classes power-free,
+so ``phi . eta_g = eta_phi(g)`` term by term and a step needs no merging,
+root finding or sorting.  Read counts do not depend on where a cycle
+starts, so the kernel keeps each core, and the skeleton each syllable cycle,
+in whatever rotation its reduction leaves and never computes a canonical
+rotation.
 
 Twist-form tables (:func:`_twist_form`: each generator fixed or sent to
 ``y^s x y^t`` with ``y`` fixed, as for every twist the experiments iterate)
@@ -75,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .automorphisms import (
     FreeAutomorphism,
@@ -109,7 +107,6 @@ from .words import (
     _unchecked,
     _with_prefixes,
     cyclic_reduce,
-    letter_key,
     occurrences,
     primitive_root,
     rotation_key,
@@ -223,8 +220,8 @@ def act(phi: FreeAutomorphism, nu: RationalCurrent) -> RationalCurrent:
 
 # A current in the orbit kernel: cyclic cores with int weights over a common denominator.
 Terms = list[tuple[Sequence[Letter], int]]
-# Weighted read counts keyed by inverse pair (:func:`_pair_key`), and ``||nu||``, both scaled.
-Reads = tuple[dict[tuple[int, ...], int], int]
+# ``({v: (v; nu) * den}, ||nu|| * den)``: every read ``v`` keyed by its letters in both orientations.
+Reads = tuple[dict[tuple[Letter, ...], int], int]
 
 
 def _orbit_terms(nu: RationalCurrent) -> tuple[Terms, int]:
@@ -258,45 +255,32 @@ def _orbit_step(table: SignedTable, terms: Terms, rank: int) -> Terms:
 
 
 def _orbit_reads(terms: Terms, level: int) -> Reads:
-    """Weighted counts of the reads of length 1..level, one per inverse pair, and the norm.
-
-    The reads are counted on letter keys by :func:`_weighted_reads`.
-    """
-    reads = _weighted_reads([(_keys(core), weight) for core, weight in terms], level)
-    return _pair_reads(reads, sum(weight * len(core) for core, weight in terms))
-
-
-def _weighted_reads(cycles: Iterable[tuple[Sequence, int]], level: int) -> Counter:
-    """Weighted counts of the reads of length 1..level around each ``(cycle, weight)``.
-
-    The cycles' weighted :func:`_reads` of ``level`` letters are summed first
-    and their prefixes folded in once: the fold is linear, so it gives the
-    per-cycle counts' sum.
-    """
+    """The :data:`Reads` of the reads of 1..level letters around weighted cores: :func:`_reads`, summed on letters."""
     if level < 1:
         raise ValueError("level must be >= 1")
     raw: Counter = Counter()
-    for cycle, weight in cycles:
-        for read, count in _reads(cycle, level).items():
+    for core, weight in terms:
+        for read, count in _reads(core, level).items():
             raw[read] += weight * count
-    return _with_prefixes(raw, level)
+    return _fold_reads(raw, level, sum(weight * len(core) for core, weight in terms))
 
 
-def _pair_reads(raw: dict[tuple[int, ...], int], norm: int) -> Reads:
-    """Weighted read counts keyed by inverse pair; the single letters must sum to the norm."""
-    counts: dict[tuple[int, ...], int] = {}
-    for read, count in raw.items():
-        rep = _pair_key(read)
-        counts[rep] = counts.get(rep, 0) + count
-    _check_norm(counts, norm)
-    return counts, norm
+def _fold_reads(raw: Counter, level: int, norm: int) -> Reads:
+    """:data:`Reads` of weighted reads of ``level`` letters around cycles of norm ``norm``.
 
-
-def _check_norm(counts: dict[tuple[int, ...], int], norm: int) -> None:
-    """Raise unless the single-letter counts sum to the norm, as one read per vertex gives."""
-    ones = sum(count for read, count in counts.items() if len(read) == 1)
+    The prefixes are folded in once (the fold is linear), the single letters
+    must sum to the norm, and, as ``(v; nu)`` counts ``v`` and ``v^-1``, each
+    read adds its count to its inverse's (no reduced read is its own inverse).
+    """
+    reads = _with_prefixes(raw, level)
+    ones = sum(count for read, count in reads.items() if len(read) == 1)
     if ones != norm:
         raise RuntimeError(f"single-letter counts sum to {ones}, not ||nu|| = {norm}")
+    counts = dict(reads)
+    for read, count in reads.items():
+        mirror = tuple([-x for x in reversed(read)])
+        counts[mirror] = counts.get(mirror, 0) + count
+    return counts, norm
 
 
 # Per generator (index 0 unused): None if the table fixes it, else ``(y, s, t)``
@@ -449,7 +433,7 @@ def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
     growth: Counter = Counter()
     for y, _, slope in limit:
         if slope:
-            growth[(letter_key(y if slope > 0 else -y),) * level] += abs(slope)
+            growth[(y if slope > 0 else -y,) * level] += abs(slope)
     return n0, growth
 
 
@@ -519,7 +503,7 @@ def _orbit_head(
         for read, count in term_growth.items():
             growth[read] += weight * count
     a, reads = head[n0], head[n0 + 1]
-    b = _pair_reads(_with_prefixes(growth, level), reads[1] - a[1])
+    b = _fold_reads(growth, level, reads[1] - a[1])
     if _shifted(a[0], b[0], 1) != reads[0]:
         raise RuntimeError(f"step {n0 + 1} is not step {n0} plus the growth read off the syllables")
     for (core, _), skeleton in zip(terms, skeletons):
@@ -614,36 +598,17 @@ def _current_reads(nu: RationalCurrent, level: int) -> Reads:
     return _orbit_reads(_orbit_terms(nu)[0], level)
 
 
-def _read_counts(nu: RationalCurrent, level: int) -> tuple[dict[tuple[Letter, ...], int], int]:
-    """``{v: (v; nu)}`` times the weights' common denominator, as ints, and that denominator.
-
-    Keys are the reduced ``v`` with ``1 <= |v| <= level`` and ``(v; nu) > 0``,
-    as tuples of letters; an absent ``v`` has coordinate 0.  The roots' reads
-    are counted once by :func:`_weighted_reads`, on letters; since ``(v; nu)``
-    counts the reads of ``v`` and of ``v^-1``, each read then adds its count
-    to its inverse's.  The single-letter reads are checked against the norm,
-    as :func:`_orbit_reads` checks its own.
-    """
-    terms, denominator = _orbit_terms(nu)
-    reads = _weighted_reads(terms, level)
-    _check_norm(reads, sum(weight * len(core) for core, weight in terms))
-    counts = dict(reads)
-    for read, count in reads.items():
-        mirror = tuple([-x for x in reversed(read)])
-        counts[mirror] = counts.get(mirror, 0) + count
-    return counts, denominator
-
-
-def _coordinates(nu: RationalCurrent, level: int) -> Callable[[tuple[Letter, ...]], Fraction]:
-    """``letters -> (v; nu)`` for reduced ``v`` with ``1 <= |v| <= level``, read off one count."""
-    counts, denominator = _read_counts(nu, level)
-    return lambda letters: Fraction(counts.get(letters, 0), denominator)
-
-
 def _gap(a: Reads, b: Reads) -> int:
-    """The numerator of :func:`_orbit_distance` over ``||a|| ||b||``: ``max_v |a_v||b|| - b_v||a|||``."""
+    """The numerator of :func:`_orbit_distance` over ``||a|| ||b||``: ``max_v |a_v||b|| - b_v||a|||``.
+
+    A read ``b`` lacks gives ``a_v ||b||``, so only ``b``'s reads (a goal's few) are visited one by one.
+    """
     (ca, na), (cb, nb) = a, b
-    return max(abs(ca.get(v, 0) * nb - cb.get(v, 0) * na) for v in ca.keys() | cb.keys())
+    only_a = ca.copy()
+    for v in cb:
+        only_a.pop(v, None)
+    gap = max(only_a.values(), default=0) * nb
+    return max(gap, max((abs(ca.get(v, 0) * nb - count * na) for v, count in cb.items()), default=0))
 
 
 def _orbit_distance(a: Reads, b: Reads) -> Fraction:
@@ -689,11 +654,13 @@ class ProjectiveCurrentVector:
 
 def projective_vector(nu: RationalCurrent, level: int) -> ProjectiveCurrentVector:
     counts, total = _current_reads(nu, level)
-    # Inverse pairs are keyed in letter-key space, where plain tuple order is
-    # the letter order; a read of a cyclically reduced root is a reduced word.
+    # Each inverse pair is kept once, by its lesser member in letter-key space,
+    # where plain tuple order is the letter order; a read of a cyclically
+    # reduced root is a reduced word.
+    keys = [key for key in map(tuple, map(_keys, counts)) if _pair_key(key) == key]
     entries = tuple(
-        (_unchecked(Word, basis=nu.basis, letters=_key_letters(rep)), Fraction(counts[rep], total))
-        for rep in sorted(counts, key=lambda t: (len(t), t))
+        (_unchecked(Word, basis=nu.basis, letters=(v := _key_letters(key))), Fraction(counts[v], total))
+        for key in sorted(keys, key=lambda t: (len(t), t))
     )
     return ProjectiveCurrentVector(nu.basis, level, entries)
 
@@ -731,17 +698,24 @@ class CriticalCheck:
 
 
 def in_critical_set(nu: RationalCurrent, twisted: int, twistor: int) -> CriticalCheck:
-    """Check ``(t;nu)/2 == (tz;nu) == (tz^-1;nu)`` for the twist ``t -> tz``."""
+    """Check ``(t;nu)/2 == (tz;nu) == (tz^-1;nu)`` for the twist ``t -> tz``, off one level-2 :func:`_orbit_reads`."""
     if nu.is_zero():
         raise ZeroCurrentError("criticality is undefined for the zero current")
     nu.basis.check_letter(twisted)
     nu.basis.check_letter(twistor)
     if abs(twisted) == abs(twistor):
         raise ValueError(f"twistor {twistor} must be a generator other than twisted letter {twisted}")
-    coord = _coordinates(nu, 2)
-    half = coord((twisted,)) / 2
-    a = coord((twisted, twistor))
-    b = coord((twisted, -twistor))
+    terms, denominator = _orbit_terms(nu)
+    return _critical_check(_orbit_reads(terms, 2)[0], denominator, twisted, twistor)
+
+
+def _critical_check(
+    counts: dict[tuple[Letter, ...], int], denominator: int, twisted: int, twistor: int
+) -> CriticalCheck:
+    """The :class:`CriticalCheck` of ``t -> tz`` off the counts of :data:`Reads` of level >= 2 over ``denominator``."""
+    half = Fraction(counts.get((twisted,), 0), 2 * denominator)
+    a = Fraction(counts.get((twisted, twistor), 0), denominator)
+    b = Fraction(counts.get((twisted, -twistor), 0), denominator)
     return CriticalCheck(half == a == b, half, a, b)
 
 

@@ -47,11 +47,12 @@ from .currents import (
     RationalCurrent,
     Skeleton,
     TwistForm,
+    _critical_check,
     _current_reads,
     _orbit_distance,
     _orbit_distances,
+    _orbit_reads,
     _orbit_terms,
-    _read_counts,
     _limit,
     _onset,
     _skeleton,
@@ -594,9 +595,9 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     rank 3) the worst walk needs 19 steps at level 1 and 37 at level 2, and
     at levels 3 and 4 some walk is still farther than 1/10 after 40 steps.
 
-    Coordinates are compared as the ints of ``currents._read_counts``, all
-    over the weights' one common denominator; only the reason string divides
-    them, as ``p/q`` text (:func:`_ratio`).
+    Coordinates are compared as the ints of one level-2
+    ``currents._orbit_reads``, all over the weights' one common denominator;
+    only the reason string divides them, as ``p/q`` text (:func:`_ratio`).
     """
     basis = nu.basis
     if basis.rank < 3:
@@ -604,7 +605,8 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     if nu.is_zero():
         raise ZeroCurrentError("the zero current has no escape direction")
     gens = list(basis.generators())
-    counts, denominator = _read_counts(nu, 2)
+    terms, denominator = _orbit_terms(nu)
+    counts = _orbit_reads(terms, 2)[0]
     t = max(gens, key=lambda i: (counts.get((i,), 0), -i))
     name = basis.letter_name
     t_count = counts.get((t,), 0)
@@ -1086,10 +1088,13 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     even: list[str] = []
     for n in range(iters + 1):
         check_word_budget(n * len(g) + len(f), f"{n}*|g| + |f|")
-        nu = rational_current(concat(word_power(g, n), f))
-        crit = in_critical_set(nu, 1, 2)
-        count = 2 * crit.half_twisted  # (a; nu), read off the critical check's one count
-        reads = _current_reads(nu, level)
+        terms, denominator = _orbit_terms(rational_current(concat(word_power(g, n), f)))
+        # one count gives the critical check, (a; nu) and, at level 1 from its single letters, the distance
+        reads = _orbit_reads(terms, max(level, 2))
+        crit = _critical_check(reads[0], denominator, 1, 2)
+        count = 2 * crit.half_twisted
+        if level == 1:
+            reads = ({v: c for v, c in reads[0].items() if len(v) == 1}, reads[1])
         norms.append(reads[1])
         d = _orbit_distance(reads, goal)
         distances.append(d)

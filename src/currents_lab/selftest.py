@@ -21,6 +21,7 @@ from __future__ import annotations
 import marshal
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -36,11 +37,10 @@ from .automorphisms import (
 )
 from .corpus import random_current, random_cyclic_word, random_reduced_word
 from .currents import (
-    _coordinates,
     _current_reads,
     _orbit_distances,
+    _orbit_reads,
     _orbit_terms,
-    _read_counts,
     act,
     in_critical_set,
     length as current_length,
@@ -272,7 +272,8 @@ def _extension_identities(rng: Random, i: int) -> str | None:
     for cls, _ in nu.terms:
         seen.update(count_subwords(cls.root, 4))
     # integer counts over one common denominator compare exactly; only a witness needs fractions
-    counts, denominator = _read_counts(nu, 5)
+    terms, denominator = _orbit_terms(nu)
+    counts = _orbit_reads(terms, 5)[0]
     # one pass: each read of 2..5 letters extends its prefix to the right and its suffix to the left
     right_sums: dict[tuple[int, ...], int] = {}
     left_sums: dict[tuple[int, ...], int] = {}
@@ -324,14 +325,17 @@ def _twist_identities(rng: Random, i: int) -> str | None:
     t = rng.choice(list(basis.generators()))
     z = rng.choice([x for x in basis.generators() if x != t])
     image = act(simple_twist(basis, t, z), nu)
-    before, after = _coordinates(nu, 3), _coordinates(image, 2)
+    # act keeps every weight, so both counts are over nu's denominator; the length identity checks it
+    terms, denominator = _orbit_terms(nu)
+    before, after = Counter(_orbit_reads(terms, 3)[0]), Counter(_orbit_reads(_orbit_terms(image)[0], 2)[0])
     for x in basis.generators():
-        if x != z and after((x,)) != before((x,)):
+        if x != z and after[(x,)] != before[(x,)]:
             return f"x={x} nu={nu}"
+    increment = before[(t,)] - 2 * before[(t, -z)]
     checks = (
-        after((z,)) == before((z,)) + before((t,)) - 2 * before((t, -z)),
-        after((t, -z)) == before((t, -z, -z)) + before((t, -z, -t)),
-        current_length(image) - current_length(nu) == before((t,)) - 2 * before((t, -z)),
+        after[(z,)] == before[(z,)] + increment,
+        after[(t, -z)] == before[(t, -z, -z)] + before[(t, -z, -t)],
+        (current_length(image) - current_length(nu)) * denominator == increment,
     )
     if not all(checks):
         return f"t={t} z={z} nu={nu}"

@@ -10,10 +10,12 @@ Cyclic words are stored in a canonical rotation: the lexicographically least
 one under the letter order a < a^-1 < b < b^-1 < ...  Two conjugate elements
 therefore produce equal :class:`CyclicWord` values.  One key map,
 :func:`letter_key` (``a, A, b, B, ...`` to ``0, 1, 2, 3, ...``, so inversion is
-``k ^ 1``), computed for whole words by :func:`_keys`, feeds the canonical
-rotation (one two-pointer scan, :func:`_least_rotation`), its check in
-:class:`CyclicWord`, :func:`rotation_key` and the inverse-pair keys of
-:func:`_pair_key` (read back by :func:`_key_letters`).
+``k ^ 1``), computed for whole words by :func:`_keys`, is for ordering: plain
+tuple order on keys is the letter order.  It feeds the canonical rotation
+(one two-pointer scan, :func:`_least_rotation`), its check in
+:class:`CyclicWord`, :func:`rotation_key`, the lesser member of an inverse
+pair (:func:`_pair_key`, read back by :func:`_key_letters`) and the byte
+search of :func:`occurrences`.  Counts are keyed by letters.
 
 Values are checked where they enter: the parsers (:func:`word`, ``parse_*``),
 :func:`free_reduce` and direct calls of the dataclass constructors raise.  A
@@ -325,8 +327,8 @@ def _matches(text: bytes, pattern: bytes) -> int:
 def _reads(cycle: Sequence, length: int) -> Counter:
     """Counts of the clockwise reads of exactly ``length`` letters, one from each vertex of ``cycle``.
 
-    The one counter of all the reads: works on any sequence (letters or
-    letter keys), and a read wraps around the circle as often as it needs.
+    The one counter of all the reads: works on any sequence, and a read
+    wraps around the circle as often as it needs.
     """
     n = len(cycle)
     # Enough copies that every read of ``length`` letters from a vertex fits.

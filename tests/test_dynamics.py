@@ -679,8 +679,8 @@ def critical(check, count):
 
 
 def twisted_grow(check, count):
-    """The check with ``(t;nu)/2`` grown by half the call count, so ``(a; nu) = 2 (t;nu)/2`` grows as in :func:`grow`."""
-    return dataclasses.replace(check, half_twisted=check.half_twisted + Fraction(count, 2))
+    """The check with ``(t;nu)/2`` grown by ``(count + 1)/2``: at step n, call ``n + 1``, ``(a; nu)`` grows by ``n + 2``."""
+    return dataclasses.replace(check, half_twisted=check.half_twisted + Fraction(count + 1, 2))
 
 
 class TestFailingReports:
@@ -712,9 +712,9 @@ class TestFailingReports:
             (
                 {
                     "_orbit_distance": partial(failing_after, calls=3, spoil=grow),
-                    # (a; nu) is read off the critical check: spoiled from call 5, membership from call 4
-                    "in_critical_set": lambda real: failing_after(
-                        failing_after(real, calls=4, spoil=twisted_grow), calls=3, spoil=critical
+                    # (a; nu) is read off the critical check: spoiled from call 4, membership from call 3
+                    "_critical_check": lambda real: failing_after(
+                        failing_after(real, calls=3, spoil=twisted_grow), calls=2, spoil=critical
                     ),
                 },
                 lambda: run_off_critical_perturbation(word(B3, "abaB"), word(B3, "a"), iters=6),

@@ -163,10 +163,10 @@ def test_extension_identities_name_a_bumped_count(monkeypatch, read, expected):
     monkeypatch.setattr(selftest, "random_current", lambda rng, basis: nu)
     assert selftest._extension_identities(Random(0), 1) is None
 
-    def bumped(nu, level):
-        counts, denominator = currents._read_counts(nu, level)
+    def bumped(terms, level):
+        counts, norm = currents._orbit_reads(terms, level)
         counts[read] = counts.get(read, 0) + 1
-        return counts, denominator
+        return counts, norm
 
-    monkeypatch.setattr(selftest, "_read_counts", bumped)
+    monkeypatch.setattr(selftest, "_orbit_reads", bumped)
     assert selftest._extension_identities(Random(0), 1) == expected
