@@ -512,25 +512,23 @@ def _orbit_head(
     return head, (n0, a, b) if steps > n0 + 1 else None
 
 
-def _distance_lines(a: Reads, b: Reads, goal: Reads) -> list[tuple[int, int]]:
-    """The gap terms of ``_orbit_distance(A + k B, goal)`` as lines ``(slope, intercept)`` in k.
+def _distance_lines(a: Reads, b: Reads, goal: Reads) -> set[tuple[int, int]]:
+    """The gap terms of ``_orbit_distance(A + k B, goal)`` as lines ``(slope, intercept)`` in k, each once.
 
     Over the reads ``v`` of ``A``, ``B`` and the goal ``g``, the term
     ``|(a_v + k b_v) ||g|| - g_v (||A|| + k ||B||)|`` is the larger of the
     lines ``+-(alpha_v + k beta_v)``, with ``alpha_v = a_v ||g|| - g_v ||A||``
-    and ``beta_v = b_v ||g|| - g_v ||B||``.
+    and ``beta_v = b_v ||g|| - g_v ||B||``.  A read and its inverse give the same lines.
     """
     (ca, a_norm), (cb, b_norm), (cg, g_norm) = a, b, goal
-    lines = []
-    for v in ca.keys() | cb.keys() | cg.keys():
-        g = cg.get(v, 0)
-        alpha = ca.get(v, 0) * g_norm - g * a_norm
-        beta = cb.get(v, 0) * g_norm - g * b_norm
-        lines += [(beta, alpha), (-beta, -alpha)]
-    return lines
+    lines = {
+        (cb.get(v, 0) * g_norm - cg.get(v, 0) * b_norm, ca.get(v, 0) * g_norm - cg.get(v, 0) * a_norm)
+        for v in ca.keys() | cb.keys() | cg.keys()
+    }
+    return lines | {(-beta, -alpha) for beta, alpha in lines}
 
 
-def _crossing(lines: list[tuple[int, int]]) -> tuple[int, int, int]:
+def _crossing(lines: set[tuple[int, int]]) -> tuple[int, int, int]:
     """The dominant line ``(slope, intercept)`` and the least ``K >= 0`` from which it is the max.
 
     The dominant line has the largest slope, ties going to the larger
@@ -576,10 +574,7 @@ def _orbit_distances(
     checked = max(crossing, 2)  # the tail starts at k = 2
     for k in range(2, steps - n0 + 1):
         norm = a[1] + k * b[1]
-        if k < crossing:
-            gap = max(i + k * s for s, i in lines)
-        else:
-            gap = intercept + k * slope
+        gap = max(i + k * s for s, i in lines) if k < crossing else intercept + k * slope
         if k == checked and gap != _gap((_shifted(a[0], b[0], k), norm), goal):
             raise RuntimeError(f"the dominant read's law misses the distance at step {n0 + k}")
         yield norm, gap

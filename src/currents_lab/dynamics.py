@@ -4,13 +4,13 @@ Twist orbits of currents and trees grow exactly linearly after a finite
 transient, so limits on the tree side are extracted as exact eventual growth
 rates (read off a certified affine tail for twist steppers, see
 :func:`tree_orbit_limit`), and limits on the current side are certified by
-exact distance laws at finite step counts.  A rate constant a report asserts, such as
+exact distance laws at finite step counts: each is one :class:`Law` on the orbit driver's int rows
+``(norm, gap)``, and each monotone check one rule, :func:`_rise`.  A rate constant a report asserts, such as
 ``2/(n+2)`` or ``1/(n+1)``, is derived by hand and checked exactly at every step the report
 computes, not for all n; the tests check the orbit driver against the public ``act`` route,
 not the constants.  Reports flag these constants as derived (:data:`DERIVED_RATE_NOTE`, whose
-text the report digests pin).
-All arithmetic is exact (`Fraction`), and reports are deterministic functions
-of their parameters.
+text the report digests pin).  All arithmetic is exact (`Fraction`), and reports are
+deterministic functions of their parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _encode
 from math import gcd
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .automorphisms import (
     FreeAutomorphism,
@@ -49,7 +49,7 @@ from .currents import (
     TwistForm,
     _critical_check,
     _current_reads,
-    _orbit_distance,
+    _gap,
     _orbit_distances,
     _orbit_reads,
     _orbit_terms,
@@ -66,7 +66,6 @@ from .currents import (
     coordinate,
     current_str,
     in_critical_set,
-    length as current_length,
     power_free_classes,
     projective_distance,
     projective_vector,
@@ -220,15 +219,40 @@ def _assert_all(results: list[AssertionResult], name: str, failures: Sequence[st
     _assert(results, name, not failures, failures[0] if failures else held)
 
 
-def _increases(distances: Sequence[Fraction]) -> list[str]:
-    """A witness for each step from 2 on whose distance exceeds the step before's."""
-    steps = range(2, len(distances))
-    return [f"first increase at n={n}" for n in steps if distances[n] > distances[n - 1]]
+class Law(NamedTuple):
+    """``gap den(n) REL num(n) norm^e ||g||`` on the driver's row ``(norm, gap)`` of each step ``n >= first``.
+
+    ``num`` and ``den`` are int polynomials in n, constant term first; REL is ``<=`` if ``at_most``, else ``==``.
+    """
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+    e: int = 1
+    at_most: bool = False
+    first: int = 0
+
+    def bound(self, n: int, norm: int) -> tuple[int, int]:
+        """The distance bound ``num(n) / (den(n) norm^(1-e))``, unreduced; ``den(n) <= 0`` raises, also under ``-O``."""
+        num = den = 0
+        for c in reversed(self.num):
+            num = num * n + c
+        for c in reversed(self.den):
+            den = den * n + c
+        if den <= 0:
+            raise ValueError(f"law denominator {den} at step {n} is not positive")
+        return num, den * norm ** (1 - self.e)
+
+    def holds(self, n: int, norm: int, gap: int, goal: int) -> bool:
+        """Whether step ``n``'s row keeps the law, ``goal`` being ``||g||``; both sides are times ``norm^(1-e) > 0``."""
+        if n < self.first:
+            return True
+        num, den = self.bound(n, norm)
+        return gap * den <= num * norm * goal if self.at_most else gap * den == num * norm * goal
 
 
-def _violations(distances: Sequence[Fraction], bound: Callable[[int], Fraction]) -> list[str]:
-    """A witness for each step from 1 on whose distance exceeds ``bound(step)``."""
-    return [f"first violation at n={n}" for n in range(1, len(distances)) if distances[n] > bound(n)]
+def _rise(rows: Sequence[tuple[int, int]], n: int) -> int:
+    """``gap_n norm_(n-1) - gap_(n-1) norm_n``: over one goal, the sign of ``d_n - d_(n-1)``."""
+    return rows[n][1] * rows[n - 1][0] - rows[n - 1][1] * rows[n][0]
 
 
 def _two_steps_for(law: str, iters: int) -> None:
@@ -642,7 +666,8 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     return EscapeChoice(simple_twist(basis, t, z), direction, z, reason)
 
 
-WALK_RADIUS = Fraction(1, 10)
+WALK_RADIUS = Law(num=(1,), den=(10,), at_most=True)
+_MAIN_LAW = Law(num=(2,), den=(2, 1))  # theorem-main's current orbits: distance exactly 2/(n+2)
 
 
 def walk_to_target(
@@ -650,11 +675,7 @@ def walk_to_target(
 ) -> tuple[int | None, Fraction]:
     """Iterate the chosen twist; first step with distance <= 1/10 to the target, and that distance.
 
-    Each distance is ``gap / (norm ||target||)``, read off the driver
-    ``currents._orbit_distances`` as ints and compared with
-    :data:`WALK_RADIUS` by cross-multiplying; only the distance returned (at
-    the first step within the radius, or else at the last step) is built as
-    a ``Fraction``.
+    Each row of the driver ``currents._orbit_distances`` is judged by :data:`WALK_RADIUS`; past the last, ``None``.
     """
     twist = choice.twist
     if twist.basis != nu.basis:
@@ -662,13 +683,11 @@ def walk_to_target(
     table = twist.table if choice.direction == 1 else twist.inverse_table
     target = _unchecked(Word, basis=nu.basis, letters=(choice.target,))  # a generator escape_from_critical chose
     goal = _current_reads(rational_current(target), level)
-    gap, scale = 0, 1
     orbit = _orbit_distances(table, _orbit_terms(nu)[0], nu.basis.rank, steps, level, goal)
     for n, (norm, gap) in enumerate(orbit):
-        scale = norm * goal[1]
-        if gap * WALK_RADIUS.denominator <= WALK_RADIUS.numerator * scale:
-            return n, Fraction(gap, scale)
-    return None, Fraction(gap, scale)
+        if WALK_RADIUS.holds(n, norm, gap, goal[1]):
+            return n, Fraction(gap, norm * goal[1])
+    return None, Fraction(gap, norm * goal[1])
 
 
 def run_minimality_walk(
@@ -805,15 +824,14 @@ def run_theorem_main(
     distance_rows = [[str(n)] for n in range(iters + 1)]
     law_failures: list[str] = []
     for seed_name, seed, target in seeds:
-        goal = _current_reads(target, 1)
+        goal, start = _current_reads(target, 1), _orbit_terms(seed)[0]
         for direction, stepper in (("forward", phi), ("backward", phi_back)):
             distance_columns.append(f"{seed_name}-{direction}")
-            orbit = _orbit_distances(stepper.table, _orbit_terms(seed)[0], rank, iters, 1, goal)
-            for n, (norm, gap) in enumerate(orbit):
-                d = _ratio(gap, norm * goal[1])
-                distance_rows[n].append(d)
-                if gap * (n + 2) != 2 * norm * goal[1]:
-                    law_failures.append(f"{seed_name} {direction} step {n}: {d} != 2/{n + 2}")
+            for n, (norm, gap) in enumerate(_orbit_distances(stepper.table, start, rank, iters, 1, goal)):
+                distance_rows[n].append(_ratio(gap, norm * goal[1]))
+                if not _MAIN_LAW.holds(n, norm, gap, goal[1]):
+                    num, den = _MAIN_LAW.bound(n, norm)
+                    law_failures.append(f"{seed_name} {direction} step {n}: {distance_rows[n][-1]} != {num}/{den}")
     _assert_all(
         assertions,
         "current orbit distance law 2/(n+2) at level 1, both directions",
@@ -938,24 +956,23 @@ def run_product_minimal(
     )
     goal1 = _current_reads(mu_b, 1)
     goal_level = _current_reads(mu_b, level)
-    base_len = current_length(mu_a)
     rows = []
     law_failures: list[str] = []
     bound_failures: list[str] = []
     start, denominator = _orbit_terms(mu_a)
     orbit1 = _orbit_distances(twist.table, start, rank, iters, 1, goal1)
     orbit_level = _orbit_distances(twist.table, start, rank, iters, level, goal_level)
-    # over ||nu_n|| = norm / denominator, a distance gap / (norm ||g||) meets k ||nu0|| / ||nu_n||
-    # where gap q == k p denominator ||g||, with ||nu0|| = p / q; Fractions only name a failure
-    p, q = base_len.numerator, base_len.denominator
+    # k ||nu0|| / ||nu_n|| is k norm_0 / norm, both norms over the weights' common denominator
+    norm0 = _orbit_reads(start, 1)[1]
+    law1, law_level = Law((norm0,), (1,), e=0), Law((level * norm0,), (1,), e=0, at_most=True)
     for n, ((norm, gap1), (_, gap_level)) in enumerate(zip(orbit1, orbit_level)):
         d1 = _ratio(gap1, norm * goal1[1])
         dl = _ratio(gap_level, norm * goal_level[1])
         rows.append((str(n), _ratio(norm, denominator), d1, dl))
-        if gap1 * q != p * denominator * goal1[1]:
-            law_failures.append(f"step {n}: {d1} != {base_len / Fraction(norm, denominator)}")
-        if gap_level * q > level * p * denominator * goal_level[1]:
-            bound_failures.append(f"step {n}: {dl} > {level * base_len / Fraction(norm, denominator)}")
+        if not law1.holds(n, norm, gap1, goal1[1]):
+            law_failures.append(f"step {n}: {d1} != {_ratio(*law1.bound(n, norm))}")
+        if not law_level.holds(n, norm, gap_level, goal_level[1]):
+            bound_failures.append(f"step {n}: {dl} > {_ratio(*law_level.bound(n, norm))}")
     _assert_all(
         assertions,
         "current distance at level 1 equals ||nu0||/||nu_n|| (= 1/(n+1))",
@@ -1005,24 +1022,18 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
     goal = _current_reads(rational_current(u), level)
     m = 1 + len(u.letters) - goal[1]
     table = _signed_table([(3,) + u.letters if x == 3 else (x,) for x in range(1, basis.rank + 1)])
-
-    def bound(n: int) -> Fraction:
-        return Fraction(level + m, n * goal[1] + m)
-
-    rows = []
-    distances: list[Fraction] = []
-    for n, (norm, gap) in enumerate(_orbit_distances(table, [((3,), 1)], basis.rank, iters, level, goal)):
-        d = Fraction(gap, norm * goal[1])
-        distances.append(d)
-        rows.append((str(n), str(d), str(bound(n)) if n >= 1 else ""))
+    law = Law(num=(level + m,), den=(m, goal[1]), at_most=True, first=1)
+    orbit = list(_orbit_distances(table, [((3,), 1)], basis.rank, iters, level, goal))
+    rows = [
+        (str(n), _ratio(gap, norm * goal[1]), _ratio(*law.bound(n, norm)) if n >= law.first else "")
+        for n, (norm, gap) in enumerate(orbit)
+    ]
     assertions: list[AssertionResult] = []
-    _assert_all(
-        assertions,
-        f"distance at step n is at most (level+{m})/(n*||u||+{m}) for n >= 1",
-        _violations(distances, bound),
-        f"holds up to n={iters}",
-    )
-    _assert_all(assertions, monotone, _increases(distances), "monotone tail")
+    violations = [f"first violation at n={n}" for n, row in enumerate(orbit) if not law.holds(n, *row, goal[1])]
+    name = f"distance at step n is at most (level+{m})/(n*||u||+{m}) for n >= 1"
+    _assert_all(assertions, name, violations, f"holds up to n={iters}")
+    increases = [f"first increase at n={n}" for n in range(2, len(orbit)) if _rise(orbit, n) > 0]
+    _assert_all(assertions, monotone, increases, "monotone tail")
     return ConvergenceReport(
         experiment="primitive-limit",
         params={
@@ -1073,17 +1084,14 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     g0, g1, f0, f1 = g.letters[0], g.letters[-1], f.letters[0], f.letters[-1]
     classic = level <= len(f) + 1 and all(x != -y for x, y in ((g1, g0), (g1, f0), (f1, f0), (f1, g0)))
     rate = "2*||f||/(n*||g||)" if classic else f"(level+{m}-1)/||nu_n||"
-    norms: list[int] = []
-
-    def bound(n: int) -> Fraction:
-        return Fraction(2 * len(f), n * len(g)) if classic else Fraction(m + level - 1, norms[n])
-
+    # classic: gap n|g| <= 2|f| norm ||g||; proven: gap <= (m + level - 1) ||g||
+    law = Law((2 * len(f),), (0, len(g)), 1, True, 1) if classic else Law((m + level - 1,), (1,), 0, True, 1)
     notes = [EXACT_NOTE, DERIVED_RATE_NOTE]
     seed_crit = in_critical_set(mu_g, 1, 2)
     if not seed_crit.member:
         notes.append("seed current is already off the critical set; perturbation unnecessary")
     rows = []
-    distances: list[Fraction] = []
+    orbit: list[tuple[int, int]] = []
     critical: list[str] = []
     even: list[str] = []
     for n in range(iters + 1):
@@ -1095,10 +1103,9 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
         count = 2 * crit.half_twisted
         if level == 1:
             reads = ({v: c for v, c in reads[0].items() if len(v) == 1}, reads[1])
-        norms.append(reads[1])
-        d = _orbit_distance(reads, goal)
-        distances.append(d)
-        rows.append((str(n), str(count), "yes" if crit.member else "no", str(d)))
+        norm, gap = reads[1], _gap(reads, goal)
+        orbit.append((norm, gap))
+        rows.append((str(n), str(count), "yes" if crit.member else "no", _ratio(gap, norm * goal[1])))
         if crit.member:
             critical.append(f"step {n}: {crit.witness()}")
         if count % 2 != 1:
@@ -1110,9 +1117,10 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     _assert_all(
         assertions, "the twisted-letter count stays odd along the orbit", even, f"checked n <= {iters}"
     )
-    _assert_all(assertions, monotone, _increases(distances), "monotone tail")
-    law = f"distance at step n is at most {rate} for n >= 1"
-    _assert_all(assertions, law, _violations(distances, bound), f"holds up to n={iters}")
+    increases = [f"first increase at n={n}" for n in range(2, len(orbit)) if _rise(orbit, n) > 0]
+    _assert_all(assertions, monotone, increases, "monotone tail")
+    violations = [f"first violation at n={n}" for n, row in enumerate(orbit) if not law.holds(n, *row, goal[1])]
+    _assert_all(assertions, f"distance at step n is at most {rate} for n >= 1", violations, f"holds up to n={iters}")
     return ConvergenceReport(
         experiment="off-critical",
         params={

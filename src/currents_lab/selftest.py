@@ -49,6 +49,7 @@ from .currents import (
     rational_current,
 )
 from .dynamics import (
+    _rise,
     escape_from_critical,
     run_theorem_main,
     tree_orbit_limit,
@@ -268,24 +269,20 @@ def _check_twist_growth(seed: int, quick: bool) -> Outcome:
 def _extension_identities(rng: Random, i: int) -> str | None:
     basis = Basis(RANKS[i % len(RANKS)])
     nu = random_current(rng, basis)
-    seen: set[tuple[int, ...]] = set()
-    for cls, _ in nu.terms:
-        seen.update(count_subwords(cls.root, 4))
     # integer counts over one common denominator compare exactly; only a witness needs fractions
     terms, denominator = _orbit_terms(nu)
     counts = _orbit_reads(terms, 5)[0]
     # one pass: each read of 2..5 letters extends its prefix to the right and its suffix to the left
-    right_sums: dict[tuple[int, ...], int] = {}
-    left_sums: dict[tuple[int, ...], int] = {}
+    right_sums, left_sums = Counter(), Counter()
     for letters, count in counts.items():
         if len(letters) > 1:
-            right_sums[letters[:-1]] = right_sums.get(letters[:-1], 0) + count
-            left_sums[letters[1:]] = left_sums.get(letters[1:], 0) + count
-    for letters in seen:
-        left = counts.get(letters, 0)
+            right_sums[letters[:-1]] += count
+            left_sums[letters[1:]] += count
+    # every read of 1..4 letters, in both orientations, shortest first
+    for letters in sorted((v for v in counts if len(v) < 5), key=lambda v: (len(v), v)):
+        left, right_sum, left_sum = counts[letters], right_sums[letters], left_sums[letters]
         if left < 0:
             return _name(basis, letters)
-        right_sum, left_sum = right_sums.get(letters, 0), left_sums.get(letters, 0)
         if left != right_sum or left != left_sum:
             left, right_sum, left_sum = (Fraction(c, denominator) for c in (left, right_sum, left_sum))
             return f"v={_name(basis, letters)} ({left} vs {right_sum}/{left_sum})"
@@ -451,9 +448,9 @@ def _check_dichotomy(seed: int, quick: bool) -> Outcome:
         if not (a_coord > 2 * toward_inverse or a_coord > 2 * toward):
             return trials, str(nu)
         step = by_direction[1 if a_coord > 2 * toward_inverse else -1]
-        # steps 0..7 at level 1, the distance gap / (norm ||b||) as ints off the orbit driver
+        # steps 0..7 at level 1 off the orbit driver, each strictly nearer than the one before
         rows = list(_orbit_distances(step.table, _orbit_terms(nu)[0], basis.rank, 7, 1, goal))
-        if any(gap1 * norm0 >= gap0 * norm1 for (norm0, gap0), (norm1, gap1) in zip(rows, rows[1:])):
+        if any(_rise(rows, n) >= 0 for n in range(1, len(rows))):
             return trials, f"{nu}: {[Fraction(gap, norm * goal[1]) for norm, gap in rows]}"
         # the public route cross-checks the driver at step 1
         public = projective_distance(projective_vector(act(step, nu), 1), target)

@@ -34,10 +34,12 @@ from currents_lab.currents import (
     zero_current,
 )
 from currents_lab.dynamics import (
+    Law,
     _affine_law,
     _dumps,
     _pulled_periods,
     _ratio,
+    _rise,
     _tree_orbit,
     escape_from_critical,
     iterate_current,
@@ -639,6 +641,58 @@ class TestExperiments:
         assert report.passed
 
 
+POLYS = st.lists(st.integers(-6, 6), min_size=1, max_size=3).map(tuple)
+
+
+def at(poly, n):
+    return sum(c * n**i for i, c in enumerate(poly))
+
+
+class TestLaw:
+    """The one law rule: an int relation on the driver's rows ``(norm, gap)``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        law=st.builds(Law, POLYS, POLYS, st.sampled_from((0, 1)), st.booleans(), st.integers(0, 3)),
+        n=st.integers(0, 8),
+        norm=st.integers(1, 40),
+        gap=st.integers(0, 400),
+        goal=st.integers(1, 6),
+        on_bound=st.booleans(),
+    )
+    def test_verdict_is_the_fraction_relation(self, law, n, norm, gap, goal, on_bound):
+        num, den = at(law.num, n), at(law.den, n)
+        if n < law.first:
+            assert law.holds(n, norm, gap, goal)
+            return
+        if den <= 0:
+            for judge in (lambda: law.holds(n, norm, gap, goal), lambda: law.bound(n, norm)):
+                with pytest.raises(ValueError, match="not positive"):
+                    judge()
+            return
+        bound = Fraction(num, den) / norm ** (1 - law.e)
+        if on_bound and (bound * norm * goal).denominator == 1:
+            gap = abs(int(bound * norm * goal))
+        distance = Fraction(gap, norm * goal)
+        assert Fraction(*law.bound(n, norm)) == bound
+        assert law.holds(n, norm, gap, goal) == (distance <= bound if law.at_most else distance == bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 50), st.integers(0, 50)), min_size=2, max_size=6), st.integers(1, 6))
+    def test_rise_is_the_fraction_comparison(self, rows, goal):
+        distances = [Fraction(gap, norm * goal) for norm, gap in rows]
+        for n in range(1, len(rows)):
+            difference = distances[n] - distances[n - 1]
+            assert (_rise(rows, n) > 0, _rise(rows, n) == 0) == (difference > 0, difference == 0)
+
+    def test_a_mutated_theorem_main_law_fails_at_step_0(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAIN_LAW", Law((2,), (3, 1)))
+        report = run_theorem_main(iters=3)
+        assert not report.passed
+        failed = [a for a in report.assertions if not a.passed]
+        assert [a.witness for a in failed] == ["prime forward step 0: 1 != 2/3"]
+
+
 def failing_after(real, calls, spoil):
     """``real`` for the first ``calls`` calls, then its value spoiled by the call count."""
     count = 0
@@ -672,6 +726,22 @@ def failing_yields_after(real, calls):
 
 def grow(value, count):
     return value + count
+
+
+def failing_gaps_after(real, calls):
+    """``_gap`` for the first ``calls`` calls, then ``gap + count ||a|| ||b||``.
+
+    The distance ``gap / (||a|| ||b||)`` is spoiled to ``d + count``, as :func:`grow` spoils it.
+    """
+    count = 0
+
+    def fake(a, b):
+        nonlocal count
+        count += 1
+        gap = real(a, b)
+        return gap if count <= calls else gap + count * a[1] * b[1]
+
+    return fake
 
 
 def critical(check, count):
@@ -711,7 +781,7 @@ class TestFailingReports:
             ),
             (
                 {
-                    "_orbit_distance": partial(failing_after, calls=3, spoil=grow),
+                    "_gap": partial(failing_gaps_after, calls=3),
                     # (a; nu) is read off the critical check: spoiled from call 4, membership from call 3
                     "_critical_check": lambda real: failing_after(
                         failing_after(real, calls=3, spoil=twisted_grow), calls=2, spoil=critical

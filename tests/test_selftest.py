@@ -155,10 +155,11 @@ def test_dichotomy_cross_checks_the_driver_against_act(monkeypatch):
 
 @pytest.mark.parametrize(
     "read, expected",
-    [((1, 1, 2, 1, 1), "v=abaa (3/2 vs 3/2/5/3)"), ((1, 2, -3, 1, 1), "v=abCa (1/3 vs 1/2/1/3)")],
+    [((1, 1, 2, 1, 1), "v=aaba (3/2 vs 5/3/3/2)"), ((1, 2, -3, 1, 1), "v=abCa (1/3 vs 1/2/1/3)")],
 )
 def test_extension_identities_name_a_bumped_count(monkeypatch, read, expected):
-    # the witness texts are the ones the lambda-based lookup printed for the same bump
+    # a bumped read of 5 letters breaks the identities of its prefix and its suffix; the check
+    # visits the reads shortest first, then by letters, so the witness is the lesser of the two
     nu = currents.parse_current(Basis(3), "3/2*[aab] + 1/3*[abC]")
     monkeypatch.setattr(selftest, "random_current", lambda rng, basis: nu)
     assert selftest._extension_identities(Random(0), 1) is None
