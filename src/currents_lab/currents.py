@@ -15,49 +15,30 @@ weights' common denominator (:func:`_orbit_reads`).
 
 Orbit loops run on a private integer kernel (the ``_orbit*`` functions): a
 current is a list of ``(cyclic core, int weight)`` pairs over one common
-denominator, read as :data:`Reads`.  :func:`_orbit_head` is the one orbit
-head and :func:`_orbit_distances` the one orbit driver.  An automorphism
-maps conjugacy classes bijectively and keeps power-free classes power-free,
-so ``phi . eta_g = eta_phi(g)`` term by term and a step needs no merging,
-root finding or sorting.  Read counts do not depend on where a cycle
-starts, so the kernel keeps each core, and the skeleton each syllable cycle,
-in whatever rotation its reduction leaves and never computes a canonical
-rotation.
+denominator, read as :data:`Reads`.  An automorphism maps conjugacy classes
+bijectively and keeps power-free classes power-free, so a step maps term by
+term with no merging, root finding or sorting, and keeps each core in the
+rotation its reduction leaves: read counts do not depend on where a cycle
+starts.
 
-Twist-form tables (:func:`_twist_form`: each generator fixed or sent to
-``y^s x y^t`` with ``y`` fixed, as for every twist the experiments iterate)
-have eventually affine orbits (Cohen-Lustig).  The kernel counts the head;
-the skeleton gives ``n0``, ``B`` and the root steps.  Since
-``phi^n(x) = y^(sn) x y^(tn)``, a core's skeleton gives the syllables
-``y^e`` of every ``phi^n(w)``: merging syllables of one generator is the
-free reduction, merging the two ends the cyclic one.  :func:`_affine_tail`
-reads each term's onset ``n0`` and growth ``B`` off it, and past the
-orbit's ``n0`` every count is ``A_v + B_v k`` at step ``n0 + k``, with
-``A`` the kernel's counts at ``n0`` and ``k = 1`` cross-checked against the
-kernel's step ``n0 + 1``.  The identity and proper-power checks at
-``n0 + 1`` hold at every later step but the few :func:`_root_steps`,
-checked once on the syllables, so a later step costs one copy of ``A``.
-On the catalogue orbits the head is a few short kernel steps, but a
-twistor run that must first unwind makes ``n0`` grow with its length:
-``[aB^k]`` under ``a -> ab`` has ``n0 = k + level``, so its head costs
-``O(k^2)`` letters.  Other tables stream every step off the kernel, and
-the driver holds one read at a time.  One rule holds for every table:
-:func:`_kernel_reads` refuses each kernel step before it may pass
-:data:`LETTER_BUDGET` letters, and a twist tail spells no word.
-
-Every orbit consumer iterates the driver, which measures each step against
-a goal ``g``, and which refuses an orbit of more than :data:`ROW_BUDGET`
-rows (steps ``0..steps``) before its first step (:func:`check_row_budget`).
-Past ``n0 + 1`` each distance term is a line
-``+-(alpha_v + k beta_v)`` over the affine norm ``(||A|| + k ||B||) ||g||``
-(:func:`_distance_lines`); from the crossing point ``K`` (:func:`_crossing`)
-on, the line of largest slope is the max, so a step reads one line, and the
-first step that does is cross-checked against :func:`_gap` of ``A + k B``.
-The driver yields each distance as its int numerator over ``norm ||g||``.
-Without a goal it runs the same head at level 1 and yields only norms, which
-past ``n0 + 1`` are ``||A|| + k ||B||``.  :func:`_orbit_head` returns its
-steps and the tail ``(n0, A, B)`` as data, so no step past ``n0 + 1`` builds
-a read dict but the one cross-checked.
+Every distance report reads its orbit off one of two sources, each giving a
+head of :data:`Reads` and an :data:`AffineTail` ``(n0, A, B)``, step
+``n0 + k`` reading ``A + k B``.  :func:`_orbit_head` gives automorphism
+orbits: a twist-form table (:func:`_twist_form`) has an eventually affine
+orbit (Cohen-Lustig), whose syllable skeleton gives ``n0``, ``B`` and the
+few root steps to check, while any other table streams every kernel step
+with no tail.  :func:`_power_head` gives the classes ``[g^n x]``: past
+``n0`` each step adds one period of ``g``'s cyclic core (bounded
+cancellation).  A source spells only its head, refusing each step before
+it may pass :data:`LETTER_BUDGET`, and checks step ``n0 + 1`` against
+``A + B``.  One row judge, :func:`_orbit_rows`, measures either against a
+goal ``g`` as int rows ``(norm, gap)``, the distance being
+``gap / (norm ||g||)``: the head step by step, the tail as lines in ``k``
+(:func:`_distance_lines`) of which one is the max from the crossing point
+on (:func:`_crossing`), cross-checked once against :func:`_gap` of
+``A + k B``; no tail step builds any other read dict.
+:func:`_orbit_distances` is the judge on :func:`_orbit_head`, refusing an
+orbit of more than :data:`ROW_BUDGET` rows before its first step.
 
 The public :func:`act` and :func:`projective_vector` are the kernel's image
 step and read counter followed by canonicalization and division; :func:`act`
@@ -98,12 +79,14 @@ from .words import (
     Letter,
     Word,
     _canonical_rotation,
+    _cyclic_core,
     _key_letters,
     _keys,
     _least_rotation,
     _pair_key,
     _period,
     _reads,
+    _reduced,
     _unchecked,
     _with_prefixes,
     cyclic_reduce,
@@ -451,7 +434,7 @@ def _root_steps(skeleton: Skeleton, n0: int, steps: int) -> list[int]:
     return sorted({dc // ds for dc, ds in pairs if dc % ds == 0 and n0 + 1 < dc // ds <= steps})
 
 
-# A twist orbit past step ``n0 + 1``: ``n0``, the reads ``A`` at ``n0`` and the
+# An orbit past step ``n0 + 1``: ``n0``, the reads ``A`` at ``n0`` and the
 # growth ``B``, so that step ``n0 + k`` reads ``A + k B``.
 AffineTail = tuple[int, Reads, Reads]
 
@@ -512,6 +495,51 @@ def _orbit_head(
     return head, (n0, a, b) if steps > n0 + 1 else None
 
 
+def _power_core(w: tuple[Letter, ...], h: tuple[Letter, ...], n: int) -> Sequence[Letter]:
+    """The cyclic core of ``w^n h``, spelled; the identity raises :class:`IdentityElementError`."""
+    letters = _reduced(w * n + h)
+    if not letters:
+        raise IdentityElementError("the identity has no cyclic reduction")
+    return _cyclic_core(letters)
+
+
+def _power_head(
+    g: Sequence[Letter], x: Sequence[Letter], steps: int, level: int
+) -> tuple[list[Reads], AffineTail | None]:
+    """``(head, tail)`` of the classes ``[g^n x]`` (``g`` nontrivial, both reduced), as :func:`_orbit_head` gives them.
+
+    With ``g = p w p^-1``, ``w`` cyclically reduced and ``l = |w|``, ``[g^n x] = [w^n h]`` for the
+    reduced ``h = p^-1 x p``.  The head spells steps ``0..min(steps, n0 + 1)`` (:func:`_power_core`),
+    each refused first if its ``n l + |h|`` letters may pass :data:`LETTER_BUDGET`; ``B`` is the
+    reads of the cycle ``w``, and step ``n0 + 1`` must read ``A + B``.
+
+    Proof that step ``n + 1`` reads step n's plus ``B`` from ``n0 = ceil((2|h| + level + l) / l)`` on.
+    Cyclic reduction cancels ``w^n h`` in pairs at its two joins: ``h``'s ends against ``w^n``'s and,
+    once ``h`` is used up, ``w^n``'s back against its front.  In the reduced periodic word
+    ``P = ...www...`` these last pair ``P[t]`` with ``P[d - t]`` for consecutive ``t``, and stop within
+    ``(l - 1) / 2`` pairs, before ``d - t = t`` or ``t + 1`` (mod ``l``) pairs a letter with itself or
+    its neighbour.  So ``c <= |h| + l - 1`` letters of ``w^n`` cancel, the same ones at every n with
+    ``c + 2 <= n l``: step n is ``[R h']``, the run ``R`` being ``w^n`` less fixed ends, and step
+    ``n + 1`` puts one period in front of ``R``.  From ``n0`` on ``|R| >= |h| + level + 1``, so a read
+    from an old vertex, which runs at most ``level - 1`` letters into ``R``, is unchanged, and the
+    ``l`` new vertices read ``P`` inside ``R``: the reads of the cycle ``w``, kept by the linear prefix fold.
+    """
+    w = tuple(_cyclic_core(g))
+    p = g[: (len(g) - len(w)) // 2]
+    h = _reduced([-y for y in reversed(p)] + list(x) + list(p))
+    n0 = -(-(2 * len(h) + level + len(w)) // len(w))
+    head = []
+    for n in range(min(steps, n0 + 1) + 1):
+        check_word_budget(n * len(w) + len(h), f"{n}*|w| + |h|")
+        head.append(_orbit_reads([(_power_core(w, h, n), 1)], level))
+    if steps <= n0:
+        return head, None
+    a, b = head[n0], _fold_reads(_reads(w, level), level, len(w))
+    if _shifted(a[0], b[0], 1) != head[n0 + 1][0]:
+        raise RuntimeError(f"step {n0 + 1} is not step {n0} plus the reads of the period {w}")
+    return head, (n0, a, b) if steps > n0 + 1 else None
+
+
 def _distance_lines(a: Reads, b: Reads, goal: Reads) -> set[tuple[int, int]]:
     """The gap terms of ``_orbit_distance(A + k B, goal)`` as lines ``(slope, intercept)`` in k, each once.
 
@@ -543,23 +571,21 @@ def _crossing(lines: set[tuple[int, int]]) -> tuple[int, int, int]:
 def _orbit_distances(
     table: SignedTable, terms: Terms, rank: int, steps: int, level: int, goal: Reads | None
 ) -> Iterator[tuple[int, int | None]]:
-    """``(norm, gap)`` at the steps ``0..steps`` of the orbit, the distance being ``gap / (norm ||g||)``.
-
-    ``gap`` is :func:`_gap` of the step's reads and the goal ``g``, so the
-    step's :func:`_orbit_distance` is ``Fraction(gap, norm * ||g||)``.  The
-    steps of :func:`_orbit_head` are measured one by one.  Past ``n0 + 1``,
-    step ``n0 + k`` reads ``A + k B``, so its norm is ``||A|| + k ||B||`` and
-    its gap is ``max(lines at k)`` over the :func:`_distance_lines`; from the
-    crossing point ``K`` (:func:`_crossing`) on the max is the dominant line
-    alone.  At the first step that reads only the dominant line its gap must
-    equal :func:`_gap` of ``A + k B``.  No step past ``n0 + 1`` counts
-    syllables: :func:`_orbit_head` has certified them.  Without a goal the
-    head runs at level 1, with all its checks, and the driver yields
-    ``(norm, None)``.  An orbit of more than :data:`ROW_BUDGET` rows is
-    refused before its first step.
-    """
+    """:func:`_orbit_rows` of :func:`_orbit_head` (at level 1 without a goal), refused over :data:`ROW_BUDGET` first."""
     check_row_budget("orbit", steps + 1, "steps + 1")
-    head, tail = _orbit_head(table, terms, rank, steps, level if goal is not None else 1)
+    yield from _orbit_rows(*_orbit_head(table, terms, rank, steps, level if goal is not None else 1), steps, goal)
+
+
+def _orbit_rows(
+    head: Iterable[Reads], tail: AffineTail | None, steps: int, goal: Reads | None
+) -> Iterator[tuple[int, int | None]]:
+    """The one row judge: ``(norm, gap)`` at the steps ``0..steps`` of a source's ``(head, tail)``.
+
+    The distance is ``gap / (norm ||g||)``, ``gap`` being :func:`_gap` of the step's reads and the goal
+    ``g`` (None without a goal).  Step ``n0 + k`` past ``n0 + 1`` reads ``A + k B``: its norm is
+    ``||A|| + k ||B||`` and its gap the max of the :func:`_distance_lines` at k, the dominant line alone
+    from the crossing point (:func:`_crossing`) on, whose first step must equal :func:`_gap` of ``A + k B``.
+    """
     for reads in head:
         yield reads[1], _gap(reads, goal) if goal is not None else None
     if tail is None:

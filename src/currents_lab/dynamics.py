@@ -30,7 +30,6 @@ from .automorphisms import (
     FreeAutomorphism,
     SignedTable,
     _cyclic_image,
-    _signed_table,
     apply,
     automorphism_str,
     compose,
@@ -49,12 +48,13 @@ from .currents import (
     TwistForm,
     _critical_check,
     _current_reads,
-    _gap,
     _orbit_distances,
+    _orbit_rows,
     _orbit_reads,
     _orbit_terms,
     _limit,
     _onset,
+    _power_head,
     _skeleton,
     _syllable_letters,
     _syllables,
@@ -62,7 +62,6 @@ from .currents import (
     act,
     check_letter_budget,
     check_row_budget,
-    check_word_budget,
     coordinate,
     current_str,
     in_critical_set,
@@ -105,7 +104,6 @@ from .words import (
     cyclic_reduce,
     invert,
     word,
-    word_power,
 )
 
 
@@ -1002,12 +1000,14 @@ def run_product_minimal(
 
 
 def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> ConvergenceReport:
-    """Distances of ``[c u^n]`` to ``mu_u``: ``c -> c u`` fixes a and b, so ``[c u^n]`` is the orbit of ``[c]``.
+    """Distances of ``[c u^n] = [u^n c]`` to ``mu_u``, judged by ``currents._orbit_rows`` off ``currents._power_head``.
 
     With ``u = p u' p^-1`` and ``u'`` cyclically reduced, ``[c u^n]`` is ``[(p^-1 c p) u'^n]``, of
     ``n ||u|| + m`` letters, ``m = 1 + |u| - ||u||``.  Against the cycle ``u'^n`` it has at most
     ``m + k - 1`` more starts of a k-letter read ``v`` and ``k - 1`` fewer, and ``(v; u'^n) <= n ||u||``,
     so ``d_n <= (level + m - 1)/(n ||u|| + m)``; the report asserts ``(level + m)/(n ||u|| + m)``.
+    More than ``currents.ROW_BUDGET`` rows (``iters + 1``) are refused before the first step, and a
+    head step if it may pass the letter budget; the periodic tail spells no word.
     """
     _at_least_one(iters=iters, level=level)
     monotone = "distances are nonincreasing from step 1 on"
@@ -1021,9 +1021,9 @@ def run_primitive_limit(u: Word, iters: int = 20, level: int = 2) -> Convergence
         raise ValueError("u must use only the letters a and b")
     goal = _current_reads(rational_current(u), level)
     m = 1 + len(u.letters) - goal[1]
-    table = _signed_table([(3,) + u.letters if x == 3 else (x,) for x in range(1, basis.rank + 1)])
     law = Law(num=(level + m,), den=(m, goal[1]), at_most=True, first=1)
-    orbit = list(_orbit_distances(table, [((3,), 1)], basis.rank, iters, level, goal))
+    check_row_budget("orbit", iters + 1, "steps + 1")
+    orbit = list(_orbit_rows(*_power_head(u.letters, (3,), iters, level), iters, goal))
     rows = [
         (str(n), _ratio(gap, norm * goal[1]), _ratio(*law.bound(n, norm)) if n >= law.first else "")
         for n, (norm, gap) in enumerate(orbit)
@@ -1060,8 +1060,9 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     k-letter read gains at most ``m - c + k - 1`` starts against ``n`` copies of ``g'`` and loses at most
     ``c + k - 1``; as ``(v; g') <= ||g||``, ``d_n <= (m + level - 1)/||nu_n||`` for ``n >= 1``.  If ``g``, ``f``
     and ``g^n f`` are cyclically reduced and ``level <= ||f|| + 1``, that implies ``2 ||f||/(n ||g||)``, which
-    is asserted; otherwise the proven bound is.  More than ``currents.ROW_BUDGET`` rows (``iters + 1``) are
-    refused before the first step, and step ``n`` if ``n |g| + |f|`` passes the letter budget.
+    is asserted; otherwise the proven bound is.  Rows are ``currents._orbit_rows`` of ``currents._power_head``:
+    over ``currents.ROW_BUDGET`` (``iters + 1``) they are refused before the first step, and a head step if
+    its ``n |g'| + |h|`` letters may pass the letter budget; the periodic tail spells no word.
     """
     _at_least_one(iters=iters, level=level)
     monotone = "distances to the unperturbed current are nonincreasing from step 1"
@@ -1090,21 +1091,21 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     seed_crit = in_critical_set(mu_g, 1, 2)
     if not seed_crit.member:
         notes.append("seed current is already off the critical set; perturbation unnecessary")
+    # one source at level >= 2 gives the critical check and (a; nu); at level 1 the distances have their own
+    source = partial(_power_head, g.letters, f.letters, iters)
+    head, tail = source(max(level, 2))
+    orbit = list(_orbit_rows(*(source(1) if level == 1 else (head, tail)), iters, goal))
     rows = []
-    orbit: list[tuple[int, int]] = []
     critical: list[str] = []
     even: list[str] = []
-    for n in range(iters + 1):
-        check_word_budget(n * len(g) + len(f), f"{n}*|g| + |f|")
-        terms, denominator = _orbit_terms(rational_current(concat(word_power(g, n), f)))
-        # one count gives the critical check, (a; nu) and, at level 1 from its single letters, the distance
-        reads = _orbit_reads(terms, max(level, 2))
-        crit = _critical_check(reads[0], denominator, 1, 2)
+    for n, (norm, gap) in enumerate(orbit):
+        if n < len(head):
+            counts = head[n][0]
+        else:  # step n0 + k reads A + k B: only the three reads the check needs
+            n0, (a, _), (b, _) = tail
+            counts = {v: a.get(v, 0) + (n - n0) * b.get(v, 0) for v in ((1,), (1, 2), (1, -2))}
+        crit = _critical_check(counts, 1, 1, 2)
         count = 2 * crit.half_twisted
-        if level == 1:
-            reads = ({v: c for v, c in reads[0].items() if len(v) == 1}, reads[1])
-        norm, gap = reads[1], _gap(reads, goal)
-        orbit.append((norm, gap))
         rows.append((str(n), str(count), "yes" if crit.member else "no", _ratio(gap, norm * goal[1])))
         if crit.member:
             critical.append(f"step {n}: {crit.witness()}")

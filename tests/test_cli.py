@@ -189,9 +189,8 @@ class TestExitCodes:
             ["iterate", "--aut", "prime-basis-change", "-c", "1*[bc]", "--limit", "1*[b]", "--iters", "12"],
             ["apply", "--aut", "prime-basis-change", "-w", "bc", "-n", "12"],
             ["apply", "--aut", "prime-basis-change", "-w", "bc", "-n", "-12", "--cyclic"],
-            ["experiment", "primitive-limit", "-u", "ab", "--iters", "30"],
         ],
-        ids=["iterate", "iterate-limit", "apply", "apply-inverse-cyclic", "primitive-limit"],
+        ids=["iterate", "iterate-limit", "apply", "apply-inverse-cyclic"],
     )
     def test_steps_over_the_letter_budget_are_refused(self, capsys, monkeypatch, argv):
         assert run(capsys, argv)[0] != 3
@@ -262,8 +261,10 @@ class TestExitCodes:
     def test_twist_orbits_over_the_row_budget_are_refused(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(currents, "ROW_BUDGET", 41)
         assert run(capsys, argv + ["--iters", "40"])[0] == 0
-        step, steps = currents._orbit_step, []
-        monkeypatch.setattr(currents, "_orbit_step", lambda *args: steps.append(args) or step(*args))
+        steps = []
+        for name in ("_orbit_step", "_power_core"):  # an automorphism step, a spelled step of [u^n c]
+            step = getattr(currents, name)
+            monkeypatch.setattr(currents, name, lambda *args, step=step: steps.append(args) or step(*args))
         code, out, err = run(capsys, argv + ["--iters", "41"])
         assert (code, out, steps) == (3, "", [])  # refused before the first step
         assert err == "error: the orbit would have 42 rows (steps + 1), over the budget of 41\n"
@@ -271,9 +272,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, most, first_step, err",
         [
-            (["off-critical", "--iters"], 40, "word_power", "the orbit would have 42 rows (iters + 1)"),
-            (["outlook-identity", "--iters"], 41, "power", "the pairing table would have 42 rows (iters)"),
-            (["minimality-walk", "--trials"], 41, "random_current", "the walk table would have 42 rows (trials)"),
+            (["off-critical", "--iters"], 40, (currents, "_power_core"), "the orbit would have 42 rows (iters + 1)"),
+            (["outlook-identity", "--iters"], 41, (dynamics, "power"), "the pairing table would have 42 rows (iters)"),
+            (
+                ["minimality-walk", "--trials"], 41, (dynamics, "random_current"),
+                "the walk table would have 42 rows (trials)",
+            ),
         ],
         ids=["off-critical", "outlook-identity", "minimality-walk"],
     )
@@ -282,8 +286,9 @@ class TestExitCodes:
     ):
         monkeypatch.setattr(currents, "ROW_BUDGET", 41)  # a 40-step walk has 41 rows
         assert run(capsys, ["experiment", *argv, str(most)])[0] == 0
-        step, steps = getattr(dynamics, first_step), []
-        monkeypatch.setattr(dynamics, first_step, lambda *args, **kw: steps.append(args) or step(*args, **kw))
+        module, name = first_step
+        step, steps = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *args, **kw: steps.append(args) or step(*args, **kw))
         code, out, stderr = run(capsys, ["experiment", *argv, str(most + 1)])
         assert (code, out, steps) == (3, "", [])  # refused before the first step
         assert stderr == f"error: {err}, over the budget of 41\n"
@@ -295,14 +300,27 @@ class TestExitCodes:
         names = [a["name"] for a in json.loads(out)["assertions"]]
         assert "distance at step n is at most (level+3)/(n*||u||+3) for n >= 1" in names
 
-    def test_off_critical_steps_over_the_letter_budget_are_refused(self, capsys, monkeypatch):
-        # abaB^n a has at most 4n + 1 letters: step 25 may reach 101, refused before it is built
-        argv = ["experiment", "off-critical", "--iters", "40"]
-        assert run(capsys, argv)[0] == 0
-        monkeypatch.setattr(currents, "LETTER_BUDGET", 100)
-        code, out, err = run(capsys, argv)
+    @pytest.mark.parametrize(
+        "argv, budget, err",
+        [
+            # [(abaB)^n a]: n0 = ceil((2 + 2 + 4)/4) = 2, so the head's last step, 3, spells 3*4 + 1 letters
+            (["off-critical"], 13, "13 letters (3*|w| + |h|)"),
+            # [(ab)^n c]: n0 = ceil((2 + 2 + 2)/2) = 3, so the head's last step, 4, spells 4*2 + 1 letters
+            (["primitive-limit", "-u", "ab"], 9, "9 letters (4*|w| + |h|)"),
+        ],
+        ids=["off-critical", "primitive-limit"],
+    )
+    def test_power_orbit_head_steps_over_the_letter_budget_are_refused(self, capsys, monkeypatch, argv, budget, err):
+        # only the head spells words: at its longest step's letters all 41 rows are written, one under is refused
+        argv = ["experiment", *argv, "--iters", "40"]
+        expected = run(capsys, argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(currents, "LETTER_BUDGET", budget)
+        assert run(capsys, argv) == expected
+        monkeypatch.setattr(currents, "LETTER_BUDGET", budget - 1)
+        code, out, stderr = run(capsys, argv)
         assert (code, out) == (3, "")
-        assert err == "error: the next step may reach 101 letters (25*|g| + |f|), over the budget of 100\n"
+        assert stderr == f"error: the next step may reach {err}, over the budget of {budget - 1}\n"
 
     def test_tree_orbit_without_a_stable_rate_exits_4(self, capsys):
         code, out, err = run(capsys, ["experiment", "theorem-main", "--iters", "4", "--level", "3", "--cap", "4"])
@@ -550,6 +568,18 @@ class TestReports:
                 ["selftest", "--seed", "7"],
                 "d3edcb46b3de195c4c49945200c9396da05d21028e82c22289337419f833f72a",
             ),
+            (
+                ["experiment", "off-critical", "--iters", "400", "--level", "3"],
+                "e419bccc4bc7a3f11a8cc7258cfb06692cf6638f989301f9f25a88adea18cdf4",
+            ),
+            (
+                ["experiment", "primitive-limit", "-u", "ab", "--iters", "800"],
+                "7eb0027bfb73dbce2b09d55081c0a05d21add8f603e913bb34bbfe428238e18e",
+            ),
+            (
+                ["experiment", "off-critical", "-g", "babAB", "-f", "a", "--iters", "200", "--level", "1"],
+                "ef58e23768af192df96ac5774a7020c91830224d85ee9c68685f6e1fdc6eacaa",
+            ),
         ],
         ids=[
             "iterate-limit", "iterate-no-limit", "iterate-300-steps", "minimality-walk",
@@ -558,7 +588,8 @@ class TestReports:
             "iterate-root-step", "iterate-300-steps-no-limit", "primitive-limit-twist-form",
             "primitive-limit-kernel", "theorem-main-stepped-classes", "product-minimal-stepped-classes",
             "iterate-long-head", "selftest-quick-seed-0", "selftest-quick-seed-7", "selftest-quick-seed-11",
-            "selftest-seed-7",
+            "selftest-seed-7", "off-critical-400-steps-level-3", "primitive-limit-800-steps",
+            "off-critical-proven-bound-level-1",
         ],
     )
     def test_iterate_golden_bytes(self, capsys, argv, digest):
@@ -580,7 +611,8 @@ class TestReports:
         # head of 24 kernel steps: [aB^20] must unwind its twistor run, so its onset is 23;
         # the four selftest runs, recorded while the dichotomy check still stepped the public
         # act and the extension identities looked each count up through a lambda, pin every
-        # check's name, trial count and verdict
+        # check's name, trial count and verdict; the last three, recorded while off-critical and
+        # primitive-limit still spelled every step, pin both runners' periodic tails
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,11 +3,12 @@
 import dataclasses
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from currents_lab.automorphisms import (
     _signed_table,
@@ -26,6 +27,7 @@ from currents_lab.currents import (
     ConjugacyClass,
     CriticalCheck,
     _affine_tail,
+    _current_reads,
     _image_syllables,
     _orbit_current,
     _orbit_distance,
@@ -34,6 +36,7 @@ from currents_lab.currents import (
     _orbit_reads,
     _orbit_step,
     _orbit_terms,
+    _power_head,
     _root_steps,
     _shifted,
     _skeleton,
@@ -66,6 +69,7 @@ from currents_lab.words import (
     Word,
     _canonical_rotation,
     _period,
+    concat,
     cyclic_reduce,
     cyclic_word,
     free_reduce,
@@ -75,6 +79,7 @@ from currents_lab.words import (
     primitive_root,
     rotation_key,
     word,
+    word_power,
 )
 
 B2 = Basis(2)
@@ -929,6 +934,42 @@ class TestOrbitDistances:
         assert len(list(_orbit_distances(table, terms, 2, 2, 1, None))) == 3
         with pytest.raises(IdentityElementError):
             list(_orbit_distances(table, terms, 2, 3, 1, None))
+
+
+class TestPowerOrbits:
+    """The source of the classes ``[g^n x]``: a spelled head, then one period of ``w`` per step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([B2, B3]), st.data(), st.integers(1, 5), st.integers(0, 3))
+    def test_reads_are_the_spelled_reads_through_n0_plus_10(self, basis, data, level, j):
+        # g conjugated, x cancelling against g^-j: a step that spells the identity raises
+        words = st.lists(st.sampled_from(basis.signed_letters()), max_size=5).map(partial(free_reduce, basis))
+        q, root, y = data.draw(words), data.draw(words), data.draw(words)
+        g = concat(concat(q, root), invert(q))
+        assume(not g.is_identity())
+        x = concat(word_power(invert(g), j), y)
+        steps = 200
+        if any(concat(word_power(g, n), x).is_identity() for n in range(len(x) + 1)):  # |g^n| >= n
+            with pytest.raises(IdentityElementError, match="^the identity has no cyclic reduction$"):
+                _power_head(g.letters, x.letters, steps, level)
+            return
+        head, (n0, a, b) = _power_head(g.letters, x.letters, steps, level)
+        assert len(head) == n0 + 2
+        for n in range(n0 + 11):
+            reads = head[n] if n <= n0 + 1 else (_shifted(a[0], b[0], n - n0), a[1] + (n - n0) * b[1])
+            assert reads == _current_reads(rational_current(concat(word_power(g, n), x)), level)
+
+    def test_the_ends_of_w_n_cancel_once_h_is_used_up(self):
+        # (abAB)^n b reduces to (abAB)^(n-1) abA, whose ends a, A cancel too: 4n - 3 letters
+        head, (n0, a, b) = _power_head((1, 2, -1, -2), (2,), 40, 2)
+        norms = [reads[1] for reads in head] + [a[1] + k * b[1] for k in range(2, 40 - n0 + 1)]
+        assert norms == [1] + [4 * n - 3 for n in range(1, 41)]
+
+    def test_no_tail_until_steps_pass_n0_plus_one(self):
+        # [(ab)^n c]: n0 = ceil((2 + 2 + 2) / 2) = 3
+        assert [len(head) for head, _ in (_power_head((1, 2), (3,), steps, 2) for steps in (2, 4))] == [3, 5]
+        assert _power_head((1, 2), (3,), 4, 2)[1] is None
+        assert _power_head((1, 2), (3,), 5, 2)[1][0] == 3
 
 
 class TestClassBudget:

@@ -546,11 +546,13 @@ class TestExperiments:
             (run_product_minimal, 2),
             pytest.param(partial(run_primitive_limit, word(B3, "aa")), 1, id="primitive-limit-aa"),
             pytest.param(partial(run_primitive_limit, word(B3, "B")), 1, id="primitive-limit-B"),
+            pytest.param(partial(run_primitive_limit, word(B3, "ab")), 1, id="primitive-limit-ab"),
+            pytest.param(partial(run_off_critical_perturbation, word(B3, "abaB"), word(B3, "a")), 1, id="off-critical"),
         ],
     )
     def test_tail_steps_build_no_read_dict(self, monkeypatch, run, orbits):
         # each current orbit builds A + k B twice, at n0 + 1 and at its one
-        # cross-checked tail step, however many steps it runs; c -> c y^k has a twist form
+        # cross-checked tail step, however many steps it runs; only the head counts reads
         calls = []
         shifted = currents._shifted
         monkeypatch.setattr(currents, "_shifted", lambda a, b, k: calls.append(k) or shifted(a, b, k))
@@ -728,22 +730,6 @@ def grow(value, count):
     return value + count
 
 
-def failing_gaps_after(real, calls):
-    """``_gap`` for the first ``calls`` calls, then ``gap + count ||a|| ||b||``.
-
-    The distance ``gap / (||a|| ||b||)`` is spoiled to ``d + count``, as :func:`grow` spoils it.
-    """
-    count = 0
-
-    def fake(a, b):
-        nonlocal count
-        count += 1
-        gap = real(a, b)
-        return gap if count <= calls else gap + count * a[1] * b[1]
-
-    return fake
-
-
 def critical(check, count):
     return dataclasses.replace(check, member=True)
 
@@ -775,13 +761,13 @@ class TestFailingReports:
                 "283356268ae8edfda4d0f3809eaffed9a0bc853954aeeccc36bed769d44a344b",
             ),
             (
-                {"_orbit_distances": partial(failing_yields_after, calls=3)},
+                {"_orbit_rows": partial(failing_yields_after, calls=3)},
                 lambda: run_primitive_limit(word(B3, "ab"), iters=6),
                 "54b7873d46aef7921dc1ba0dbeea22b875301b2943507d85de76854931a2cfb9",
             ),
             (
                 {
-                    "_gap": partial(failing_gaps_after, calls=3),
+                    "_orbit_rows": partial(failing_yields_after, calls=3),
                     # (a; nu) is read off the critical check: spoiled from call 4, membership from call 3
                     "_critical_check": lambda real: failing_after(
                         failing_after(real, calls=3, spoil=twisted_grow), calls=2, spoil=critical
