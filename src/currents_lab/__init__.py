@@ -56,7 +56,6 @@ from .dynamics import (
     run_product_minimal,
     run_theorem_back,
     run_theorem_main,
-    tree_orbit_limit,
     walk_to_target,
 )
 from .errors import (
@@ -82,6 +81,7 @@ from .trees import (
     length_limit,
     parse_tree,
     projective_tree_vector,
+    tree_orbit_limit,
     tree_projective_eq,
     twist_tree,
 )

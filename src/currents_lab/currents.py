@@ -541,7 +541,7 @@ def _power_head(
 
 
 def _distance_lines(a: Reads, b: Reads, goal: Reads) -> set[tuple[int, int]]:
-    """The gap terms of ``_orbit_distance(A + k B, goal)`` as lines ``(slope, intercept)`` in k, each once.
+    """The terms of ``_gap(A + k B, goal)`` as lines ``(slope, intercept)`` in k, each once.
 
     Over the reads ``v`` of ``A``, ``B`` and the goal ``g``, the term
     ``|(a_v + k b_v) ||g|| - g_v (||A|| + k ||B||)|`` is the larger of the
@@ -620,7 +620,7 @@ def _current_reads(nu: RationalCurrent, level: int) -> Reads:
 
 
 def _gap(a: Reads, b: Reads) -> int:
-    """The numerator of :func:`_orbit_distance` over ``||a|| ||b||``: ``max_v |a_v||b|| - b_v||a|||``.
+    """The :func:`projective_distance` of two read counts times ``||a|| ||b||``: ``max_v |a_v||b|| - b_v||a|||``.
 
     A read ``b`` lacks gives ``a_v ||b||``, so only ``b``'s reads (a goal's few) are visited one by one.
     """
@@ -630,11 +630,6 @@ def _gap(a: Reads, b: Reads) -> int:
         only_a.pop(v, None)
     gap = max(only_a.values(), default=0) * nb
     return max(gap, max((abs(ca.get(v, 0) * nb - count * na) for v, count in cb.items()), default=0))
-
-
-def _orbit_distance(a: Reads, b: Reads) -> Fraction:
-    """:func:`projective_distance` of two read counts: ``max_v |a_v||b|| - b_v||a||| / (||a|| ||b||)``."""
-    return Fraction(_gap(a, b), a[1] * b[1])
 
 
 def _orbit_current(basis: Basis, terms: Terms, denominator: int) -> RationalCurrent:

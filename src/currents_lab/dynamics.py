@@ -1,11 +1,11 @@
-"""Orbit iteration, exact limit extraction, and the named experiments.
+"""The named experiments and the rules their reports share.
 
-Twist orbits of currents and trees grow exactly linearly after a finite
-transient, so limits on the tree side are extracted as exact eventual growth
-rates (read off a certified affine tail for twist steppers, see
-:func:`tree_orbit_limit`), and limits on the current side are certified by
-exact distance laws at finite step counts: each is one :class:`Law` on the orbit driver's int rows
-``(norm, gap)``, and each monotone check one rule, :func:`_rise`.  A rate constant a report asserts, such as
+This module owns the reports, the escape rule (:func:`escape_from_critical`)
+and the distance laws.  Tree-side limits come from :func:`trees.tree_orbit_limit`,
+and current orbits from the orbit driver in :mod:`currents_lab.currents`.  Each
+current-side limit is certified by an exact distance law at finite step counts: one
+:class:`Law` on the driver's int rows ``(norm, gap)``, and each monotone check one
+rule, :func:`_rise`.  A rate constant a report asserts, such as
 ``2/(n+2)`` or ``1/(n+1)``, is derived by hand and checked exactly at every step the report
 computes, not for all n; the tests check the orbit driver against the public ``act`` route,
 not the constants.  Reports flag these constants as derived (:data:`DERIVED_RATE_NOTE`, whose
@@ -20,16 +20,14 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode
 from math import gcd
 from random import Random
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .automorphisms import (
     FreeAutomorphism,
-    SignedTable,
-    _cyclic_image,
     apply,
     automorphism_str,
     compose,
@@ -44,61 +42,38 @@ from .automorphisms import (
 from .corpus import random_current, random_reduced_word
 from .currents import (
     RationalCurrent,
-    Skeleton,
-    TwistForm,
     _critical_check,
     _current_reads,
     _orbit_distances,
     _orbit_rows,
     _orbit_reads,
     _orbit_terms,
-    _limit,
-    _onset,
     _power_head,
-    _skeleton,
-    _syllable_letters,
-    _syllables,
-    _twist_form,
     act,
-    check_letter_budget,
     check_row_budget,
     coordinate,
     current_str,
     in_critical_set,
-    power_free_classes,
     projective_distance,
     projective_vector,
     rational_current,
     scale as scale_current,
 )
-from .errors import (
-    AllEllipticError,
-    BasisMismatchError,
-    NotStabilizedError,
-    RankError,
-    ZeroCurrentError,
-)
+from .errors import BasisMismatchError, RankError, ZeroCurrentError
 from .trees import (
     ProjectiveTreeVector,
-    TreeLengthFunction,
-    Weigher,
-    _int_lengths,
-    _letter_weight,
-    _weigher,
     cayley_tree,
     double_twist_tree,
     intersection_form,
     length as tree_length,
     projective_tree_vector,
+    tree_orbit_limit,
     tree_projective_eq,
     twist_tree,
 )
 from .words import (
     Basis,
-    Letter,
     Word,
-    _cyclic_core,
-    _reduced,
     _unchecked,
     concat,
     cyclic_reduce,
@@ -334,261 +309,6 @@ def iterate_current(
     )
 
 
-def _tree_orbit(
-    weigh: Weigher,
-    step: SignedTable,
-    pull: SignedTable,
-    rank: int,
-    letters: Sequence[Letter],
-    steps: int,
-) -> list[int]:
-    """Weigher values of ``g, step(g), ..., step^steps(g)`` pulled back through ``pull``.
-
-    ``letters`` spells any nontrivial ``g``; each orbit point is kept as the
-    checked cyclic core :func:`_cyclic_image` leaves, in whatever rotation.
-    Each step is refused first if it may pass ``currents.LETTER_BUDGET``.
-    """
-    seq = [weigh(_cyclic_image(pull, letters, rank))]
-    for _ in range(steps):
-        check_letter_budget(len(letters), step)
-        letters = _cyclic_image(step, letters, rank)
-        seq.append(weigh(_cyclic_image(pull, letters, rank)))
-    return seq
-
-
-# Added to a letter's absolute value to mark it: past every letter and fresh symbol a weigher
-# meets, so no marked letter cancels or pinches with an unmarked one, and no weigher charges one.
-_MARK = 1 << 20
-
-
-def _marked(letters: Sequence[Letter]) -> tuple[int, ...]:
-    """``letters`` over the marked alphabet, where the letters still cancel among themselves."""
-    return tuple(x + _MARK if x > 0 else x - _MARK for x in letters)
-
-
-# Per signed generator ``y``: ``(p, r, q, weight)``, where ``pull[y]`` is ``p r q`` with ``q = p^-1`` and
-# the period ``r`` its cyclic core, so that a syllable ``y^e``, ``e > 0``, pulls back to ``p r^e q``;
-# ``weight`` is ``weight(r)`` when the period has a certificate, and 0 when it has none.
-PulledSyllable = tuple[tuple[Letter, ...], tuple[Letter, ...], tuple[Letter, ...], int]
-
-
-def _period(pull: SignedTable, weigh: Weigher, lengths: dict[int, int], y: int) -> PulledSyllable:
-    """The :data:`PulledSyllable` of the signed generator ``y``.
-
-    ``weight(r)`` is ``r``'s letter weight under the weigher's charges
-    (:func:`trees._int_lengths`): the weighted count of its stable letters on
-    a twist core, its letter weight on a Cayley core.  A period has a
-    certificate when ``weight(r) > 0`` and, as a cycle, it weighs
-    ``weight(r)``, so that no pinch applies around it, and none inside any
-    ``r^e``.
-    """
-    image = pull[y]
-    r = _cyclic_core(image)
-    weight = _letter_weight(lengths, r)
-    i = (len(image) - len(r)) // 2
-    return image[:i], r, image[i + len(r) :], weight if weight and weigh(r) == weight else 0
-
-
-def _pulled_periods(pull: SignedTable, weigh: Weigher, lengths: dict[int, int]) -> Callable[[int], PulledSyllable]:
-    """One orbit's :func:`_period` of each signed generator, built on its first use and kept.
-
-    A period and its verdict depend on the marking and the tree only, so
-    each is built and weighed at most once per signed generator per orbit,
-    and every moving syllable of every class reads the kept verdict.
-    """
-    return cache(partial(_period, pull, weigh, lengths))
-
-
-def _period_growth(limit: Skeleton, pulled: list[PulledSyllable]) -> int:
-    """``delta``: a step splices ``|slope|`` periods of weight ``weight(r)`` into each moving block."""
-    return sum(abs(slope) * weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled))
-
-
-def _marked_pull_back(limit: Skeleton, pulled: list[PulledSyllable], n: int) -> Sequence[int]:
-    """The cyclic core of step ``n``'s pull-back with the middle two periods of each moving block marked."""
-    letters: list[int] = []
-    for (_, c, slope), (p, r, q, _) in zip(limit, pulled):
-        e = abs(c + slope * n)
-        if slope:
-            left = (e - 2) // 2
-            letters += p + r * left + _marked(r * 2) + r * (e - 2 - left) + q
-        else:
-            letters += p + r * e + q
-    return _cyclic_core(_reduced(letters))
-
-
-def _limit_syllables(skeleton: Skeleton, limit: Skeleton, n: int) -> list[tuple[int, int]]:
-    """The syllables of step ``n >= n0``, which must be the limit's at ``n``, or ``RuntimeError``."""
-    syllables = _syllables(skeleton, n)
-    if syllables != [(y, c + slope * n) for y, c, slope in limit]:
-        raise RuntimeError(f"step {n} is not the limit skeleton's step {n}")
-    return syllables
-
-
-def _pulled_weight(
-    weigh: Weigher, pull: SignedTable, rank: int, skeleton: Skeleton, limit: Skeleton, n: int
-) -> int:
-    """The weigher value of step ``n >= n0``, whose syllables must be the limit's at ``n``."""
-    return weigh(_cyclic_image(pull, _syllable_letters(_limit_syllables(skeleton, limit, n)), rank))
-
-
-def _affine_law(
-    form: TwistForm,
-    weigh: Weigher,
-    periods: Callable[[int], PulledSyllable],
-    pull: SignedTable,
-    rank: int,
-    letters: Sequence[Letter],
-    last: int,
-) -> tuple[int, int, int] | None:
-    """``(N, f(N), delta)`` with ``f(n) = f(N) + (n - N) delta`` for every ``n >= N``, or None.
-
-    ``N`` is the least certified step up to ``last`` (the argument is in
-    :func:`tree_orbit_limit`), searched from the first step from ``n0`` on
-    at which every moving block holds two periods (:func:`currents._onset`).
-    ``periods`` is the orbit's :func:`_pulled_periods`.  ``f(N + 1)`` is
-    weighed too, and a value other than ``f(N) + delta`` raises
-    ``RuntimeError``.  A class with no moving syllable is weighed once, at
-    ``N = n0``, and its step ``N + 1`` is checked against the limit's syllables.
-    """
-    skeleton = _skeleton(form, letters)
-    limit = _limit(skeleton)
-    first = max(_onset(skeleton + limit, 1), _onset(limit, 2))
-    if first > last:
-        return None
-    if not any(slope for _, _, slope in limit):
-        value = _pulled_weight(weigh, pull, rank, skeleton, limit, first)
-        _limit_syllables(skeleton, limit, first + 1)
-        return first, value, 0
-    pulled = [periods(y if (slope or c) > 0 else -y) for y, c, slope in limit]
-    if any(slope and not weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled)):
-        return None
-    marked = 2 * sum(weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled) if slope)
-    for n in range(first, last + 1):
-        value = _pulled_weight(weigh, pull, rank, skeleton, limit, n)
-        if value == weigh(_marked_pull_back(limit, pulled, n)) + marked:
-            break
-    else:
-        return None
-    delta = _period_growth(limit, pulled)
-    if _pulled_weight(weigh, pull, rank, skeleton, limit, n + 1) != value + delta:
-        raise RuntimeError(
-            f"step {n + 1} of {tuple(letters)} is not step {n} plus the certified growth {delta}"
-        )
-    return n, value, delta
-
-
-def tree_orbit_limit(
-    phi: FreeAutomorphism,
-    tree: TreeLengthFunction,
-    level: int = 2,
-    cap: int = 64,
-) -> ProjectiveTreeVector:
-    """Exact projective limit of the tree orbit ``phi^n(tree)``.
-
-    For each test class g the orbit length sequence ``f(n) = length(tree,
-    phi^{-n} g)`` has a growth rate, and ``f(cap)`` is its last value.  When
-    every rate is zero the orbit converges without rescaling and the
-    stabilized constant lengths are used instead.  A class takes one of two
-    paths.
-
-    When ``phi^-1`` has a twist form (:func:`currents._twist_form`) and
-    :func:`_affine_law` certifies the class at some ``N <= cap - 3``, its
-    rate is the law's ``delta`` and its last value ``f(N) + (cap - N)
-    delta``, read off the law without stepping.  Past the onset ``n0`` of
-    its skeleton (:func:`currents._onset`), step n is the
-    :func:`currents._limit`'s syllables ``y^e``, ``e = c + slope n``.  Through
-    the marking ``beta``, ``y^e`` pulls back to ``p r^e p^-1``, where the
-    period ``r`` is the cyclic core of ``beta^-1(y)``.  The certificate is
-    the least ``N >= n0`` at which every moving block keeps two consecutive
-    full periods that no free cancellation, cyclic reduction or pinch
-    touches.  To check it, the middle two periods of each block are written
-    over a marked alphabet (:func:`_marked`), which nothing cancels, pinches
-    or charges.  Each reduction of the marked word is one of the step-N word
-    that leaves those periods whole.  Unmarked, its value is the marked
-    word's plus ``2 weight(r)`` per block.  Reducing it further cancels or
-    pinches only across the ends of the periods, and every move that reaches
-    a charged letter lowers the value, so a period needs ``weight(r) > 0``.
-    So if the step-N word weighs exactly that much, it reduces with the two
-    periods whole from their first charged letter to their last, and every
-    junction in that stretch (within a period, period to period) is one the
-    reduced word has.  Step ``n >= N`` is the step-N word with
-    ``|slope| (n - N)`` more periods spliced between those two.  It reduces
-    by the same moves, and its reduced form has no junction the step-N form
-    lacks, so nothing else cancels, reduces or pinches differently.  Hence
-    ``f(n) = f(N) + (n - N) delta`` with ``delta = sum |slope| weight(r)``
-    over the moving blocks, where ``weight(r)`` is the weighted count of
-    ``r``'s stable letters on a twist core and ``r``'s letter weight on a
-    Cayley core.  ``f(N + 1)`` is computed directly and must equal
-    ``f(N) + delta``, or ``RuntimeError`` is raised.  A period of weight 0,
-    or one that pinches around its own cycle (:func:`_period`), has no
-    certificate.  A period depends only on the signed generator ``y`` and
-    the marking, so each orbit builds and weighs it at most once
-    (:func:`_pulled_periods`), and every class reads the kept verdict.
-
-    A class with no moving limit syllable has the same syllables at every
-    step from ``n0`` on.  Its marked word is its unmarked one, so the check
-    ``f(N) == f(N) + 0`` cannot fail, and the certificate holds at
-    ``N = n0``.  Step ``N + 1``'s syllables are still checked against the
-    limit's, with the same ``RuntimeError``; once they match, step ``N + 1``
-    spells the same letters as step ``N``, so ``f(N + 1) = f(N)`` and the
-    class is weighed once, with ``delta = 0``.
-
-    Every other class (a stepper without a twist form, or a class with no
-    certificate by ``cap - 3``) is stepped once, steps 0 to ``cap``
-    (:func:`_tree_orbit`), each step refused first if it may pass
-    ``currents.LETTER_BUDGET``.  Its last four values (so ``cap >= 3``)
-    must be affine with a rate ``>= 0``, its growth rate; a
-    :class:`NotStabilizedError` carries the scaled lengths of that same
-    orbit, for the first class that fails.  Translation length is a conjugacy invariant, so each class is
-    kept as a cyclic core, ``g <- core of phi^-1(g)``, and measured by the
-    tree's int weigher (:func:`trees._weigher`) on the core of its
-    pull-back through the marking.  Every unmarked word weighed is checked
-    with :func:`_cyclic_image`'s raises, which ``python -O`` keeps.  Rates
-    and values stay ints over the weigher's common factor, which cancels in
-    the projective vector.  Each step spells ``phi^-n(g)`` out, so for a
-    linearly growing stepper without a twist form the work grows with
-    ``cap^2``, and each step is still refused at the letter budget.  Every
-    stepper the CLI iterates has a twist form, so there only a class with
-    ``cap < N + 3`` is stepped, at small caps.
-    """
-    _at_least_one(cap=cap, level=level)
-    if phi.basis != tree.basis:
-        raise BasisMismatchError("automorphism and tree use different bases")
-    classes = power_free_classes(tree.basis, level)
-    weigh, factor = _weigher(tree)
-    lengths, _ = _int_lengths(tree)
-    rank = tree.basis.rank
-    step, pull = phi.inverse_table, tree.marking.inverse_table
-    form = _twist_form(step, rank)
-    rates: list[int] = []
-    lasts: list[int] = []
-    periods = _pulled_periods(pull, weigh, lengths)
-    for cls in classes:
-        law = None if form is None else _affine_law(form, weigh, periods, pull, rank, cls.root.letters, cap - 3)
-        if law is not None:
-            first, value, delta = law
-            rates.append(delta)
-            lasts.append(value + (cap - first) * delta)
-            continue
-        seq = _tree_orbit(weigh, step, pull, rank, cls.root.letters, cap)
-        rate = seq[-1] - seq[-2]
-        if cap < 3 or rate < 0 or seq[-4:] != [seq[-4] + k * rate for k in range(4)]:
-            raise NotStabilizedError(
-                f"class {cls}: no stable growth rate within {cap} iterations",
-                tuple(factor * v for v in seq),
-            )
-        rates.append(rate)
-        lasts.append(seq[-1])
-    values = lasts if all(r == 0 for r in rates) else rates
-    total = sum(values)
-    if total == 0:
-        raise AllEllipticError("every test class stays elliptic along the orbit")
-    return ProjectiveTreeVector(
-        tree.basis, level, classes, tuple(Fraction(v, total) for v in values)
-    )
-
-
 @dataclass(frozen=True)
 class EscapeChoice:
     """Twist, iteration direction, and target letter leaving the critical set."""
@@ -608,7 +328,8 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
     ``(t;nu) - 2(tz^{-(direction)};nu)`` is chosen; it is always positive,
     since the two-letter extensions of t cannot all carry half its weight.
     When the current is critical for the canonical pair (t and the smallest
-    other generator), both extension coordinates toward some third letter
+    other generator, judged by ``currents._critical_check`` as in
+    :func:`in_critical_set`), both extension coordinates toward some third letter
     are forced to vanish and that twist wins with the full increment (t;nu).
     The increment never decreases along the iteration and the single-letter
     deficit is invariant, so at rank 3 the walk is within 1/10 of the target
@@ -646,10 +367,7 @@ def escape_from_critical(nu: RationalCurrent) -> EscapeChoice:
         raise RuntimeError("no positive increment: impossible for a nonzero current")
     margin, z, direction, blocker = best
     z_canon = min(i for i in gens if i != t)
-    critical = (
-        t_count <= 2 * counts.get((t, z_canon), 0) and t_count <= 2 * counts.get((t, -z_canon), 0)
-    )
-    if critical:
+    if _critical_check(counts, denominator, t, z_canon).member:
         if blocker != 0 or counts.get((t, direction * z), 0) != 0:
             raise RuntimeError("forced vanishing failed")
         reason = (
@@ -1067,7 +785,7 @@ def run_off_critical_perturbation(g: Word, f: Word, iters: int = 16, level: int 
     _at_least_one(iters=iters, level=level)
     monotone = "distances to the unperturbed current are nonincreasing from step 1"
     _two_steps_for(monotone, iters)
-    check_row_budget("orbit", iters + 1, "iters + 1")
+    check_row_budget("orbit", iters + 1, "steps + 1")
     if g.basis != f.basis:
         raise BasisMismatchError("g and f use different bases")
     basis = g.basis

@@ -52,7 +52,6 @@ from .dynamics import (
     _rise,
     escape_from_critical,
     run_theorem_main,
-    tree_orbit_limit,
     walk_to_target,
 )
 from .trees import (
@@ -63,6 +62,7 @@ from .trees import (
     length_britton,
     length_limit,
     projective_tree_vector,
+    tree_orbit_limit,
     tree_projective_eq,
     twist_tree,
 )

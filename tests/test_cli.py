@@ -272,7 +272,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, most, first_step, err",
         [
-            (["off-critical", "--iters"], 40, (currents, "_power_core"), "the orbit would have 42 rows (iters + 1)"),
+            (["off-critical", "--iters"], 40, (currents, "_power_core"), "the orbit would have 42 rows (steps + 1)"),
             (["outlook-identity", "--iters"], 41, (dynamics, "power"), "the pairing table would have 42 rows (iters)"),
             (
                 ["minimality-walk", "--trials"], 41, (dynamics, "random_current"),

@@ -28,9 +28,9 @@ from currents_lab.currents import (
     CriticalCheck,
     _affine_tail,
     _current_reads,
+    _gap,
     _image_syllables,
     _orbit_current,
-    _orbit_distance,
     _orbit_distances,
     _orbit_head,
     _orbit_reads,
@@ -726,6 +726,11 @@ def _crossings(patch):
     law = currents_module._crossing
     patch.setattr(currents_module, "_crossing", lambda lines: seen.append(law(lines)) or seen[-1])
     return seen
+
+
+def _orbit_distance(a, b):
+    """The projective distance of two read counts, as a Fraction off ``currents._gap``."""
+    return Fraction(_gap(a, b), a[1] * b[1])
 
 
 def _kernel_distances(table, terms, rank, steps, level, goal):

@@ -22,7 +22,7 @@ from currents_lab.automorphisms import (
     prime_basis_change,
     simple_twist,
 )
-from currents_lab import currents, dynamics
+from currents_lab import currents, dynamics, trees
 from currents_lab.cli import EXPERIMENTS
 from currents_lab.currents import (
     _twist_form,
@@ -35,12 +35,9 @@ from currents_lab.currents import (
 )
 from currents_lab.dynamics import (
     Law,
-    _affine_law,
     _dumps,
-    _pulled_periods,
     _ratio,
     _rise,
-    _tree_orbit,
     escape_from_critical,
     iterate_current,
     run_minimality_walk,
@@ -50,7 +47,6 @@ from currents_lab.dynamics import (
     run_product_minimal,
     run_theorem_back,
     run_theorem_main,
-    tree_orbit_limit,
     walk_to_target,
 )
 from currents_lab.errors import (
@@ -62,11 +58,15 @@ from currents_lab.errors import (
 )
 from currents_lab.trees import (
     ProjectiveTreeVector,
+    _affine_law,
     _int_lengths,
+    _pulled_periods,
+    _tree_orbit,
     _weigher,
     cayley_tree,
     length,
     projective_tree_vector,
+    tree_orbit_limit,
     tree_projective_eq,
     twist_tree,
 )
@@ -100,7 +100,24 @@ class TestEscape:
         choice = escape_from_critical(mu("abaB"))
         assert choice.twist == simple_twist(B3, 1, 3)
         assert (choice.direction, choice.target) == (1, 3)
-        assert "critical" in choice.reason
+        assert choice.reason == "critical for (a,b): (ac;nu)=(aC;nu)=0"
+
+    @pytest.mark.parametrize("basis, text", [(B3, "1*[ab] + 1*[aB]"), (Basis(5), "2/3*[ab] + 2/3*[aB] + 1*[e]")])
+    def test_critical_reason_names_the_forced_zeros(self, basis, text):
+        choice = escape_from_critical(parse_current(basis, text))
+        assert (choice.target, choice.direction) == (3, 1)
+        assert choice.reason == "critical for (a,b): (ac;nu)=(aC;nu)=0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_half_the_twisted_count_bounds_both_extensions_only_on_the_critical_set(self, data):
+        # (t;nu) sums (tx;nu) over x != t^-1, so (t) <= 2(tz) and (t) <= 2(tz^-1) iff (t)/2 = (tz) = (tz^-1)
+        rank = data.draw(st.integers(3, 5))
+        t, z = data.draw(st.permutations(range(1, rank + 1)))[:2]
+        counts = {(t, x): data.draw(st.integers(0, 3)) for x in range(-rank, rank + 1) if x and x != -t}
+        counts[(t,)] = sum(counts.values())
+        both = counts[(t,)] <= 2 * counts[(t, z)] and counts[(t,)] <= 2 * counts[(t, -z)]
+        assert currents._critical_check(counts, 3, t, z).member == both
 
     def test_zero_current_rejected(self):
         with pytest.raises(ZeroCurrentError):
@@ -332,7 +349,7 @@ class TestTreeOrbitKernel:
             steps.append(n)
             return _tree_orbit(weigh, step, pull, rank, letters, n)
 
-        monkeypatch.setattr(dynamics, "_tree_orbit", counted)
+        monkeypatch.setattr(trees, "_tree_orbit", counted)
         tree_orbit_limit(phi, tree, level=2, cap=cap)
         assert steps == [cap] * stepped
 
@@ -345,7 +362,7 @@ class TestTreeOrbitKernel:
             orbits.append((tuple(letters), n, _tree_orbit(weigh, step, pull, rank, letters, n)))
             return orbits[-1][2]
 
-        monkeypatch.setattr(dynamics, "_tree_orbit", recorded)
+        monkeypatch.setattr(trees, "_tree_orbit", recorded)
         with pytest.raises(NotStabilizedError, match=r"^class \[a\]") as info:
             tree_orbit_limit(inverse(D), wound, level=2, cap=8)
         assert [n for _, n, _ in orbits] == [8] * len(orbits)
@@ -387,7 +404,7 @@ class TestTreeOrbitKernel:
         args = (_twist_form(D.table, 3), weigh, periods, tree.marking.inverse_table, 3, (1,), 61)
         first, value, delta = _affine_law(*args)
         assert first > 12  # the marking's winding is unwound first
-        monkeypatch.setattr(dynamics, "_period_growth", lambda limit, pulled: delta + 1)
+        monkeypatch.setattr(trees, "_period_growth", lambda limit, pulled: delta + 1)
         with pytest.raises(RuntimeError, match=f"^step {first + 1} of \\(1,\\) is not step {first} plus"):
             _affine_law(*args)
 
@@ -405,7 +422,7 @@ class TestTreeOrbitKernel:
 
     def test_each_orbit_builds_a_period_at_most_once_per_signed_generator(self, monkeypatch):
         built = []
-        pulled_periods, period = dynamics._pulled_periods, dynamics._period
+        pulled_periods, period = trees._pulled_periods, trees._period
 
         def counted_periods(pull, weigh, lengths):
             built.append([])
@@ -415,8 +432,8 @@ class TestTreeOrbitKernel:
             built[-1].append(y)
             return period(pull, weigh, lengths, y)
 
-        monkeypatch.setattr(dynamics, "_pulled_periods", counted_periods)
-        monkeypatch.setattr(dynamics, "_period", counted_period)
+        monkeypatch.setattr(trees, "_pulled_periods", counted_periods)
+        monkeypatch.setattr(trees, "_period", counted_period)
         for level in (2, 3):
             for phi, tree in BENCHMARK_ORBITS:
                 built.clear()
@@ -458,12 +475,12 @@ class TestTreeOrbitKernel:
         args = (_twist_form(D.table, 3), weigh, periods, tree.marking.inverse_table, 3, (2, 3), 61)
         first, _, delta = _affine_law(*args)
         assert delta == 0
-        syllables = dynamics._syllables
+        syllables = trees._syllables
 
         def wrong_at_the_next_step(skeleton, n):
             return syllables(skeleton, n) + [(1, 1)] if n == first + 1 else syllables(skeleton, n)
 
-        monkeypatch.setattr(dynamics, "_syllables", wrong_at_the_next_step)
+        monkeypatch.setattr(trees, "_syllables", wrong_at_the_next_step)
         with pytest.raises(RuntimeError, match=f"^step {first + 1} is not the limit skeleton's step {first + 1}$"):
             _affine_law(*args)
 
