@@ -21,24 +21,23 @@ term with no merging, root finding or sorting, and keeps each core in the
 rotation its reduction leaves: read counts do not depend on where a cycle
 starts.
 
-Every distance report reads its orbit off one of two sources, each giving a
-head of :data:`Reads` and an :data:`AffineTail` ``(n0, A, B)``, step
-``n0 + k`` reading ``A + k B``.  :func:`_orbit_head` gives automorphism
-orbits: a twist-form table (:func:`_twist_form`) has an eventually affine
-orbit (Cohen-Lustig), whose syllable skeleton gives ``n0``, ``B`` and the
-few root steps to check, while any other table streams every kernel step
-with no tail.  :func:`_power_head` gives the classes ``[g^n x]``: past
-``n0`` each step adds one period of ``g``'s cyclic core (bounded
-cancellation).  A source spells only its head, refusing each step before
-it may pass :data:`LETTER_BUDGET`, and checks step ``n0 + 1`` against
-``A + B``.  One row judge, :func:`_orbit_rows`, measures either against a
-goal ``g`` as int rows ``(norm, gap)``, the distance being
-``gap / (norm ||g||)``: the head step by step, the tail as lines in ``k``
-(:func:`_distance_lines`) of which one is the max from the crossing point
-on (:func:`_crossing`), cross-checked once against :func:`_gap` of
-``A + k B``; no tail step builds any other read dict.
-:func:`_orbit_distances` is the judge on :func:`_orbit_head`, refusing an
-orbit of more than :data:`ROW_BUDGET` rows before its first step.
+Every distance report reads its orbit as a head of :data:`Reads` and an
+:data:`AffineTail` ``(n0, A, B)``, step ``n0 + k`` reading ``A + k B``.  One
+rule, :func:`_affine_tail`, proves the tail and gives ``n0`` and ``B`` off a
+:data:`Skeleton` of syllables ``r^(c + slope n)``, and :func:`_affine_head`
+cuts a source's head at ``n0 + 1`` and checks that step against ``A + B``.
+:func:`_orbit_head` steps automorphism orbits on the kernel, a twist-form
+table (:func:`_twist_form`) giving generator skeletons and any other table
+streaming every step with no tail; :func:`_power_head` spells the classes
+``[g^n x]`` off the skeleton ``[(w, 0, 1), (h, 1, 0)]``.  A source spells
+only its head, refusing each step before it may pass :data:`LETTER_BUDGET`.
+One row judge, :func:`_orbit_rows`, measures either against a goal ``g`` as
+int rows ``(norm, gap)``, the distance being ``gap / (norm ||g||)``: the head
+step by step, the tail as lines in ``k`` (:func:`_distance_lines`) of which
+one is the max from the crossing point on (:func:`_crossing`), cross-checked
+once against :func:`_gap` of ``A + k B``; no tail step builds any other read
+dict.  :func:`_orbit_distances` is the judge on :func:`_orbit_head`,
+refusing an orbit of more than :data:`ROW_BUDGET` rows before its first step.
 
 The public :func:`act` and :func:`projective_vector` are the kernel's image
 step and read counter followed by canonicalization and division; :func:`act`
@@ -53,6 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain, islice
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -79,7 +79,6 @@ from .words import (
     Letter,
     Word,
     _canonical_rotation,
-    _cyclic_core,
     _key_letters,
     _keys,
     _least_rotation,
@@ -87,6 +86,7 @@ from .words import (
     _period,
     _reads,
     _reduced,
+    _split,
     _unchecked,
     _with_prefixes,
     cyclic_reduce,
@@ -269,10 +269,10 @@ def _fold_reads(raw: Counter, level: int, norm: int) -> Reads:
 # Per generator (index 0 unused): None if the table fixes it, else ``(y, s, t)``
 # for ``x -> y^s x y^t``.
 TwistForm = tuple[tuple[int, int, int] | None, ...]
-# A syllable ``y^e`` as ``(y, e)``.
-Syllable = tuple[int, int]
-# The syllables of ``phi^n(w)`` for every n, each as ``(y, c, slope)`` with ``e = c + slope*n``.
-Skeleton = list[tuple[int, int, int]]
+# A syllable ``r^e`` as ``(r, e)``, its period ``r`` a generator ``y`` (the word ``(y,)``) or a cyclically reduced word.
+Syllable = tuple[int | tuple[Letter, ...], int]
+# Every step n's syllables, each as ``(r, c, slope)`` with ``e = c + slope*n`` (:func:`_skeleton`, :func:`_power_head`).
+Skeleton = list[tuple[int | tuple[Letter, ...], int, int]]
 
 
 def _twist_form(table: SignedTable, rank: int) -> TwistForm | None:
@@ -354,9 +354,16 @@ def _syllables(skeleton: Skeleton, n: int) -> list[Syllable]:
     return stack[i:]
 
 
+def _cycle(r: int | tuple[Letter, ...], sign: int) -> tuple[Letter, ...]:
+    """The letters of the period ``r`` if ``sign > 0``, else of ``r^-1``."""
+    if isinstance(r, int):
+        return (r if sign > 0 else -r,)
+    return r if sign > 0 else tuple([-x for x in reversed(r)])
+
+
 def _syllable_letters(syllables: Sequence[Syllable]) -> tuple[Letter, ...]:
     """The letters a syllable sequence spells."""
-    return tuple(x for y, e in syllables for x in [y if e > 0 else -y] * abs(e))
+    return tuple(chain.from_iterable(_cycle(r, e) * abs(e) for r, e in syllables))
 
 
 def _image_syllables(core: Sequence[Letter], skeleton: Skeleton, n: int) -> list[Syllable]:
@@ -387,37 +394,45 @@ def _limit(skeleton: Skeleton) -> Skeleton:
 
 
 def _onset(syllables: Skeleton, level: int) -> int:
-    """The first ``n >= 1`` at which every moving syllable ``(y, c, slope)`` has ``sign(slope) * e >= level``."""
+    """The first ``n >= 1`` from which every moving syllable spells ``level + kappa`` letters (:func:`_affine_tail`)."""
     n0 = 1
-    for _, c, slope in syllables:
-        if slope:  # the least n with sign(slope) * (c + slope n) >= level
-            n0 = max(n0, -((c - level if slope > 0 else -c - level) // abs(slope)))
+    for r, c, slope in syllables:
+        if slope:  # the least n with sign(slope) * e >= m, the least exponent spelling level + kappa letters
+            m = level
+            if not isinstance(r, int):  # kappa = |r| + 2 |h|, |h| the fixed syllables' letters
+                m = -(-(level + len(r) + 2 * sum(abs(d) * len(q) for q, d, s in syllables if not s)) // len(r))
+            n0 = max(n0, -((c - m if slope > 0 else -c - m) // abs(slope)))
     return n0
 
 
 def _affine_tail(skeleton: Skeleton, level: int) -> tuple[int, Counter]:
-    """``n0`` and the per-step growth ``B`` of the ``level``-letter :func:`_reads` of ``phi^n(core)`` past it.
+    """``n0`` and the per-step growth ``B`` of the ``level``-letter :func:`_reads` of a skeleton's step n past it.
 
-    Cut every syllable ``x^m`` of a cyclic syllable sequence to
-    ``min(m, level)`` letters.  A read that stays inside the syllable it
-    starts in is ``x^level``, and ``m - level + 1`` vertices start one.
-    Every other read starts in the last ``level - 1`` letters of its syllable
-    and runs on into the letters after it, which the cut leaves as they are.
-    So the reads are the cut cycle's, plus ``m - level`` reads of
-    ``x^level`` per longer syllable.  From the :func:`_onset` of the skeleton
-    and the :func:`_limit` together, no syllable vanishes, the merges are the
-    limit's, and every moving syllable is at least ``level`` letters long, so
-    the cut cycle is the same at every step and each step adds only
-    ``|slope|`` reads of ``x^level`` per moving limit syllable ``x^e``.  (The
-    counts can turn affine a step sooner: ``n0`` is an onset, not the least.)
+    The one rule for every orbit source: from the :func:`_onset` ``n0`` of the skeleton and its
+    :func:`_limit` on, step ``n + 1`` reads step n's plus ``B``, ``|slope|`` times the reads of the cycle
+    ``r^sign(slope)`` per moving limit syllable ``(r, c, slope)``.  Proof: from ``n0`` on, each moving
+    syllable keeps a run ``R`` of its periodic word ``P = ...rrr...``, of at least ``level`` letters, that
+    reduction leaves whole, the rest reduces by the same moves at every step, and step ``n + 1`` puts
+    ``|slope|`` more periods into ``R``.  A read from an old vertex runs at most ``level - 1`` letters into
+    ``R``, so it is unchanged, and the new vertices read ``P`` inside ``R``: the reads of the cycle, kept
+    by the linear prefix fold.  Both kinds of skeleton keep such a run:
+
+    * Generators (Cohen-Lustig): reducing syllables ``y^e`` only merges neighbours of one generator.
+      From the onset none vanishes, so the merges are the limit's, which has merged the ends on
+      ``(c, slope)``: nothing cancels (``kappa = 0``), and ``R`` is the whole syllable.
+    * Words ``[(w, 0, 1), (h, 1, 0)]``, ``l = |w|`` (bounded cancellation, Cooper): cyclic reduction
+      cancels ``w^n h`` in pairs at its two joins, ``h``'s ends against ``w^n``'s and, once ``h`` is
+      used up, ``w^n``'s back against its front.  In ``P`` these last pair ``P[t]`` with ``P[d - t]``
+      for consecutive ``t``, and stop within ``(l - 1) / 2`` pairs, before ``d - t = t`` or ``t + 1``
+      (mod ``l``) pairs a letter with itself or its neighbour.  So ``c <= |h| + l - 1`` letters of
+      ``w^n`` cancel, the same ones at every n with ``c + 2 <= n l``, and ``R`` is ``w^n`` less them:
+      with ``kappa = l + 2|h|``, ``|R| >= |h| + level + 1`` from the onset.
+
+    (The counts can turn affine a step sooner: ``n0`` is an onset, not the least.)
     """
     limit = _limit(skeleton)
-    n0 = _onset(skeleton + limit, level)
-    growth: Counter = Counter()
-    for y, _, slope in limit:
-        if slope:
-            growth[(y if slope > 0 else -y,) * level] += abs(slope)
-    return n0, growth
+    n0 = max(_onset(skeleton, level), _onset(limit, level))
+    return n0, sum((_reads(_cycle(r, slope) * abs(slope), level) for r, _, slope in limit if slope), Counter())
 
 
 def _root_steps(skeleton: Skeleton, n0: int, steps: int) -> list[int]:
@@ -452,92 +467,82 @@ def _kernel_reads(table: SignedTable, terms: Terms, rank: int, steps: int, level
         yield _orbit_reads(terms, level)
 
 
-def _orbit_head(
-    table: SignedTable, terms: Terms, rank: int, steps: int, level: int
-) -> tuple[Iterable[Reads], AffineTail | None]:
-    """``(head, tail)``: the :func:`_orbit_reads` of steps ``0..min(steps, n0 + 1)`` and the :data:`AffineTail`.
+def _affine_head(
+    reads: Iterator[Reads], skeletons: list[tuple[Skeleton, int]], steps: int, level: int
+) -> tuple[list[Reads], AffineTail | None]:
+    """``(head, tail)`` of the :data:`Reads` of steps ``0, 1, ...``, the weighted sums of the skeletons' steps.
 
-    Every step of the head comes off the kernel (:func:`_kernel_reads`), so
-    each is refused before it may pass :data:`LETTER_BUDGET`.  A table
-    without a twist form has no tail, and its head is the stream of every
-    step.  Otherwise the head is a list of the kernel's steps
-    ``0..min(steps, n0 + 1)``, and the skeletons give the rest: ``n0`` and
-    the growth ``B`` (:func:`_affine_tail`), whose single letters must sum
-    to the norm's slope, and step ``n0 + 1`` must equal ``A + B``, where
-    ``A`` is step ``n0``.  The kernel's checks at ``n0 + 1`` hold at every
-    later step but the :func:`_root_steps`, which are checked here once on
-    the syllables.  The tail is None unless ``steps`` goes past ``n0 + 1``.
-
-    ``n0`` is at most a few steps on the catalogue orbits, but grows with the
-    runs of a twistor that must first unwind: ``[aB^k]`` under ``a -> ab``
-    has ``n0 = k + level``, and its head costs ``O(k^2)`` letters.
+    The head is ``reads``' steps ``0..min(steps, n0 + 1)``, ``n0`` the latest :func:`_affine_tail` onset.
+    ``B``, the weighted sum of the growths, must have single letters that sum to the norm's slope, and step
+    ``n0 + 1`` must read ``A + B``, ``A`` being step ``n0``.  No tail unless ``steps`` passes ``n0 + 1``.
     """
-    form = _twist_form(table, rank)
-    if form is None:
-        return _kernel_reads(table, terms, rank, steps, level), None
-    skeletons = [_skeleton(form, core) for core, _ in terms]
-    tails = [_affine_tail(skeleton, level) for skeleton in skeletons]
+    tails = [_affine_tail(skeleton, level) for skeleton, _ in skeletons]
     n0 = max(n for n, _ in tails)
-    head = list(_kernel_reads(table, terms, rank, min(steps, n0 + 1), level))
+    head = list(islice(reads, min(steps, n0 + 1) + 1))
     if steps <= n0:
         return head, None
     growth: Counter = Counter()
-    for (_, weight), (_, term_growth) in zip(terms, tails):
-        for read, count in term_growth.items():
-            growth[read] += weight * count
-    a, reads = head[n0], head[n0 + 1]
-    b = _fold_reads(growth, level, reads[1] - a[1])
-    if _shifted(a[0], b[0], 1) != reads[0]:
+    for (_, weight), (_, term_growth) in zip(skeletons, tails):
+        growth.update({read: weight * count for read, count in term_growth.items()})
+    a, after = head[n0], head[n0 + 1]
+    b = _fold_reads(growth, level, after[1] - a[1])
+    if _shifted(a[0], b[0], 1) != after[0]:
         raise RuntimeError(f"step {n0 + 1} is not step {n0} plus the growth read off the syllables")
-    for (core, _), skeleton in zip(terms, skeletons):
-        for n in _root_steps(skeleton, n0, steps):
-            _image_syllables(core, skeleton, n)
     return head, (n0, a, b) if steps > n0 + 1 else None
 
 
-def _power_core(w: tuple[Letter, ...], h: tuple[Letter, ...], n: int) -> Sequence[Letter]:
-    """The cyclic core of ``w^n h``, spelled; the identity raises :class:`IdentityElementError`."""
-    letters = _reduced(w * n + h)
+def _orbit_head(
+    table: SignedTable, terms: Terms, rank: int, steps: int, level: int
+) -> tuple[Iterable[Reads], AffineTail | None]:
+    """``(head, tail)`` of an automorphism orbit: :func:`_affine_head` of the kernel and the twist skeletons.
+
+    A table without a twist form has no tail, and its head is the stream of every kernel step
+    (:func:`_kernel_reads`).  The kernel's checks at ``n0 + 1`` hold at every later step but the
+    :func:`_root_steps`, which are checked here once on the syllables.  ``n0`` is at most a few steps on
+    the catalogue orbits, but grows with the runs of a twistor that must first unwind: ``[aB^k]`` under
+    ``a -> ab`` has ``n0 = k + level``, and its head costs ``O(k^2)`` letters.
+    """
+    form = _twist_form(table, rank)
+    kernel = _kernel_reads(table, terms, rank, steps, level)
+    if form is None:
+        return kernel, None
+    skeletons = [(_skeleton(form, core), weight) for core, weight in terms]
+    head, tail = _affine_head(kernel, skeletons, steps, level)
+    if tail is not None:
+        for (core, _), (skeleton, _) in zip(terms, skeletons):
+            for n in _root_steps(skeleton, tail[0], steps):
+                _image_syllables(core, skeleton, n)
+    return head, tail
+
+
+def _spelled_core(skeleton: Skeleton, n: int) -> Sequence[Letter]:
+    """The cyclic core of a skeleton's step ``n``, spelled; the identity raises :class:`IdentityElementError`."""
+    letters = _reduced(_syllable_letters([(r, c + slope * n) for r, c, slope in skeleton]))
     if not letters:
         raise IdentityElementError("the identity has no cyclic reduction")
-    return _cyclic_core(letters)
+    return _split(letters)[1]
 
 
 def _power_head(
     g: Sequence[Letter], x: Sequence[Letter], steps: int, level: int
 ) -> tuple[list[Reads], AffineTail | None]:
-    """``(head, tail)`` of the classes ``[g^n x]`` (``g`` nontrivial, both reduced), as :func:`_orbit_head` gives them.
+    """``(head, tail)`` of the classes ``[g^n x]`` (``g`` nontrivial, both reduced): :func:`_affine_head`.
 
-    With ``g = p w p^-1``, ``w`` cyclically reduced and ``l = |w|``, ``[g^n x] = [w^n h]`` for the
-    reduced ``h = p^-1 x p``.  The head spells steps ``0..min(steps, n0 + 1)`` (:func:`_power_core`),
-    each refused first if its ``n l + |h|`` letters may pass :data:`LETTER_BUDGET`; ``B`` is the
-    reads of the cycle ``w``, and step ``n0 + 1`` must read ``A + B``.
-
-    Proof that step ``n + 1`` reads step n's plus ``B`` from ``n0 = ceil((2|h| + level + l) / l)`` on.
-    Cyclic reduction cancels ``w^n h`` in pairs at its two joins: ``h``'s ends against ``w^n``'s and,
-    once ``h`` is used up, ``w^n``'s back against its front.  In the reduced periodic word
-    ``P = ...www...`` these last pair ``P[t]`` with ``P[d - t]`` for consecutive ``t``, and stop within
-    ``(l - 1) / 2`` pairs, before ``d - t = t`` or ``t + 1`` (mod ``l``) pairs a letter with itself or
-    its neighbour.  So ``c <= |h| + l - 1`` letters of ``w^n`` cancel, the same ones at every n with
-    ``c + 2 <= n l``: step n is ``[R h']``, the run ``R`` being ``w^n`` less fixed ends, and step
-    ``n + 1`` puts one period in front of ``R``.  From ``n0`` on ``|R| >= |h| + level + 1``, so a read
-    from an old vertex, which runs at most ``level - 1`` letters into ``R``, is unchanged, and the
-    ``l`` new vertices read ``P`` inside ``R``: the reads of the cycle ``w``, kept by the linear prefix fold.
+    With ``g = p w p^-1`` (:func:`_split`), ``[g^n x] = [w^n h]``, ``h = p^-1 x p`` reduced: the skeleton
+    ``[(w, 0, 1), (h, 1, 0)]``, spelled at each head step n (:func:`_spelled_core`), which is refused first
+    if its ``n |w| + |h|`` letters may pass :data:`LETTER_BUDGET`.  ``[a^n a]`` is a proper power, so no
+    step checks power-freeness.
     """
-    w = tuple(_cyclic_core(g))
-    p = g[: (len(g) - len(w)) // 2]
+    p, w = _split(g)
     h = _reduced([-y for y in reversed(p)] + list(x) + list(p))
-    n0 = -(-(2 * len(h) + level + len(w)) // len(w))
-    head = []
-    for n in range(min(steps, n0 + 1) + 1):
-        check_word_budget(n * len(w) + len(h), f"{n}*|w| + |h|")
-        head.append(_orbit_reads([(_power_core(w, h, n), 1)], level))
-    if steps <= n0:
-        return head, None
-    a, b = head[n0], _fold_reads(_reads(w, level), level, len(w))
-    if _shifted(a[0], b[0], 1) != head[n0 + 1][0]:
-        raise RuntimeError(f"step {n0 + 1} is not step {n0} plus the reads of the period {w}")
-    return head, (n0, a, b) if steps > n0 + 1 else None
+    skeleton: Skeleton = [(tuple(w), 0, 1), (h, 1, 0)]
+
+    def reads() -> Iterator[Reads]:
+        for n in range(steps + 1):
+            check_word_budget(n * len(w) + len(h), f"{n}*|w| + |h|")
+            yield _orbit_reads([(_spelled_core(skeleton, n), 1)], level)
+
+    return _affine_head(reads(), [(skeleton, 1)], steps, level)
 
 
 def _distance_lines(a: Reads, b: Reads, goal: Reads) -> set[tuple[int, int]]:

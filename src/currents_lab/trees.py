@@ -85,7 +85,7 @@ from .errors import (
     ParseError,
     RankError,
 )
-from .words import Basis, CyclicWord, Letter, Word, _cyclic_core, _reduced, parse_letters
+from .words import Basis, CyclicWord, Letter, Word, _reduced, _split, parse_letters
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ def _core_letters(tree: TreeLengthFunction, g: Word | CyclicWord) -> Sequence[in
         raise BasisMismatchError("tree and word use different bases")
     if not g.letters:
         raise IdentityElementError("translation length needs a nontrivial element")
-    return _cyclic_core(_apply_table(tree.marking.inverse_table, g.letters))
+    return _split(_apply_table(tree.marking.inverse_table, g.letters))[1]
 
 
 def length_britton(tree: TreeLengthFunction, g: Word) -> Fraction:
@@ -379,7 +379,7 @@ def length_limit(tree: TreeLengthFunction, g: Word, cap: int = 64) -> Fraction:
     diffs: list[int] = []
     for n in range(cap):
         current = _apply_table(table, current)
-        values.append(_letter_weight(weights, _cyclic_core(current)))
+        values.append(_letter_weight(weights, _split(current)[1]))
         diffs.append(values[-1] - values[-2])
         if n + 1 >= transient + 3 and diffs[-1] == diffs[-2] == diffs[-3]:
             return tree.scale * Fraction(diffs[-1], denominator)
@@ -468,14 +468,14 @@ def _marked(letters: Sequence[Letter]) -> tuple[int, ...]:
     return tuple(x + _MARK if x > 0 else x - _MARK for x in letters)
 
 
-# Per signed generator ``y``: ``(p, r, q, weight)``, where ``pull[y]`` is ``p r q`` with ``q = p^-1`` and
-# the period ``r`` its cyclic core, so that a syllable ``y^e``, ``e > 0``, pulls back to ``p r^e q``;
+# Per syllable period ``s`` as its sign spells it (``(-y,)`` for ``y^e``, ``e < 0``): ``(p, r, q, weight)``, where
+# ``s`` pulls back to ``p r q``, ``q = p^-1``, ``r`` its cyclic core, and ``s^e``, ``e > 0``, to ``p r^e q``;
 # ``weight`` is ``weight(r)`` when the period has a certificate, and 0 when it has none.
 PulledSyllable = tuple[tuple[Letter, ...], tuple[Letter, ...], tuple[Letter, ...], int]
 
 
-def _period(pull: SignedTable, weigh: Weigher, lengths: dict[int, int], y: int) -> PulledSyllable:
-    """The :data:`PulledSyllable` of the signed generator ``y``.
+def _period(pull: SignedTable, weigh: Weigher, lengths: dict[int, int], s: tuple[Letter, ...]) -> PulledSyllable:
+    """The :data:`PulledSyllable` of the syllable period ``s``, pulled back as ``_apply_table(pull, s)``.
 
     ``weight(r)`` is ``r``'s letter weight under the weigher's charges
     (:func:`_int_lengths`): the weighted count of its stable letters on
@@ -484,18 +484,19 @@ def _period(pull: SignedTable, weigh: Weigher, lengths: dict[int, int], y: int) 
     ``weight(r)``, so that no pinch applies around it, and none inside any
     ``r^e``.
     """
-    image = pull[y]
-    r = _cyclic_core(image)
+    image = _apply_table(pull, s)
+    p, r = _split(image)
     weight = _letter_weight(lengths, r)
-    i = (len(image) - len(r)) // 2
-    return image[:i], r, image[i + len(r) :], weight if weight and weigh(r) == weight else 0
+    return p, r, image[len(p) + len(r) :], weight if weight and weigh(r) == weight else 0
 
 
-def _pulled_periods(pull: SignedTable, weigh: Weigher, lengths: dict[int, int]) -> Callable[[int], PulledSyllable]:
-    """One orbit's :func:`_period` of each signed generator, built on its first use and kept.
+def _pulled_periods(
+    pull: SignedTable, weigh: Weigher, lengths: dict[int, int]
+) -> Callable[[tuple[Letter, ...]], PulledSyllable]:
+    """One orbit's :func:`_period` of each syllable period, built on its first use and kept.
 
     A period and its verdict depend on the marking and the tree only, so
-    each is built and weighed at most once per signed generator per orbit,
+    each is built and weighed at most once per syllable period per orbit,
     and every moving syllable of every class reads the kept verdict.
     """
     return cache(partial(_period, pull, weigh, lengths))
@@ -516,7 +517,7 @@ def _marked_pull_back(limit: Skeleton, pulled: list[PulledSyllable], n: int) -> 
             letters += p + r * left + _marked(r * 2) + r * (e - 2 - left) + q
         else:
             letters += p + r * e + q
-    return _cyclic_core(_reduced(letters))
+    return _split(_reduced(letters))[1]
 
 
 def _limit_syllables(skeleton: Skeleton, limit: Skeleton, n: int) -> list[tuple[int, int]]:
@@ -537,7 +538,7 @@ def _pulled_weight(
 def _affine_law(
     form: TwistForm,
     weigh: Weigher,
-    periods: Callable[[int], PulledSyllable],
+    periods: Callable[[tuple[Letter, ...]], PulledSyllable],
     pull: SignedTable,
     rank: int,
     letters: Sequence[Letter],
@@ -555,14 +556,14 @@ def _affine_law(
     """
     skeleton = _skeleton(form, letters)
     limit = _limit(skeleton)
-    first = max(_onset(skeleton + limit, 1), _onset(limit, 2))
+    first = max(_onset(skeleton, 1), _onset(limit, 2))
     if first > last:
         return None
     if not any(slope for _, _, slope in limit):
         value = _pulled_weight(weigh, pull, rank, skeleton, limit, first)
         _limit_syllables(skeleton, limit, first + 1)
         return first, value, 0
-    pulled = [periods(y if (slope or c) > 0 else -y) for y, c, slope in limit]
+    pulled = [periods((y if (slope or c) > 0 else -y,)) for y, c, slope in limit]
     if any(slope and not weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled)):
         return None
     marked = 2 * sum(weight for (_, _, slope), (_, _, _, weight) in zip(limit, pulled) if slope)

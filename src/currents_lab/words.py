@@ -99,18 +99,6 @@ def parse_letters(basis: Basis, text: str) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-def _check_letters(basis: Basis, letters: Sequence[Letter]) -> None:
-    """Raise what :meth:`Basis.check_letter` raises for the first bad letter.
-
-    Plain ints in range pass on one range test per letter; anything else
-    (bool, float, str, ...) goes through ``check_letter`` to accept or raise.
-    """
-    rank = basis.rank
-    for x in letters:
-        if x.__class__ is not int or not (0 < x <= rank or -rank <= x < 0):
-            basis.check_letter(x)
-
-
 def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
     for x in letters:
@@ -130,7 +118,8 @@ class Word:
 
     def __post_init__(self):
         letters = self.letters
-        _check_letters(self.basis, letters)
+        for x in letters:
+            self.basis.check_letter(x)
         if 0 in map(add, letters, letters[1:]):
             at = next(i for i, (x, y) in enumerate(zip(letters, letters[1:])) if x == -y)
             raise ValueError(f"word {letters} is not freely reduced at {at}")
@@ -235,6 +224,12 @@ def _cyclic_core(letters: Sequence[Letter]) -> Sequence[Letter]:
     return letters[i : j + 1]
 
 
+def _split(letters: Sequence[Letter]) -> tuple[Sequence[Letter], Sequence[Letter]]:
+    """``(p, core)`` with ``letters = p core p^-1``: the :func:`_cyclic_core` and the prefix it leaves."""
+    core = _cyclic_core(letters)
+    return letters[: (len(letters) - len(core)) // 2], core
+
+
 @dataclass(frozen=True)
 class CyclicWord:
     """A nonempty cyclically reduced word, stored in its canonical rotation."""
@@ -246,7 +241,8 @@ class CyclicWord:
         letters = self.letters
         if not letters:
             raise IdentityElementError("cyclic words are nonempty")
-        _check_letters(self.basis, letters)
+        for x in letters:
+            self.basis.check_letter(x)
         if 0 in map(add, letters, letters[1:] + letters[:1]):
             raise ValueError(f"{letters} is not cyclically reduced")
         if _least_rotation(_keys(letters)) != 0:
@@ -273,9 +269,9 @@ def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     letters = u.letters
     if not letters:
         raise IdentityElementError("the identity has no cyclic reduction")
-    core = _cyclic_core(letters)
-    conjugator = _unchecked(Word, basis=u.basis, letters=letters[: (len(letters) - len(core)) // 2])
-    return _unchecked(CyclicWord, basis=u.basis, letters=_canonical_rotation(core)), conjugator
+    p, core = _split(letters)
+    cycle = _unchecked(CyclicWord, basis=u.basis, letters=_canonical_rotation(core))
+    return cycle, _unchecked(Word, basis=u.basis, letters=p)
 
 
 def cyclic_word(basis: Basis, text: str) -> CyclicWord:

@@ -262,7 +262,7 @@ class TestExitCodes:
         monkeypatch.setattr(currents, "ROW_BUDGET", 41)
         assert run(capsys, argv + ["--iters", "40"])[0] == 0
         steps = []
-        for name in ("_orbit_step", "_power_core"):  # an automorphism step, a spelled step of [u^n c]
+        for name in ("_orbit_step", "_spelled_core"):  # an automorphism step, a spelled step of [u^n c]
             step = getattr(currents, name)
             monkeypatch.setattr(currents, name, lambda *args, step=step: steps.append(args) or step(*args))
         code, out, err = run(capsys, argv + ["--iters", "41"])
@@ -272,7 +272,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, most, first_step, err",
         [
-            (["off-critical", "--iters"], 40, (currents, "_power_core"), "the orbit would have 42 rows (steps + 1)"),
+            (["off-critical", "--iters"], 40, (currents, "_spelled_core"), "the orbit would have 42 rows (steps + 1)"),
             (["outlook-identity", "--iters"], 41, (dynamics, "power"), "the pairing table would have 42 rows (iters)"),
             (
                 ["minimality-walk", "--trials"], 41, (dynamics, "random_current"),
@@ -616,6 +616,16 @@ class TestReports:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_proper_power_class_golden_bytes(self, capsys):
+        # [a^n a] = [a^(n + 1)] is a proper power: the power source reads it without a power-freeness
+        # check, so the report runs to its end, and exits 1 as (a; nu_n) = n + 1 turns even; recorded
+        # before the power source was read off a skeleton
+        code, out, _ = run(capsys, ["experiment", "off-critical", "-g", "a", "-f", "a", "--iters", "6"])
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "17357689cd98bc9e3d7c71605db8a55936e1de8805f7e72fa2cc2137b83128f3"
+        )
 
 
 class TestSelftest:

@@ -30,6 +30,7 @@ from currents_lab.currents import (
     _current_reads,
     _gap,
     _image_syllables,
+    _limit,
     _orbit_current,
     _orbit_distances,
     _orbit_head,
@@ -69,6 +70,7 @@ from currents_lab.words import (
     Word,
     _canonical_rotation,
     _period,
+    _reads,
     concat,
     cyclic_reduce,
     cyclic_word,
@@ -572,6 +574,20 @@ def _near_periodic(rng):
     return skeleton
 
 
+def _twist_onset_and_growth(skeleton, level):
+    """The twist-only rule, a reference oracle: moving syllables reach ``sign(slope) e >= level``."""
+    limit = _limit(skeleton)
+    n0 = 1
+    for _, c, slope in skeleton + limit:
+        if slope:
+            n0 = max(n0, -((c - level if slope > 0 else -c - level) // abs(slope)))
+    growth = Counter()
+    for y, _, slope in limit:
+        if slope:
+            growth[(y if slope > 0 else -y,) * level] += abs(slope)
+    return n0, growth
+
+
 def _fails(skeleton, n):
     """Whether the syllables of a skeleton at ``n`` fail the identity or proper-power check."""
     try:
@@ -599,6 +615,23 @@ class TestAffineTails:
         # [ab] -> [a b^(n+1)] moves from the start; [b] stays fixed
         assert _affine_tail(_skeleton(form, (1, 2)), level) == (max(1, level - 1), {run: 1})
         assert _affine_tail(_skeleton(form, (2,)), level) == (1, {})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_one_rule_keeps_every_twist_onset_and_growth(self, data):
+        basis = data.draw(st.sampled_from(TWIST_BASES))
+        table = data.draw(st.one_of(st.sampled_from(NAMED_TWIST_TABLES[basis]), twist_tables(basis)))
+        skeleton = _skeleton(_twist_form(table, basis.rank), data.draw(roots(basis)))
+        level = data.draw(st.integers(1, 5))
+        assert _affine_tail(skeleton, level) == _twist_onset_and_growth(skeleton, level)
+
+    def test_the_one_rule_keeps_the_onset_and_growth_of_synthetic_twist_skeletons(self):
+        rng = Random(1)
+        skeletons = [_near_periodic(rng) for _ in range(300)]
+        skeletons += [_syllable_word(rng, rng.randint(1, 8)) for _ in range(700)]
+        for skeleton in skeletons:
+            for level in range(1, 6):
+                assert _affine_tail(skeleton, level) == _twist_onset_and_growth(skeleton, level), (skeleton, level)
 
     def test_wrong_slope_raises_at_n0_plus_one(self, monkeypatch):
         import currents_lab.currents as currents_module
@@ -975,6 +1008,30 @@ class TestPowerOrbits:
         assert [len(head) for head, _ in (_power_head((1, 2), (3,), steps, 2) for steps in (2, 4))] == [3, 5]
         assert _power_head((1, 2), (3,), 4, 2)[1] is None
         assert _power_head((1, 2), (3,), 5, 2)[1][0] == 3
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_the_one_rule_gives_the_bounded_cancellation_onset_and_the_reads_of_the_period(self, level):
+        # the word syllable w^n keeps |h| + level + 1 letters once n |w| >= level + |w| + 2 |h|
+        for w, h in [((1, 2, -1, -2), (2,)), ((1, 2), (3,)), ((1,), (-1, 2, 2, 1)), ((1, 1, 2), (-2, -1, -1, 3))]:
+            n0, growth = _affine_tail([(w, 0, 1), (h, 1, 0)], level)
+            assert n0 == -(-(level + len(w) + 2 * len(h)) // len(w))
+            assert growth == _reads(w, level)
+        # x = g: the limit merges [w^n w] into the one syllable w^(n+1), and the skeleton still sets the onset
+        w = (1, 2, 2)
+        assert _limit([(w, 0, 1), (w, 1, 0)]) == [(w, 1, 1)]
+        assert _affine_tail([(w, 0, 1), (w, 1, 0)], level) == (-(-(level + 3 * len(w)) // len(w)), _reads(w, level))
+
+    def test_a_wrong_growth_raises_at_n0_plus_one_as_on_the_twist_source(self, monkeypatch):
+        import currents_lab.currents as currents_module
+
+        tail = currents_module._affine_tail
+        # the growth of [(ab)^n c] moved from ab, ba to aa, bb: its single letters still sum to the norm's slope
+        monkeypatch.setattr(
+            currents_module, "_affine_tail", lambda sk, level: (tail(sk, level)[0], Counter({(1, 1): 1, (2, 2): 1}))
+        )
+        assert len(_power_head((1, 2), (3,), 3, 2)[0]) == 4
+        with pytest.raises(RuntimeError, match="^step 4 is not step 3 plus the growth read off the syllables$"):
+            _power_head((1, 2), (3,), 4, 2)
 
 
 class TestClassBudget:

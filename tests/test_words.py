@@ -18,6 +18,7 @@ from currents_lab.words import (
     _least_rotation,
     _pair_key,
     _reads,
+    _split,
     CyclicWord,
     Word,
     concat,
@@ -173,6 +174,12 @@ class TestCyclicReduction:
         cycle, conjugator = cyclic_reduce(u)
         assert concat(concat(conjugator, Word(B3, core)), invert(conjugator)) == u
         assert core in {cycle.letters[i:] + cycle.letters[:i] for i in range(len(cycle))}
+
+    @given(nonempty_words(B3))
+    def test_split_spells_the_word(self, u):
+        p, core = _split(u.letters)
+        assert p + core + tuple(-x for x in reversed(p)) == u.letters
+        assert (p, core) == (cyclic_reduce(u)[1].letters, _cyclic_core(u.letters))
 
 
 def naive_reads(target, cycle):
